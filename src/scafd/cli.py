@@ -220,13 +220,19 @@ def train_method(
     raise ValueError(f"unknown method {method!r}")
 
 
+# What a fit or a score can legitimately raise on bad data: ValueError (which
+# covers numpy's LinAlgError), FloatingPointError, and RuntimeError (which
+# covers LineSearchError).  Anything else is a programming error.
+_FIT_ERRORS = (ValueError, FloatingPointError, RuntimeError)
+
+
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Train every requested method once and score every fault case.
 
     Writes metrics.csv (fault_id, method, mdr, far), one chart CSV per cell,
     convergence traces for the iterative methods, run metadata, and optional
-    SVG charts.  A failing method or case is recorded as NA and skipped, not
-    fatal.
+    SVG charts.  A method or case that fails with one of ``_FIT_ERRORS`` is
+    recorded as NA and skipped, not fatal; any other exception propagates.
     """
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
@@ -261,7 +267,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
                 method, train_dm, p, spec.zeta, m_seed,
                 energy=spec.energy, max_iters=spec.max_iters,
             )
-        except Exception as exc:  # record and move on
+        except _FIT_ERRORS as exc:  # record and move on
             metadata["failures"].append({"method": method, "stage": "train",
                                          "error": str(exc)})
             continue
@@ -291,7 +297,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
                             report.t2, model.control_limit, case.normal_count,
                             f"fault {case.fault_id} / {method}",
                         )
-                except Exception as exc:
+                except _FIT_ERRORS as exc:
                     metadata["failures"].append(
                         {"method": method, "stage": f"fault {case.fault_id}",
                          "error": str(exc)}

@@ -115,11 +115,23 @@ def project_tangent(base: StiefelPoint, Z: np.ndarray) -> np.ndarray:
     return Z - W @ _sym(W.T @ Z)
 
 
+def _polar_inv_sqrt(hth: np.ndarray, t: float) -> np.ndarray:
+    """(I + t^2 H^T H)^(-1/2) by symmetric eigendecomposition with a floor."""
+    p = hth.shape[0]
+    a = np.eye(p) + (t * t) * hth
+    vals, vecs = np.linalg.eigh(_sym(a))
+    vals = np.maximum(vals, _EIG_FLOOR)
+    return (vecs / np.sqrt(vals)) @ vecs.T
+
+
 def retract(base: StiefelPoint, H: np.ndarray, t: float) -> StiefelPoint:
     """Polar retraction (W + t*H) @ (I + t^2 H^T H)^(-1/2).
 
     H must be tangent at base; the inverse square root is computed by
-    symmetric eigendecomposition with an eigenvalue floor.
+    symmetric eigendecomposition with an eigenvalue floor.  The optimizer's
+    line search evaluates this same map in closed form from p x p Grams
+    (same inverse square root, same Newton-Schulz sweep), so a change here
+    must be mirrored in ``optimizer._Ray``.
     """
     H = np.asarray(H, dtype=float)
     if H.shape != base.shape:
@@ -134,11 +146,7 @@ def retract(base: StiefelPoint, H: np.ndarray, t: float) -> StiefelPoint:
             f"{TANGENT_TOL} * max(1, ||H||)"
         )
     p = base.shape[1]
-    a = np.eye(p) + (t * t) * (H.T @ H)
-    vals, vecs = np.linalg.eigh(_sym(a))
-    vals = np.maximum(vals, _EIG_FLOOR)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    out = (base.matrix + t * H) @ inv_sqrt
+    out = (base.matrix + t * H) @ _polar_inv_sqrt(H.T @ H, t)
     # One Newton-Schulz sweep squares away the roundoff left by an
     # ill-conditioned eigendecomposition at large steps.
     out = out @ (1.5 * np.eye(p) - 0.5 * (out.T @ out))

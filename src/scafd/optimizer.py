@@ -10,6 +10,18 @@ Riemannian gradients via tangent projection, Armijo backtracking along the
 retracted curve, projection-based vector transport of the previous gradient
 and direction, and a Liu-Storey style direction parameter with a descent
 safeguard.
+
+The optimizer needs an identity decoder.  Then, with G = enc(w^T X),
+
+    f = ||X||^2 - 2 <W~^T X, G> + <G, W~^T W~ G>,
+
+so the cost and the gradient depend on the data only through the p x m
+products w^T X and W~^T X.  Along a direction (dw, H) both are closed-form
+in the step t: w^T X moves linearly, and the polar retraction with its
+Newton-Schulz sweep maps W~ to (W~ + tH) S C with p x p factors S and C.  A
+line search therefore forms [w, dw, W~, H]^T X once per direction, and each
+Armijo trial costs p x p and p x m work instead of two N x m x p products.
+The accepted trial's products then give the gradient at the new point.
 """
 
 from __future__ import annotations
@@ -19,11 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import DEFAULT_ACTIVATIONS, ActivationPair
+from .activations import DEFAULT_ACTIVATIONS, Activation, ActivationPair
 from .manifold import (
     ProductPoint,
     StiefelPoint,
     TangentPair,
+    _polar_inv_sqrt,
     inner,
     norm,
     random_stiefel,
@@ -76,8 +89,14 @@ class CgTrace:
 
     cost_per_iter: list[float] = field(default_factory=list)
     grad_norm_per_iter: list[float] = field(default_factory=list)
+    # accepted Armijo step of each iteration; the backtrack count of
+    # iteration k is log(step_per_iter[k] / initial_step) / log(factor)
+    step_per_iter: list[float] = field(default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
+    # why the run ended: "grad_tol", "flat" (cost_rel_tol over the last
+    # iterations) or "max_iters"; empty until cg_optimize returns
+    stop_reason: str = ""
 
 
 def _check_shapes(point: ProductPoint, X: np.ndarray) -> None:
@@ -89,12 +108,112 @@ def _check_shapes(point: ProductPoint, X: np.ndarray) -> None:
         )
 
 
+def _require_identity_decoder(activations: ActivationPair) -> None:
+    if activations.decoder.name != "identity":
+        raise ValueError(
+            "the closed-form line search and gradient need an identity "
+            f"decoder, got {activations.decoder.name!r}"
+        )
+
+
+def _sq_norm(X: np.ndarray) -> float:
+    # einsum reads X in place; np.vdot would copy a Fortran-ordered X
+    return float(np.einsum("ij,ij->", X, X))
+
+
+@dataclass
+class _Forward:
+    """The products of one point with the data that cost and gradient need."""
+
+    pre: np.ndarray  # w^T X, p x m
+    codes: np.ndarray  # G = enc(w^T X)
+    wt_x: np.ndarray  # W~^T X, p x m
+    gram: np.ndarray  # W~^T W~, p x p
+
+    def cost(self, x_sq: float) -> float:
+        """||X||^2 - 2 <W~^T X, G> + <G, W~^T W~ G>; may be non-finite."""
+        G = self.codes
+        cross = float(np.vdot(self.wt_x, G))
+        return x_sq - 2.0 * cross + float(np.vdot(G, self.gram @ G))
+
+
+def _forward(point: ProductPoint, X: np.ndarray, enc: Activation) -> _Forward:
+    p = point.shape[1]
+    W = point.w_tilde.matrix
+    prod = np.hstack([point.w, W]).T @ X
+    return _Forward(prod[:p], enc.fn(prod[:p]), prod[p:], W.T @ W)
+
+
+class _Ray:
+    """Forward pass at t along t -> (w + t dw, retract(W~, H, t)).
+
+    The constructor forms [w, dw, W~, H]^T X and the Grams of W~ and H; each
+    call then costs p x p and p x m work.  With
+    gram(t) = (W~ + tH)^T (W~ + tH) = W~^T W~ + t (W~^T H + H^T W~) + t^2 H^T H,
+    the retraction is (W~ + tH) S C with S = (I + t^2 H^T H)^(-1/2) and
+    C = 1.5 I - 0.5 S^T gram(t) S, so with R = S C the new decoder gives
+    W~(t)^T X = R^T (W~^T X + t H^T X) and W~(t)^T W~(t) = R^T gram(t) R.
+    """
+
+    def __init__(
+        self,
+        point: ProductPoint,
+        direction: TangentPair,
+        X: np.ndarray,
+        enc: Activation,
+    ) -> None:
+        W, H = point.w_tilde.matrix, direction.dh
+        p = W.shape[1]
+        prod = np.hstack([point.w, direction.dw, W, H]).T @ X
+        self.a, self.da, self.b, self.db = (
+            prod[k * p : (k + 1) * p] for k in range(4)
+        )
+        WH = np.hstack([W, H])
+        grams = WH.T @ WH
+        self.m, self.hh = grams[:p, :p], grams[p:, p:]
+        self.k_sym = grams[:p, p:] + grams[p:, :p]
+        self.eye = np.eye(p)
+        self.enc = enc
+
+    def at(self, t: float) -> _Forward:
+        S = _polar_inv_sqrt(self.hh, t)
+        gram = self.m + t * self.k_sym + (t * t) * self.hh
+        R = S @ (1.5 * self.eye - 0.5 * (S.T @ gram @ S))
+        pre = self.a + t * self.da
+        wt_x = R.T @ (self.b + t * self.db)
+        return _Forward(pre, self.enc.fn(pre), wt_x, R.T @ gram @ R)
+
+
+def _grad(
+    fwd: _Forward, X: np.ndarray, w_tilde: np.ndarray, enc: Activation
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean gradient pair from a forward pass (identity decoder).
+
+    W~^T D = 2 (W~^T W~ G - W~^T X) and Delta = enc'(w^T X) * W~^T D give
+    d/dw = X Delta^T and d/dW~ = 2 (W~ G G^T - X G^T); both X products come
+    from one N x m x 2p matmul.
+    """
+    G = fwd.codes
+    p = G.shape[0]
+    delta = enc.deriv(fwd.pre) * (2.0 * (fwd.gram @ G - fwd.wt_x))
+    x_prod = X @ np.concatenate([G, delta]).T
+    grad_wt = 2.0 * (w_tilde @ (G @ G.T) - x_prod[:, :p])
+    grad_w = np.ascontiguousarray(x_prod[:, p:])
+    if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_wt))):
+        raise FloatingPointError("non-finite gradient")
+    return grad_w, grad_wt
+
+
 def cost(
     point: ProductPoint,
     X: np.ndarray,
     activations: ActivationPair = DEFAULT_ACTIVATIONS,
 ) -> float:
-    """Squared Frobenius reconstruction error of X under the autoencoder."""
+    """Squared Frobenius reconstruction error of X under the autoencoder.
+
+    This is the direct formula, exact at zero residual; the optimizer uses
+    the expanded form of ``_Forward.cost`` instead.
+    """
     X = np.asarray(X, dtype=float)
     _check_shapes(point, X)
     codes = activations.encoder.fn(point.w.T @ X)
@@ -113,22 +232,15 @@ def euclidean_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the cost with respect to (w, w_tilde).
 
-    With G = enc(w^T X), E = dec(w_tilde G) - X and D = 2 E * dec'(w_tilde G):
-    d/d w_tilde = D G^T and d/d w = X (enc'(w^T X) * (w_tilde^T D))^T.
+    With G = enc(w^T X), E = w_tilde G - X and D = 2 E (identity decoder):
+    d/d w_tilde = D G^T and d/d w = X (enc'(w^T X) * (w_tilde^T D))^T,
+    evaluated without forming the N x m residual (see ``_grad``).
     """
+    _require_identity_decoder(activations)
     X = np.asarray(X, dtype=float)
     _check_shapes(point, X)
-    enc, dec = activations.encoder, activations.decoder
-    pre_codes = point.w.T @ X
-    codes = enc.fn(pre_codes)
-    pre_recon = point.w_tilde.matrix @ codes
-    err = dec.fn(pre_recon) - X
-    D = 2.0 * err * dec.deriv(pre_recon)
-    grad_wt = D @ codes.T
-    grad_w = X @ (enc.deriv(pre_codes) * (point.w_tilde.matrix.T @ D)).T
-    if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_wt))):
-        raise FloatingPointError("non-finite gradient")
-    return grad_w, grad_wt
+    enc = activations.encoder
+    return _grad(_forward(point, X, enc), X, point.w_tilde.matrix, enc)
 
 
 def move(point: ProductPoint, direction: TangentPair, t: float) -> ProductPoint:
@@ -147,29 +259,43 @@ def line_search(
     activations: ActivationPair = DEFAULT_ACTIVATIONS,
     grad: TangentPair | None = None,
     f0: float | None = None,
-) -> tuple[float, float, ProductPoint]:
+    x_sq: float | None = None,
+) -> tuple[float, float, ProductPoint, TangentPair]:
     """Armijo backtracking from cfg.initial_step along a descent direction.
 
-    Returns (t, cost at t, point at t) for the largest tried step satisfying
-    f(t) <= f(0) + c1 * t * <grad, direction>.  Raises ValueError when the
-    direction is not descent and LineSearchError when 60 backtracks fail.
+    Returns (t, cost at t, point at t, Riemannian gradient at that point)
+    for the largest tried step satisfying f(t) <= f(0) + c1 * t * <grad,
+    direction>.  Trials are evaluated in closed form along the retracted
+    curve (``_Ray``), so each costs p x p and p x m work; only the accepted
+    step builds the N x p point, through ``move``, and its gradient reuses
+    the accepted trial's products.  Needs an identity decoder (ValueError
+    otherwise).  ``x_sq`` is ||X||_F^2 when the caller already has it.
+    Raises ValueError when the direction is not descent and LineSearchError
+    when 60 backtracks fail.
     """
+    _require_identity_decoder(activations)
+    X = np.asarray(X, dtype=float)
+    _check_shapes(point, X)
+    enc = activations.encoder
+    if x_sq is None:
+        x_sq = _sq_norm(X)
     if grad is None:
         grad = riemannian_grad(point, euclidean_grad(point, X, activations))
     if f0 is None:
-        f0 = cost(point, X, activations)
+        f0 = _forward(point, X, enc).cost(x_sq)
     slope = inner(grad, direction)
     if not slope < 0:
         raise ValueError(f"not a descent direction: <grad, dir> = {slope:.3e}")
+    ray = _Ray(point, direction, X, enc)
     t = cfg.initial_step
     for _ in range(_MAX_BACKTRACKS + 1):
-        candidate = move(point, direction, t)
-        try:
-            f_t = cost(candidate, X, activations)
-        except FloatingPointError:
-            f_t = np.inf
+        fwd = ray.at(t)
+        f_t = fwd.cost(x_sq)
+        # a non-finite trial compares False and backtracks
         if f_t <= f0 + cfg.armijo_c1 * t * slope:
-            return t, f_t, candidate
+            new_point = move(point, direction, t)
+            eucl = _grad(fwd, X, new_point.w_tilde.matrix, enc)
+            return t, f_t, new_point, riemannian_grad(new_point, eucl)
         t *= cfg.backtrack_factor
     raise LineSearchError(
         f"no Armijo step after {_MAX_BACKTRACKS} backtracks (f0={f0:.6e}, "
@@ -191,6 +317,20 @@ def init_product_point(
     return ProductPoint(w=w_tilde.matrix.copy(), w_tilde=w_tilde)
 
 
+def _stop_reason(trace: CgTrace, gnorm: float, cfg: CgConfig) -> str:
+    """Why the run stops before the next iteration; "" to go on."""
+    if gnorm <= cfg.grad_tol:
+        return "grad_tol"
+    costs = trace.cost_per_iter
+    if len(costs) > _FLAT_WINDOW:
+        drop = costs[-1 - _FLAT_WINDOW] - costs[-1]
+        if drop <= cfg.cost_rel_tol * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
+            return "flat"
+    if trace.iterations >= cfg.max_iters:
+        return "max_iters"
+    return ""
+
+
 def cg_optimize(
     init: ProductPoint,
     X: np.ndarray,
@@ -201,53 +341,59 @@ def cg_optimize(
 
     Stops when the Riemannian gradient norm falls below grad_tol, when the
     relative cost improvement over the last 5 iterations drops below
-    cost_rel_tol, or at max_iters.  The direction parameter follows the
-    Liu-Storey quotient <G_k, G_k - G_{k-1}> / <H_{k-1}, G_{k-1}> with both
-    previous vectors transported to the current point; the denominator is
-    negative along descent directions, so the conjugate weight is the
-    clamped magnitude max(0, -quotient), and any non-descent combination
-    falls back to steepest descent.
+    cost_rel_tol, or at max_iters; trace.stop_reason says which.  The
+    direction parameter follows the Liu-Storey quotient
+    <G_k, G_k - G_{k-1}> / <H_{k-1}, G_{k-1}> with both previous vectors
+    transported to the current point; the denominator is negative along
+    descent directions, so the conjugate weight is the clamped magnitude
+    max(0, -quotient), and any non-descent combination falls back to
+    steepest descent.  Needs an identity decoder (ValueError otherwise);
+    every cost in the trace, the first included, is the expanded form of
+    ``_Forward.cost``.
     """
+    _require_identity_decoder(activations)
     if cfg is None:
         cfg = CgConfig()
     X = np.asarray(X, dtype=float)
+    _check_shapes(init, X)
     start = time.perf_counter()
+    x_sq = _sq_norm(X)
 
     point = init
-    f = cost(point, X, activations)
-    grad = riemannian_grad(point, euclidean_grad(point, X, activations))
+    enc = activations.encoder
+    fwd = _forward(point, X, enc)
+    f = fwd.cost(x_sq)
+    if not np.isfinite(f):
+        raise FloatingPointError("non-finite reconstruction cost")
+    grad = riemannian_grad(point, _grad(fwd, X, point.w_tilde.matrix, enc))
     gnorm = norm(grad)
     trace = CgTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
     direction = -grad
 
-    for _ in range(cfg.max_iters):
-        if gnorm <= cfg.grad_tol:
+    while True:
+        trace.stop_reason = _stop_reason(trace, gnorm, cfg)
+        if trace.stop_reason:
             break
-        costs = trace.cost_per_iter
-        if len(costs) > _FLAT_WINDOW:
-            drop = costs[-1 - _FLAT_WINDOW] - costs[-1]
-            if drop <= cfg.cost_rel_tol * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
-                break
         if inner(direction, grad) >= 0:
             direction = -grad
         try:
-            _, f_new, new_point = line_search(
-                point, direction, X, cfg, activations, grad=grad, f0=f
+            t, f_new, new_point, new_grad = line_search(
+                point, direction, X, cfg, activations, grad=grad, f0=f, x_sq=x_sq
             )
         except LineSearchError:
             if inner(direction + grad, direction + grad) == 0.0:
                 raise  # already steepest descent
             direction = -grad
-            _, f_new, new_point = line_search(
-                point, direction, X, cfg, activations, grad=grad, f0=f
+            t, f_new, new_point, new_grad = line_search(
+                point, direction, X, cfg, activations, grad=grad, f0=f, x_sq=x_sq
             )
 
         prev_grad, prev_dir = grad, direction
-        point, f = new_point, f_new
-        grad = riemannian_grad(point, euclidean_grad(point, X, activations))
+        point, f, grad = new_point, f_new, new_grad
         gnorm = norm(grad)
         trace.cost_per_iter.append(f)
         trace.grad_norm_per_iter.append(gnorm)
+        trace.step_per_iter.append(t)
         trace.iterations += 1
 
         prev_grad_t = transport(point.w_tilde, prev_grad)

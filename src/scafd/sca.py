@@ -25,7 +25,7 @@ DEFAULT_ZETA = 0.01
 _RIDGE_SCALE = 1e-8
 _CDF_GRID_POINTS = 4096
 _BISECT_ITERS = 100
-_KDE_CHUNK = 1 << 22  # cap on query*sample products evaluated at once
+_KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
 
 
 @dataclass

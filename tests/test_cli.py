@@ -271,6 +271,46 @@ def test_bench_rerun_is_byte_identical(toy_paths, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _bench_with_failing_fit(toy_paths, tmp_path, monkeypatch, error):
+    import scafd.cli
+
+    def failing_fit(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scafd.cli, "train_method", failing_fit)
+    train_path, test_path = toy_paths
+    spec = BenchSpec(
+        train_path=train_path,
+        cases=[BenchCase(test_path, 100, "toy")],
+        methods=["pca"],
+        p=2,
+        out_dir=tmp_path / "out",
+    )
+    return run_bench(spec)
+
+
+def test_bench_records_na_for_failing_fit(toy_paths, tmp_path, monkeypatch):
+    result = _bench_with_failing_fit(
+        toy_paths, tmp_path, monkeypatch, ValueError("degenerate features")
+    )
+    assert result.rates("toy", "pca") is None
+    assert result.metrics_path.read_text().splitlines()[1] == "toy,pca,NA,NA"
+
+    import json
+
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+    assert meta["failures"] == [
+        {"method": "pca", "stage": "train", "error": "degenerate features"}
+    ]
+
+
+def test_bench_propagates_programming_errors(toy_paths, tmp_path, monkeypatch):
+    with pytest.raises(TypeError, match="not a fit failure"):
+        _bench_with_failing_fit(
+            toy_paths, tmp_path, monkeypatch, TypeError("not a fit failure")
+        )
+
+
 # ---------------------------------------------------------------------------
 # command-line entry points
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from scafd.activations import ActivationPair
@@ -12,6 +14,7 @@ from scafd.manifold import (
     inner,
     orthonormality_error,
     random_stiefel,
+    random_tangent,
     riemannian_grad,
 )
 from scafd.optimizer import (
@@ -23,11 +26,14 @@ from scafd.optimizer import (
     euclidean_grad,
     init_product_point,
     line_search,
+    move,
     trace_rows,
 )
+from scafd.optimizer import _grad, _Ray, _sq_norm
 
 IDENTITY = ActivationPair.from_names("identity", "identity")
 TANH_ID = ActivationPair.from_names("tanh", "identity")
+TANH_SIGMOID = ActivationPair.from_names("tanh", "sigmoid")
 
 
 def _random_point(N, p, rng):
@@ -163,6 +169,70 @@ def test_grad_linear_decoder_closed_form(rng):
     assert np.allclose(gwt, closed, rtol=1e-12, atol=1e-12)
 
 
+def _direct_grad(point, X, enc):
+    """The N x m residual formula: D = 2 (W~ G - X), d/dW~ = D G^T and
+    d/dw = X (enc'(w^T X) * W~^T D)^T.  Oracle for the forward-pass form."""
+    pre = point.w.T @ X
+    G = enc.fn(pre)
+    W = point.w_tilde.matrix
+    D = 2.0 * (W @ G - X)
+    return X @ (enc.deriv(pre) * (W.T @ D)).T, D @ G.T
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 8),
+    st.integers(1, 20),
+    st.floats(-6.0, 1.0),
+    st.floats(-2.0, 1.0),
+    st.integers(0, 2**31 - 1),
+)
+def test_closed_form_trial_matches_moved_point(p, extra, m, log_t, log_scale, seed):
+    # t up to 10 with direction norms up to ~10 drives (I + t^2 H^T H) far
+    # from I, exercising the eigenvalue floor and the Newton-Schulz sweep.
+    rng = np.random.default_rng(seed)
+    N = p + extra
+    enc = TANH_ID.encoder
+    point = _random_point(N, p, rng)
+    scale = 10.0**log_scale
+    direction = TangentPair(
+        scale * rng.standard_normal((N, p)),
+        scale * random_tangent(point.w_tilde, rng),
+    )
+    X = rng.standard_normal((N, m))
+    t = 10.0**log_t
+
+    fwd = _Ray(point, direction, X, enc).at(t)
+    moved = move(point, direction, t)
+    oracle = cost(moved, X)
+    assert abs(fwd.cost(_sq_norm(X)) - oracle) <= 1e-12 * oracle
+
+    gw, gwt = _grad(fwd, X, moved.w_tilde.matrix, enc)
+    ow, owt = _direct_grad(moved, X, enc)
+    assert np.linalg.norm(gw - ow) <= 1e-12 * np.linalg.norm(ow)
+    assert np.linalg.norm(gwt - owt) <= 1e-12 * np.linalg.norm(owt)
+
+
+def test_euclidean_grad_matches_direct_formula(rng):
+    point = _random_point(9, 3, rng)
+    X = rng.standard_normal((9, 25))
+    oracle = _direct_grad(point, X, TANH_ID.encoder)
+    for got, want in zip(euclidean_grad(point, X), oracle):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_closed_form_needs_identity_decoder(rng):
+    point = _random_point(6, 2, rng)
+    X = rng.standard_normal((6, 10))
+    direction = -1.0 * riemannian_grad(point, euclidean_grad(point, X))
+    with pytest.raises(ValueError, match="identity decoder"):
+        euclidean_grad(point, X, TANH_SIGMOID)
+    with pytest.raises(ValueError, match="identity decoder"):
+        line_search(point, direction, X, CgConfig(), TANH_SIGMOID)
+    with pytest.raises(ValueError, match="identity decoder"):
+        cg_optimize(point, X, CgConfig(max_iters=3), TANH_SIGMOID)
+
+
 # ---------------------------------------------------------------------------
 # line_search
 
@@ -174,10 +244,14 @@ def test_line_search_accepts_armijo_step(rng):
     cfg = CgConfig()
     grad = riemannian_grad(point, euclidean_grad(point, X))
     direction = -1.0 * grad
-    t, f_t, _ = line_search(point, direction, X, cfg)
+    t, f_t, new_point, new_grad = line_search(point, direction, X, cfg)
     f0 = cost(point, X)
     assert t > 0
     assert f_t <= f0 + cfg.armijo_c1 * t * inner(grad, direction)
+    assert f_t == pytest.approx(cost(new_point, X), rel=1e-12)
+    direct = riemannian_grad(new_point, euclidean_grad(new_point, X))
+    for got, want in ((new_grad.dw, direct.dw), (new_grad.dh, direct.dh)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_line_search_rejects_zero_gradient(rng):
@@ -218,6 +292,8 @@ def test_cg_returns_stationary_init_unchanged(rng):
     out, trace = cg_optimize(point, np.zeros((6, 5)), CgConfig())
     assert trace.iterations == 0
     assert out is point
+    assert trace.stop_reason == "grad_tol"
+    assert trace.step_per_iter == []
 
 
 def test_cg_trace_is_monotone_and_orthonormal(rng):
@@ -232,6 +308,37 @@ def test_cg_trace_is_monotone_and_orthonormal(rng):
     assert len(trace.cost_per_iter) == len(trace.grad_norm_per_iter)
     assert trace.iterations == len(costs) - 1
     assert trace.wall_time >= 0.0
+
+
+def test_cg_trace_cost_matches_final_point(rng):
+    # The trace carries the closed-form cost of the accepted trials; it must
+    # agree with the direct formula at the point that is returned.
+    N, p, m = 15, 3, 80
+    X = rng.standard_normal((N, m))
+    point, trace = cg_optimize(
+        init_product_point(N, p, rng), X, CgConfig(max_iters=40)
+    )
+    final = cost(point, X)
+    assert abs(trace.cost_per_iter[-1] - final) <= 1e-10 * final
+
+
+def test_cg_trace_steps_and_stop_reasons(rng):
+    # A cost_rel_tol stop, as in the 52-variable benchmark, reads "flat".
+    N, p, m = 31, 4, 120  # N = 1 + n + n^2 for n = 5
+    X = rng.standard_normal((N, m))
+    cfg = CgConfig(cost_rel_tol=1e-5)
+    _, trace = cg_optimize(init_product_point(N, p, rng), X, cfg)
+    assert trace.stop_reason == "flat"
+    assert trace.iterations < cfg.max_iters
+    assert len(trace.step_per_iter) == trace.iterations
+    for t in trace.step_per_iter:
+        backtracks = np.log(t / cfg.initial_step) / np.log(cfg.backtrack_factor)
+        assert 0 < t <= cfg.initial_step
+        assert abs(backtracks - round(backtracks)) <= 1e-9
+
+    _, short = cg_optimize(init_product_point(N, p, rng), X, CgConfig(max_iters=3))
+    assert short.stop_reason == "max_iters"
+    assert short.iterations == 3 and len(short.step_per_iter) == 3
 
 
 def test_cg_identity_cost_reaches_pca_floor(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scafd.activations import ActivationPair
 from scafd.data import DataMatrix, Scaler
 from scafd.manifold import StiefelPoint
 from scafd.optimizer import CgConfig
@@ -128,6 +129,19 @@ def test_kde_vector_query_matches_scalars(rng):
         scalar = kde_pdf(samples, 0.7, q[j])
         assert isinstance(scalar, float)
         assert scalar == val
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 22])
+def test_kde_chunking_is_bit_identical(rng, monkeypatch, chunk):
+    # Chunks split query rows only, so each density sums its samples in the
+    # same order whatever the chunk size; 1 << 22 was the earlier default.
+    import scafd.sca
+
+    samples = rng.exponential(size=500)
+    grid = np.linspace(0.0, samples.max() + 2.0, 4096)
+    default = kde_pdf(samples, 0.3, grid)
+    monkeypatch.setattr(scafd.sca, "_KDE_CHUNK", chunk)
+    assert np.array_equal(kde_pdf(samples, 0.3, grid), default)
 
 
 def test_kde_rejects_bad_inputs():
@@ -284,6 +298,12 @@ def test_train_is_deterministic(toy_train):
     assert np.array_equal(a.sigma_g_inv, b.sigma_g_inv)
     assert np.array_equal(a.t2_train, b.t2_train)
     assert a.control_limit == b.control_limit
+
+
+def test_train_rejects_non_identity_decoder(toy_train):
+    sigmoid_decoder = ActivationPair.from_names("tanh", "sigmoid")
+    with pytest.raises(ValueError, match="identity decoder"):
+        train(toy_train, p=2, cfg=CgConfig(max_iters=3), activations=sigmoid_decoder)
 
 
 def test_train_rejects_small_sample(rng):
