@@ -9,7 +9,7 @@ training scores.  Classical baselines (PCA, kernel PCA, unconstrained
 autoencoders on raw or lifted inputs) share the same monitoring machinery.
 """
 
-from .activations import Activation, ActivationPair, get_activation
+from .activations import Activation, get_activation
 from .baselines import (
     AeModel,
     AeTrace,
@@ -50,7 +50,6 @@ from .sca import (
     MonitoringStats,
     ScaModel,
     control_limit,
-    detect,
     kde_pdf,
     monitor,
     score,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation",
-    "ActivationPair",
     "AeModel",
     "AeTrace",
     "CgConfig",
@@ -84,7 +82,6 @@ __all__ = [
     "apply_scaler",
     "cg_optimize",
     "control_limit",
-    "detect",
     "expand_second_order",
     "expanded_dim",
     "fit_scaler",

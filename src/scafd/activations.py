@@ -1,4 +1,9 @@
-"""Elementwise activations shared by the manifold autoencoder and baselines."""
+"""Encoder activations shared by the manifold autoencoder and baselines.
+
+Every decoder is linear (identity), so only the encoder has a choice:
+``tanh`` (the default; zero-centered, matches z-scored inputs) or
+``identity``.
+"""
 
 from __future__ import annotations
 
@@ -15,20 +20,12 @@ class Activation:
     deriv: Callable[[np.ndarray], np.ndarray]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 _REGISTRY = {
     "identity": Activation("identity", lambda z: z, lambda z: np.ones_like(z)),
     "tanh": Activation("tanh", np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": Activation("sigmoid", _sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
 }
+
+TANH = _REGISTRY["tanh"]
 
 
 def get_activation(name: str) -> Activation:
@@ -38,22 +35,3 @@ def get_activation(name: str) -> Activation:
         raise ValueError(
             f"unknown activation {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
-
-
-@dataclass(frozen=True)
-class ActivationPair:
-    """Encoder/decoder activation choice.
-
-    Defaults: tanh on the encoder (zero-centered, matches z-scored inputs)
-    and identity on the decoder (reconstruction targets are unbounded).
-    """
-
-    encoder: Activation
-    decoder: Activation
-
-    @classmethod
-    def from_names(cls, encoder: str = "tanh", decoder: str = "identity") -> "ActivationPair":
-        return cls(get_activation(encoder), get_activation(decoder))
-
-
-DEFAULT_ACTIVATIONS = ActivationPair.from_names()

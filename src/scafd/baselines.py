@@ -13,30 +13,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import DEFAULT_ACTIVATIONS, ActivationPair
+from .activations import TANH, Activation, get_activation
 from .data import DataMatrix, Scaler, apply_scaler, expand_second_order, fit_scaler
-from .sca import DEFAULT_ZETA, DetectionReport, fit_monitoring_stats, monitor
+from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
 
 _EIG_RANK_TOL = 1e-10
 _LR_FLOOR = 1e-16
 _FLAT_WINDOW = 10
 
 
-@dataclass
-class PcaModel:
+@dataclass(kw_only=True)
+class PcaModel(MonitoringStats):
     """Linear monitor: top-p eigenvectors of the scaled sample covariance."""
 
     scaler: Scaler
     loading: np.ndarray
     eigenvalues: np.ndarray
-    sigma_g_inv: np.ndarray
-    g_mean: np.ndarray
-    t2_train: np.ndarray
-    kde_bandwidth: float
-    control_limit: float
-    zeta: float = DEFAULT_ZETA
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         self.loading = np.asarray(self.loading, dtype=float)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float).ravel()
         p = self.loading.shape[1]
@@ -56,8 +51,8 @@ class PcaModel:
         return self.loading.T @ scaled.values
 
 
-@dataclass
-class KpcaModel:
+@dataclass(kw_only=True)
+class KpcaModel(MonitoringStats):
     """Gaussian-kernel PCA monitor with a double-centered Gram matrix."""
 
     scaler: Scaler
@@ -67,14 +62,9 @@ class KpcaModel:
     kernel_width: float
     gram_col_means: np.ndarray     # column means of the uncentered Gram
     gram_mean: float
-    sigma_g_inv: np.ndarray
-    g_mean: np.ndarray
-    t2_train: np.ndarray
-    kde_bandwidth: float
-    control_limit: float
-    zeta: float = DEFAULT_ZETA
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float).ravel()
         if np.any(self.eigenvalues <= 0):
             raise ValueError("retained Gram eigenvalues must be positive")
@@ -103,8 +93,8 @@ class KpcaModel:
         return (k_centered @ self.alphas).T
 
 
-@dataclass
-class AeModel:
+@dataclass(kw_only=True)
+class AeModel(MonitoringStats):
     """Unconstrained autoencoder monitor (optionally on expanded inputs)."""
 
     scaler: Scaler
@@ -112,17 +102,12 @@ class AeModel:
     b_enc: np.ndarray
     w_dec: np.ndarray
     b_dec: np.ndarray
-    sigma_g_inv: np.ndarray
-    g_mean: np.ndarray
-    t2_train: np.ndarray
-    kde_bandwidth: float
-    control_limit: float
-    zeta: float = DEFAULT_ZETA
     encoder_activation: str = "tanh"
-    decoder_activation: str = "identity"
     expand_inputs: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        get_activation(self.encoder_activation)
         for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(arr)):
@@ -133,15 +118,10 @@ class AeModel:
     def n_components(self) -> int:
         return self.w_enc.shape[1]
 
-    def activations(self) -> ActivationPair:
-        return ActivationPair.from_names(
-            self.encoder_activation, self.decoder_activation
-        )
-
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         inputs = apply_scaler(self.scaler, X)
         mat = expand_second_order(inputs).values if self.expand_inputs else inputs.values
-        enc = self.activations().encoder
+        enc = get_activation(self.encoder_activation)
         return enc.fn(self.w_enc.T @ mat + self.b_enc[:, None])
 
 
@@ -191,17 +171,7 @@ def pca_fit(
     loading = vecs[:, :p]
     scores = loading.T @ scaled
     stats = fit_monitoring_stats(scores, zeta)
-    return PcaModel(
-        scaler=scaler,
-        loading=loading,
-        eigenvalues=vals,
-        sigma_g_inv=stats.sigma_g_inv,
-        g_mean=stats.g_mean,
-        t2_train=stats.t2_train,
-        kde_bandwidth=stats.kde_bandwidth,
-        control_limit=stats.control_limit,
-        zeta=zeta,
-    )
+    return PcaModel(scaler=scaler, loading=loading, eigenvalues=vals, **vars(stats))
 
 
 def gaussian_gram(X: np.ndarray, width: float) -> np.ndarray:
@@ -261,32 +231,29 @@ def kpca_fit(
         kernel_width=width,
         gram_col_means=K.mean(axis=0),
         gram_mean=float(K.mean()),
-        sigma_g_inv=stats.sigma_g_inv,
-        g_mean=stats.g_mean,
-        t2_train=stats.t2_train,
-        kde_bandwidth=stats.kde_bandwidth,
-        control_limit=stats.control_limit,
-        zeta=zeta,
+        **vars(stats),
     )
 
 
 def ae_cost_grad(
     params: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     X: np.ndarray,
-    activations: ActivationPair,
+    encoder: Activation = TANH,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Reconstruction cost and analytic gradients for the biased autoencoder."""
+    """Reconstruction cost and analytic gradients for the biased autoencoder.
+
+    The decoder is linear: the reconstruction is w_dec enc(w_enc^T X + b_enc)
+    + b_dec.
+    """
     w_enc, b_enc, w_dec, b_dec = params
-    enc, dec = activations.encoder, activations.decoder
     pre_codes = w_enc.T @ X + b_enc[:, None]
-    codes = enc.fn(pre_codes)
-    pre_recon = w_dec @ codes + b_dec[:, None]
-    err = dec.fn(pre_recon) - X
+    codes = encoder.fn(pre_codes)
+    err = w_dec @ codes + b_dec[:, None] - X
     value = float(np.sum(err * err))
-    D = 2.0 * err * dec.deriv(pre_recon)
+    D = 2.0 * err
     g_w_dec = D @ codes.T
     g_b_dec = D.sum(axis=1)
-    dcodes = (w_dec.T @ D) * enc.deriv(pre_codes)
+    dcodes = (w_dec.T @ D) * encoder.deriv(pre_codes)
     g_w_enc = X @ dcodes.T
     g_b_enc = dcodes.sum(axis=1)
     return value, (g_w_enc, g_b_enc, g_w_dec, g_b_dec)
@@ -296,7 +263,7 @@ def _gradient_descent(
     X: np.ndarray,
     p: int,
     rng: np.random.Generator,
-    activations: ActivationPair,
+    encoder: Activation,
     max_iters: int,
     tol: float,
     lr: float,
@@ -308,7 +275,7 @@ def _gradient_descent(
         rng.standard_normal((n, p)) / np.sqrt(n),
         np.zeros(n),
     )
-    f, grads = ae_cost_grad(params, X, activations)
+    f, grads = ae_cost_grad(params, X, encoder)
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
     gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
@@ -323,7 +290,7 @@ def _gradient_descent(
         while lr >= _LR_FLOOR:
             candidate = tuple(p_ - lr * g_ for p_, g_ in zip(params, grads))
             try:
-                f_new, grads_new = ae_cost_grad(candidate, X, activations)
+                f_new, grads_new = ae_cost_grad(candidate, X, encoder)
             except FloatingPointError:
                 f_new = np.inf
             if np.isfinite(f_new) and f_new <= f:
@@ -348,7 +315,7 @@ def ae_train(
     lr: float = 1.0,
     seed: int = 0,
     zeta: float = DEFAULT_ZETA,
-    activations: ActivationPair = DEFAULT_ACTIVATIONS,
+    encoder: Activation = TANH,
     expand_inputs: bool = False,
 ) -> tuple[AeModel, AeTrace]:
     """Train the unconstrained autoencoder monitor by monotone gradient descent."""
@@ -361,9 +328,9 @@ def ae_train(
     mat = expand_second_order(inputs).values if expand_inputs else inputs.values
 
     rng = np.random.default_rng(seed)
-    params, trace = _gradient_descent(mat, p, rng, activations, max_iters, tol, lr)
+    params, trace = _gradient_descent(mat, p, rng, encoder, max_iters, tol, lr)
     w_enc, b_enc, w_dec, b_dec = params
-    codes = activations.encoder.fn(w_enc.T @ mat + b_enc[:, None])
+    codes = encoder.fn(w_enc.T @ mat + b_enc[:, None])
     stats = fit_monitoring_stats(codes, zeta)
     model = AeModel(
         scaler=scaler,
@@ -371,15 +338,9 @@ def ae_train(
         b_enc=b_enc,
         w_dec=w_dec,
         b_dec=b_dec,
-        sigma_g_inv=stats.sigma_g_inv,
-        g_mean=stats.g_mean,
-        t2_train=stats.t2_train,
-        kde_bandwidth=stats.kde_bandwidth,
-        control_limit=stats.control_limit,
-        zeta=zeta,
-        encoder_activation=activations.encoder.name,
-        decoder_activation=activations.decoder.name,
+        encoder_activation=encoder.name,
         expand_inputs=expand_inputs,
+        **vars(stats),
     )
     return model, trace
 
@@ -392,7 +353,7 @@ def sae_train(
     lr: float = 1.0,
     seed: int = 0,
     zeta: float = DEFAULT_ZETA,
-    activations: ActivationPair = DEFAULT_ACTIVATIONS,
+    encoder: Activation = TANH,
 ) -> tuple[AeModel, AeTrace]:
     """Autoencoder over second-order expanded inputs, still unconstrained."""
     return ae_train(
@@ -403,11 +364,6 @@ def sae_train(
         lr=lr,
         seed=seed,
         zeta=zeta,
-        activations=activations,
+        encoder=encoder,
         expand_inputs=True,
     )
-
-
-def monitor_with(model, X_new: DataMatrix) -> DetectionReport:
-    """Score new data with any fitted monitor (shared T2 code path)."""
-    return monitor(model, X_new)

@@ -1,9 +1,10 @@
 """Reconstruction cost and geometric conjugate gradient on St(N,p) x E(N,p).
 
 The objective is the squared Frobenius reconstruction error of a one-layer
-autoencoder whose decoder weight is constrained to orthonormal columns:
+autoencoder with a linear decoder whose weight is constrained to
+orthonormal columns:
 
-    f(w, w_tilde) = || X - dec( w_tilde @ enc(w^T X) ) ||_F^2
+    f(w, w_tilde) = || X - w_tilde @ enc(w^T X) ||_F^2
 
 Minimization runs a nonlinear conjugate gradient on the product manifold:
 Riemannian gradients via tangent projection, Armijo backtracking along the
@@ -11,7 +12,7 @@ retracted curve, projection-based vector transport of the previous gradient
 and direction, and a Liu-Storey style direction parameter with a descent
 safeguard.
 
-The optimizer needs an identity decoder.  Then, with G = enc(w^T X),
+Because the decoder is linear, with G = enc(w^T X),
 
     f = ||X||^2 - 2 <W~^T X, G> + <G, W~^T W~ G>,
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import DEFAULT_ACTIVATIONS, Activation, ActivationPair
+from .activations import TANH, Activation
 from .manifold import (
     ProductPoint,
     StiefelPoint,
@@ -108,14 +109,6 @@ def _check_shapes(point: ProductPoint, X: np.ndarray) -> None:
         )
 
 
-def _require_identity_decoder(activations: ActivationPair) -> None:
-    if activations.decoder.name != "identity":
-        raise ValueError(
-            "the closed-form line search and gradient need an identity "
-            f"decoder, got {activations.decoder.name!r}"
-        )
-
-
 def _sq_norm(X: np.ndarray) -> float:
     # einsum reads X in place; np.vdot would copy a Fortran-ordered X
     return float(np.einsum("ij,ij->", X, X))
@@ -187,7 +180,7 @@ class _Ray:
 def _grad(
     fwd: _Forward, X: np.ndarray, w_tilde: np.ndarray, enc: Activation
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradient pair from a forward pass (identity decoder).
+    """Euclidean gradient pair from a forward pass.
 
     W~^T D = 2 (W~^T W~ G - W~^T X) and Delta = enc'(w^T X) * W~^T D give
     d/dw = X Delta^T and d/dW~ = 2 (W~ G G^T - X G^T); both X products come
@@ -204,11 +197,7 @@ def _grad(
     return grad_w, grad_wt
 
 
-def cost(
-    point: ProductPoint,
-    X: np.ndarray,
-    activations: ActivationPair = DEFAULT_ACTIVATIONS,
-) -> float:
+def cost(point: ProductPoint, X: np.ndarray, encoder: Activation = TANH) -> float:
     """Squared Frobenius reconstruction error of X under the autoencoder.
 
     This is the direct formula, exact at zero residual; the optimizer uses
@@ -216,9 +205,8 @@ def cost(
     """
     X = np.asarray(X, dtype=float)
     _check_shapes(point, X)
-    codes = activations.encoder.fn(point.w.T @ X)
-    recon = activations.decoder.fn(point.w_tilde.matrix @ codes)
-    err = recon - X
+    codes = encoder.fn(point.w.T @ X)
+    err = point.w_tilde.matrix @ codes - X
     value = float(np.sum(err * err))
     if not np.isfinite(value):
         raise FloatingPointError("non-finite reconstruction cost")
@@ -226,21 +214,17 @@ def cost(
 
 
 def euclidean_grad(
-    point: ProductPoint,
-    X: np.ndarray,
-    activations: ActivationPair = DEFAULT_ACTIVATIONS,
+    point: ProductPoint, X: np.ndarray, encoder: Activation = TANH
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the cost with respect to (w, w_tilde).
 
-    With G = enc(w^T X), E = w_tilde G - X and D = 2 E (identity decoder):
+    With G = enc(w^T X), E = w_tilde G - X and D = 2 E:
     d/d w_tilde = D G^T and d/d w = X (enc'(w^T X) * (w_tilde^T D))^T,
     evaluated without forming the N x m residual (see ``_grad``).
     """
-    _require_identity_decoder(activations)
     X = np.asarray(X, dtype=float)
     _check_shapes(point, X)
-    enc = activations.encoder
-    return _grad(_forward(point, X, enc), X, point.w_tilde.matrix, enc)
+    return _grad(_forward(point, X, encoder), X, point.w_tilde.matrix, encoder)
 
 
 def move(point: ProductPoint, direction: TangentPair, t: float) -> ProductPoint:
@@ -256,7 +240,7 @@ def line_search(
     direction: TangentPair,
     X: np.ndarray,
     cfg: CgConfig,
-    activations: ActivationPair = DEFAULT_ACTIVATIONS,
+    encoder: Activation = TANH,
     grad: TangentPair | None = None,
     f0: float | None = None,
     x_sq: float | None = None,
@@ -268,25 +252,23 @@ def line_search(
     direction>.  Trials are evaluated in closed form along the retracted
     curve (``_Ray``), so each costs p x p and p x m work; only the accepted
     step builds the N x p point, through ``move``, and its gradient reuses
-    the accepted trial's products.  Needs an identity decoder (ValueError
-    otherwise).  ``x_sq`` is ||X||_F^2 when the caller already has it.
+    the accepted trial's products.  ``x_sq`` is ||X||_F^2 when the caller
+    already has it.
     Raises ValueError when the direction is not descent and LineSearchError
     when 60 backtracks fail.
     """
-    _require_identity_decoder(activations)
     X = np.asarray(X, dtype=float)
     _check_shapes(point, X)
-    enc = activations.encoder
     if x_sq is None:
         x_sq = _sq_norm(X)
     if grad is None:
-        grad = riemannian_grad(point, euclidean_grad(point, X, activations))
+        grad = riemannian_grad(point, euclidean_grad(point, X, encoder))
     if f0 is None:
-        f0 = _forward(point, X, enc).cost(x_sq)
+        f0 = _forward(point, X, encoder).cost(x_sq)
     slope = inner(grad, direction)
     if not slope < 0:
         raise ValueError(f"not a descent direction: <grad, dir> = {slope:.3e}")
-    ray = _Ray(point, direction, X, enc)
+    ray = _Ray(point, direction, X, encoder)
     t = cfg.initial_step
     for _ in range(_MAX_BACKTRACKS + 1):
         fwd = ray.at(t)
@@ -294,7 +276,7 @@ def line_search(
         # a non-finite trial compares False and backtracks
         if f_t <= f0 + cfg.armijo_c1 * t * slope:
             new_point = move(point, direction, t)
-            eucl = _grad(fwd, X, new_point.w_tilde.matrix, enc)
+            eucl = _grad(fwd, X, new_point.w_tilde.matrix, encoder)
             return t, f_t, new_point, riemannian_grad(new_point, eucl)
         t *= cfg.backtrack_factor
     raise LineSearchError(
@@ -335,7 +317,7 @@ def cg_optimize(
     init: ProductPoint,
     X: np.ndarray,
     cfg: CgConfig | None = None,
-    activations: ActivationPair = DEFAULT_ACTIVATIONS,
+    encoder: Activation = TANH,
 ) -> tuple[ProductPoint, CgTrace]:
     """Minimize the reconstruction cost by conjugate gradient on the manifold.
 
@@ -347,11 +329,9 @@ def cg_optimize(
     transported to the current point; the denominator is negative along
     descent directions, so the conjugate weight is the clamped magnitude
     max(0, -quotient), and any non-descent combination falls back to
-    steepest descent.  Needs an identity decoder (ValueError otherwise);
-    every cost in the trace, the first included, is the expanded form of
-    ``_Forward.cost``.
+    steepest descent.  Every cost in the trace, the first included, is the
+    expanded form of ``_Forward.cost``.
     """
-    _require_identity_decoder(activations)
     if cfg is None:
         cfg = CgConfig()
     X = np.asarray(X, dtype=float)
@@ -360,12 +340,11 @@ def cg_optimize(
     x_sq = _sq_norm(X)
 
     point = init
-    enc = activations.encoder
-    fwd = _forward(point, X, enc)
+    fwd = _forward(point, X, encoder)
     f = fwd.cost(x_sq)
     if not np.isfinite(f):
         raise FloatingPointError("non-finite reconstruction cost")
-    grad = riemannian_grad(point, _grad(fwd, X, point.w_tilde.matrix, enc))
+    grad = riemannian_grad(point, _grad(fwd, X, point.w_tilde.matrix, encoder))
     gnorm = norm(grad)
     trace = CgTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
     direction = -grad
@@ -378,14 +357,14 @@ def cg_optimize(
             direction = -grad
         try:
             t, f_new, new_point, new_grad = line_search(
-                point, direction, X, cfg, activations, grad=grad, f0=f, x_sq=x_sq
+                point, direction, X, cfg, encoder, grad=grad, f0=f, x_sq=x_sq
             )
         except LineSearchError:
             if inner(direction + grad, direction + grad) == 0.0:
                 raise  # already steepest descent
             direction = -grad
             t, f_new, new_point, new_grad = line_search(
-                point, direction, X, cfg, activations, grad=grad, f0=f, x_sq=x_sq
+                point, direction, X, cfg, encoder, grad=grad, f0=f, x_sq=x_sq
             )
 
         prev_grad, prev_dir = grad, direction

@@ -1,13 +1,18 @@
 """Model persistence: one self-describing JSON file per fitted monitor.
 
-Layout: a header with the format version, a method tag and the scalar
-monitoring parameters, followed by the model arrays as nested lists of
-decimal floats.  Python's JSON float formatting uses repr, so values
-round-trip exactly.
+Layout (format 1): a header with the format version, the method tag and the
+model's sizes, then one entry per dataclass field of the model.  Arrays are
+nested lists of decimal floats; Python's JSON float formatting uses repr, so
+values round-trip exactly.  Three fields have their own encoding: the scaler
+is ``{mean, std}``, the Stiefel decoder is its matrix, and the encoder
+activation is stored as the pair ``"activations": [encoder, "identity"]``
+(the decoder is always linear).  The list of fields lives only in the model
+classes; loading checks every key and every value the model checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,81 +25,65 @@ from .sca import ScaModel
 
 FORMAT_VERSION = 1
 
-
-def _arr(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).tolist()
-
-
-def _scaler_payload(scaler: Scaler) -> dict:
-    return {"mean": _arr(scaler.mean), "std": _arr(scaler.std)}
-
-
-def _scaler_from(payload: dict) -> Scaler:
-    return Scaler(mean=np.array(payload["mean"]), std=np.array(payload["std"]))
+_METHODS = {ScaModel: "sca", PcaModel: "pca", KpcaModel: "kpca", AeModel: "ae"}
+_CLASSES = {**{tag: cls for cls, tag in _METHODS.items()}, "sae": AeModel}
+_DECODER = "identity"
 
 
 def method_tag(model) -> str:
-    if isinstance(model, ScaModel):
-        return "sca"
-    if isinstance(model, PcaModel):
-        return "pca"
-    if isinstance(model, KpcaModel):
-        return "kpca"
-    if isinstance(model, AeModel):
-        return "sae" if model.expand_inputs else "ae"
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    try:
+        tag = _METHODS[type(model)]
+    except KeyError:
+        raise TypeError(f"unknown model type {type(model).__name__}") from None
+    return "sae" if tag == "ae" and model.expand_inputs else tag
 
 
-def _common_header(model, method: str) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "method": method,
-        "n_variables": int(model.scaler.n_variables),
-        "n_components": int(model.n_components),
-        "zeta": model.zeta,
-        "kde_bandwidth": model.kde_bandwidth,
-        "control_limit": model.control_limit,
-    }
+def _encode(value):
+    if isinstance(value, Scaler):
+        return {"mean": value.mean.tolist(), "std": value.std.tolist()}
+    if isinstance(value, StiefelPoint):
+        return value.matrix.tolist()
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).tolist()
+    return value
+
+
+def _decode(field_type: str, value):
+    # field types are strings: the model modules postpone annotations
+    if field_type == "Scaler":
+        return Scaler(mean=np.array(value["mean"]), std=np.array(value["std"]))
+    if field_type == "StiefelPoint":
+        return StiefelPoint(np.array(value))
+    if isinstance(value, list):
+        return np.array(value)
+    return value
 
 
 def save_model(model, path: str | Path) -> Path:
     """Serialize a fitted monitor to a versioned JSON file."""
-    method = method_tag(model)
-    doc = _common_header(model, method)
-    doc["scaler"] = _scaler_payload(model.scaler)
-    doc["sigma_g_inv"] = _arr(model.sigma_g_inv)
-    doc["g_mean"] = _arr(model.g_mean)
-    doc["t2_train"] = _arr(model.t2_train)
-
-    if method == "sca":
-        doc["activations"] = [model.encoder_activation, model.decoder_activation]
-        doc["w"] = _arr(model.w)
-        doc["w_tilde"] = _arr(model.w_tilde.matrix)
-    elif method == "pca":
-        doc["loading"] = _arr(model.loading)
-        doc["eigenvalues"] = _arr(model.eigenvalues)
-    elif method == "kpca":
-        doc["train_scaled"] = _arr(model.train_scaled)
-        doc["alphas"] = _arr(model.alphas)
-        doc["eigenvalues"] = _arr(model.eigenvalues)
-        doc["kernel_width"] = model.kernel_width
-        doc["gram_col_means"] = _arr(model.gram_col_means)
-        doc["gram_mean"] = model.gram_mean
-    else:  # ae / sae
-        doc["activations"] = [model.encoder_activation, model.decoder_activation]
-        doc["w_enc"] = _arr(model.w_enc)
-        doc["b_enc"] = _arr(model.b_enc)
-        doc["w_dec"] = _arr(model.w_dec)
-        doc["b_dec"] = _arr(model.b_dec)
-        doc["expand_inputs"] = model.expand_inputs
-
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "method": method_tag(model),
+        "n_variables": int(model.scaler.n_variables),
+        "n_components": int(model.n_components),
+    }
+    for f in dataclasses.fields(model):
+        if f.name == "encoder_activation":
+            doc["activations"] = [model.encoder_activation, _DECODER]
+        else:
+            doc[f.name] = _encode(getattr(model, f.name))
     path = Path(path)
     path.write_text(json.dumps(doc))
     return path
 
 
 def load_model(path: str | Path):
-    """Load any monitor saved by :func:`save_model`."""
+    """Load any monitor saved by :func:`save_model`.
+
+    Raises ValueError for a file of another format version, an unknown
+    method, a missing entry, a decoder other than identity, or values the
+    model rejects.
+    """
     doc = json.loads(Path(path).read_text())
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -102,51 +91,25 @@ def load_model(path: str | Path):
             f"unsupported model format version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    method = doc["method"]
-    common = {
-        "scaler": _scaler_from(doc["scaler"]),
-        "sigma_g_inv": np.array(doc["sigma_g_inv"]),
-        "g_mean": np.array(doc["g_mean"]),
-        "t2_train": np.array(doc["t2_train"]),
-        "kde_bandwidth": doc["kde_bandwidth"],
-        "control_limit": doc["control_limit"],
-        "zeta": doc["zeta"],
-    }
-    if method == "sca":
-        enc, dec = doc["activations"]
-        return ScaModel(
-            w=np.array(doc["w"]),
-            w_tilde=StiefelPoint(np.array(doc["w_tilde"])),
-            encoder_activation=enc,
-            decoder_activation=dec,
-            **common,
-        )
-    if method == "pca":
-        return PcaModel(
-            loading=np.array(doc["loading"]),
-            eigenvalues=np.array(doc["eigenvalues"]),
-            **common,
-        )
-    if method == "kpca":
-        return KpcaModel(
-            train_scaled=np.array(doc["train_scaled"]),
-            alphas=np.array(doc["alphas"]),
-            eigenvalues=np.array(doc["eigenvalues"]),
-            kernel_width=doc["kernel_width"],
-            gram_col_means=np.array(doc["gram_col_means"]),
-            gram_mean=doc["gram_mean"],
-            **common,
-        )
-    if method in ("ae", "sae"):
-        enc, dec = doc["activations"]
-        return AeModel(
-            w_enc=np.array(doc["w_enc"]),
-            b_enc=np.array(doc["b_enc"]),
-            w_dec=np.array(doc["w_dec"]),
-            b_dec=np.array(doc["b_dec"]),
-            encoder_activation=enc,
-            decoder_activation=dec,
-            expand_inputs=doc["expand_inputs"],
-            **common,
-        )
-    raise ValueError(f"unknown method tag {method!r}")
+    method = doc.get("method")
+    if method not in _CLASSES:
+        raise ValueError(f"unknown method tag {method!r}")
+    cls = _CLASSES[method]
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = "activations" if f.name == "encoder_activation" else f.name
+        if key not in doc:
+            raise ValueError(f"{method} model file lacks the {key!r} entry")
+        if key == "activations":
+            encoder, decoder = doc[key]
+            if decoder != _DECODER:
+                raise ValueError(
+                    f"decoder activation must be {_DECODER!r}, got {decoder!r}"
+                )
+            kwargs[f.name] = encoder
+        else:
+            kwargs[f.name] = _decode(f.type, doc[key])
+    model = cls(**kwargs)
+    if method_tag(model) != method:
+        raise ValueError(f"{method} model file holds a {method_tag(model)} model")
+    return model

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import DEFAULT_ACTIVATIONS, ActivationPair
+from .activations import TANH, Activation, get_activation
 from .data import DataMatrix, Scaler, apply_scaler, expand_second_order, fit_scaler
 from .manifold import StiefelPoint
 from .optimizer import CgConfig, CgTrace, cg_optimize, init_product_point
@@ -26,64 +26,49 @@ _RIDGE_SCALE = 1e-8
 _CDF_GRID_POINTS = 4096
 _BISECT_ITERS = 100
 _KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
+# samples encoded and scored at once; bounds the N x chunk expansion
+# (23 MB at n=52) whatever the block size
+_SCORE_CHUNK = 1024
 
 
 @dataclass
 class DetectionReport:
-    """Per-sample monitoring outcome plus summary rates (percent)."""
+    """Per-sample T2 values and alarm flags."""
 
     t2: np.ndarray
     flags: np.ndarray
-    mdr: float | None = None
-    far: float | None = None
 
     def __post_init__(self) -> None:
         self.t2 = np.asarray(self.t2, dtype=float)
         self.flags = np.asarray(self.flags, dtype=bool)
         if self.t2.shape != self.flags.shape:
             raise ValueError("t2 and flags must have equal length")
-        for name, rate in (("mdr", self.mdr), ("far", self.far)):
-            if rate is not None and not 0.0 <= rate <= 100.0:
-                raise ValueError(f"{name} must be a percentage in [0, 100]")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MonitoringStats:
-    """T2 machinery fitted on training features."""
+    """T2 machinery fitted on training features.
 
-    sigma_g_inv: np.ndarray
-    g_mean: np.ndarray
-    t2_train: np.ndarray
-    kde_bandwidth: float
-    control_limit: float
-    zeta: float
+    Every monitor subclasses it and adds its feature map: the fields and the
+    ``encode_batch`` method that turns raw samples into a p x m feature block.
+    """
 
-
-@dataclass
-class ScaModel:
-    """Everything needed to score new samples: weights, scaler, T2 limit."""
-
-    scaler: Scaler
-    w: np.ndarray
-    w_tilde: StiefelPoint
     sigma_g_inv: np.ndarray
     g_mean: np.ndarray
     t2_train: np.ndarray
     kde_bandwidth: float
     control_limit: float
     zeta: float = DEFAULT_ZETA
-    encoder_activation: str = "tanh"
-    decoder_activation: str = "identity"
 
     def __post_init__(self) -> None:
-        self.w = np.asarray(self.w, dtype=float)
         self.sigma_g_inv = np.asarray(self.sigma_g_inv, dtype=float)
         self.g_mean = np.asarray(self.g_mean, dtype=float).ravel()
         self.t2_train = np.asarray(self.t2_train, dtype=float).ravel()
-        if self.w.shape != self.w_tilde.shape:
-            raise ValueError("encoder and decoder shapes differ")
-        if self.g_mean.shape[0] != self.w.shape[1]:
-            raise ValueError("feature mean length must equal p")
+        p = self.g_mean.shape[0]
+        if self.sigma_g_inv.shape != (p, p):
+            raise ValueError(
+                f"sigma_g_inv is {self.sigma_g_inv.shape}, feature mean has length {p}"
+            )
         asym = np.linalg.norm(self.sigma_g_inv - self.sigma_g_inv.T)
         if asym > 1e-10:
             raise ValueError(f"sigma_g_inv must be symmetric, asymmetry {asym:.3e}")
@@ -91,6 +76,25 @@ class ScaModel:
             raise ValueError("control limit must be positive")
         if not self.kde_bandwidth > 0:
             raise ValueError("KDE bandwidth must be positive")
+
+
+@dataclass(kw_only=True)
+class ScaModel(MonitoringStats):
+    """Everything needed to score new samples: weights, scaler, T2 limit."""
+
+    scaler: Scaler
+    w: np.ndarray
+    w_tilde: StiefelPoint
+    encoder_activation: str = "tanh"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.w = np.asarray(self.w, dtype=float)
+        if self.w.shape != self.w_tilde.shape:
+            raise ValueError("encoder and decoder shapes differ")
+        if self.g_mean.shape[0] != self.w.shape[1]:
+            raise ValueError("feature mean length must equal p")
+        get_activation(self.encoder_activation)
 
     @property
     def n_variables(self) -> int:
@@ -100,11 +104,6 @@ class ScaModel:
     def n_components(self) -> int:
         return self.w.shape[1]
 
-    def activations(self) -> ActivationPair:
-        return ActivationPair.from_names(
-            self.encoder_activation, self.decoder_activation
-        )
-
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         """Features (p x m) of raw process samples: enc(W^T expand(scale(X)))."""
         if X.n_variables != self.n_variables:
@@ -113,7 +112,7 @@ class ScaModel:
                 f"{X.n_variables}"
             )
         expanded = expand_second_order(apply_scaler(self.scaler, X))
-        enc = self.activations().encoder
+        enc = get_activation(self.encoder_activation)
         return enc.fn(self.w.T @ expanded.values)
 
 
@@ -271,7 +270,7 @@ def train(
     p: int,
     cfg: CgConfig | None = None,
     zeta: float = DEFAULT_ZETA,
-    activations: ActivationPair = DEFAULT_ACTIVATIONS,
+    encoder: Activation = TANH,
 ) -> tuple[ScaModel, CgTrace]:
     """Fit a second-order component analysis monitor on normal training data."""
     if cfg is None:
@@ -295,9 +294,9 @@ def train(
     last_err: ValueError | None = None
     for attempt in range(cfg.restarts):
         point, trace = cg_optimize(
-            init_product_point(N, p, rng), expanded.values, cfg, activations
+            init_product_point(N, p, rng), expanded.values, cfg, encoder
         )
-        codes = activations.encoder.fn(point.w.T @ expanded.values)
+        codes = encoder.fn(point.w.T @ expanded.values)
         try:
             stats = fit_monitoring_stats(codes, zeta)
             break
@@ -311,14 +310,8 @@ def train(
         scaler=scaler,
         w=point.w,
         w_tilde=point.w_tilde,
-        sigma_g_inv=stats.sigma_g_inv,
-        g_mean=stats.g_mean,
-        t2_train=stats.t2_train,
-        kde_bandwidth=stats.kde_bandwidth,
-        control_limit=stats.control_limit,
-        zeta=zeta,
-        encoder_activation=activations.encoder.name,
-        decoder_activation=activations.decoder.name,
+        encoder_activation=encoder.name,
+        **vars(stats),
     )
     return model, trace
 
@@ -333,16 +326,21 @@ def encode(model: ScaModel, x: np.ndarray) -> np.ndarray:
     return model.encode_batch(DataMatrix(x[:, None]))[:, 0]
 
 
-def monitor(model, X_new: DataMatrix) -> DetectionReport:
-    """Score a data block with any fitted monitor exposing encode_batch/limits."""
-    G = model.encode_batch(X_new)
-    values = t2_batch(G - model.g_mean[:, None], model.sigma_g_inv)
+def monitor(model: MonitoringStats, X_new: DataMatrix) -> DetectionReport:
+    """Per-sample T2 and alarm flags of a data block under any fitted monitor.
+
+    The block is encoded and scored ``_SCORE_CHUNK`` samples at a time, so
+    memory stays bounded whatever its length.
+    """
+    values = np.concatenate([
+        t2_batch(
+            model.encode_batch(DataMatrix(X_new.values[:, lo : lo + _SCORE_CHUNK]))
+            - model.g_mean[:, None],
+            model.sigma_g_inv,
+        )
+        for lo in range(0, X_new.n_samples, _SCORE_CHUNK)
+    ])
     return DetectionReport(t2=values, flags=values > model.control_limit)
-
-
-def detect(model: ScaModel, X_new: DataMatrix) -> DetectionReport:
-    """Per-sample T2 and alarm flags for new process data (rates left unset)."""
-    return monitor(model, X_new)
 
 
 def score(flags: np.ndarray, normal_count: int) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scafd.activations import ActivationPair
+from scafd.activations import get_activation
 from scafd.baselines import ae_cost_grad, pca_fit
 from scafd.cli import BenchCase, BenchSpec, gen_toy, run_bench
 from scafd.data import DataMatrix, apply_scaler, fit_scaler, load_csv
@@ -31,10 +31,10 @@ from scafd.manifold import (
     tangency_error,
 )
 from scafd.optimizer import CgConfig, cg_optimize, cost, euclidean_grad, init_product_point
-from scafd.sca import control_limit, detect, train
+from scafd.sca import control_limit, monitor, train
 
-TANH_ID = ActivationPair.from_names("tanh", "identity")
-IDENTITY = ActivationPair.from_names("identity", "identity")
+TANH_ID = get_activation("tanh")
+IDENTITY = get_activation("identity")
 ALL_METHODS = ("pca", "kpca", "ae", "sae", "sca")
 
 RESULTS: list[tuple[str, str, str]] = []
@@ -294,7 +294,7 @@ def test_ac5_control_limit_and_training_alarm(toy_sca_model, toy_train):
         tau_rel = abs(tau - target) / target
 
         model, _ = toy_sca_model
-        alarm = float(detect(model, toy_train).flags.mean())
+        alarm = float(monitor(model, toy_train).flags.mean())
         wall = time.perf_counter() - t0
         ok = tau_rel <= 0.10 and 0.0 <= alarm <= 0.025 and wall < 5.0
         _record(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from scafd.activations import ActivationPair
+from scafd.activations import get_activation
 from scafd.baselines import (
     AeModel,
     AeTrace,
@@ -15,15 +15,14 @@ from scafd.baselines import (
     center_gram,
     gaussian_gram,
     kpca_fit,
-    monitor_with,
     pca_fit,
     sae_train,
 )
 from scafd.data import DataMatrix, apply_scaler, expand_second_order, expanded_dim, fit_scaler
 from scafd.sca import monitor
 
-IDENTITY = ActivationPair.from_names("identity", "identity")
-TANH_ID = ActivationPair.from_names("tanh", "identity")
+IDENTITY = get_activation("identity")
+TANH_ID = get_activation("tanh")
 
 
 def _correlated_pair(m=2000, rho=0.8, seed=5):
@@ -273,7 +272,7 @@ def test_ae_grad_matches_finite_differences(seed):
 def test_linear_ae_cannot_beat_pca(rng):
     X = DataMatrix(rng.standard_normal((6, 80)))
     p = 2
-    model, trace = ae_train(X, p, activations=IDENTITY, seed=1)
+    model, trace = ae_train(X, p, encoder=IDENTITY, seed=1)
     scaled = apply_scaler(model.scaler, X).values
     vals = np.linalg.eigvalsh(np.cov(scaled, ddof=1))
     pca_residual = float(vals[:-p].sum()) * (X.n_samples - 1)
@@ -347,21 +346,12 @@ def test_sae_zero_data_training_reports_degenerate_features():
 
 
 # ---------------------------------------------------------------------------
-# monitor_with
-
-
-def test_monitor_with_shares_the_detect_code_path(rng):
-    X = DataMatrix(rng.standard_normal((4, 100)))
-    model = pca_fit(X, n_components=2)
-    a = monitor_with(model, X)
-    b = monitor(model, X)
-    assert np.array_equal(a.t2, b.t2)
-    assert np.array_equal(a.flags, b.flags)
-    assert np.array_equal(a.flags, a.t2 > model.control_limit)
+# monitor
 
 
 def test_monitor_with_all_normal_far_is_small(toy_train):
     for fit in (lambda X: pca_fit(X, n_components=2), lambda X: kpca_fit(X, p=2)):
         model = fit(toy_train)
-        report = monitor_with(model, toy_train)
+        report = monitor(model, toy_train)
         assert report.flags.mean() <= 0.025
+        assert np.array_equal(report.flags, report.t2 > model.control_limit)

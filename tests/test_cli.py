@@ -1,6 +1,7 @@
 """CLI surface: toy generator, Bayes demo, benchmark runner, train/detect."""
 
 import csv
+import json
 import os
 import stat
 import subprocess
@@ -385,6 +386,19 @@ def test_cli_detect_reports_variable_mismatch(toy_paths, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err and "3" in err
+
+
+def test_cli_detect_reports_malformed_model_file(toy_paths, tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "v1" / "pca.json"
+    doc = json.loads(golden.read_text())
+    del doc["loading"]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    rc = main(["detect", "--model", str(model_path), "--data", str(toy_paths[1]),
+               "--header"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and "'loading'" in err
 
 
 def test_cli_missing_file_exits_nonzero(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from scafd.activations import ActivationPair
+from scafd.activations import get_activation
 from scafd.manifold import (
     ProductPoint,
     StiefelPoint,
@@ -31,9 +31,8 @@ from scafd.optimizer import (
 )
 from scafd.optimizer import _grad, _Ray, _sq_norm
 
-IDENTITY = ActivationPair.from_names("identity", "identity")
-TANH_ID = ActivationPair.from_names("tanh", "identity")
-TANH_SIGMOID = ActivationPair.from_names("tanh", "sigmoid")
+IDENTITY = get_activation("identity")
+TANH_ID = get_activation("tanh")
 
 
 def _random_point(N, p, rng):
@@ -192,7 +191,7 @@ def test_closed_form_trial_matches_moved_point(p, extra, m, log_t, log_scale, se
     # from I, exercising the eigenvalue floor and the Newton-Schulz sweep.
     rng = np.random.default_rng(seed)
     N = p + extra
-    enc = TANH_ID.encoder
+    enc = TANH_ID
     point = _random_point(N, p, rng)
     scale = 10.0**log_scale
     direction = TangentPair(
@@ -216,21 +215,9 @@ def test_closed_form_trial_matches_moved_point(p, extra, m, log_t, log_scale, se
 def test_euclidean_grad_matches_direct_formula(rng):
     point = _random_point(9, 3, rng)
     X = rng.standard_normal((9, 25))
-    oracle = _direct_grad(point, X, TANH_ID.encoder)
+    oracle = _direct_grad(point, X, TANH_ID)
     for got, want in zip(euclidean_grad(point, X), oracle):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def test_closed_form_needs_identity_decoder(rng):
-    point = _random_point(6, 2, rng)
-    X = rng.standard_normal((6, 10))
-    direction = -1.0 * riemannian_grad(point, euclidean_grad(point, X))
-    with pytest.raises(ValueError, match="identity decoder"):
-        euclidean_grad(point, X, TANH_SIGMOID)
-    with pytest.raises(ValueError, match="identity decoder"):
-        line_search(point, direction, X, CgConfig(), TANH_SIGMOID)
-    with pytest.raises(ValueError, match="identity decoder"):
-        cg_optimize(point, X, CgConfig(max_iters=3), TANH_SIGMOID)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Round-trip exactness of the JSON model files for every monitor kind."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ import pytest
 from scafd.baselines import ae_train, kpca_fit, pca_fit, sae_train
 from scafd.data import DataMatrix
 from scafd.persistence import FORMAT_VERSION, load_model, method_tag, save_model
-from scafd.sca import detect, monitor
+from scafd.sca import monitor
+
+_GOLDEN = Path(__file__).parent / "data" / "v1"
+_TAGS = ("sca", "pca", "kpca", "ae", "sae")
 
 _ARRAY_FIELDS = {
     "sca": ("sigma_g_inv", "g_mean", "t2_train", "w"),
@@ -55,8 +60,8 @@ def test_sca_round_trip_exact(toy_sca_model, toy_test, tmp_path):
     loaded = _assert_exact_round_trip(model, "sca", tmp_path)
     assert np.array_equal(model.w_tilde.matrix, loaded.w_tilde.matrix)
     assert loaded.encoder_activation == "tanh"
-    before = detect(model, toy_test)
-    after = detect(loaded, toy_test)
+    before = monitor(model, toy_test)
+    after = monitor(loaded, toy_test)
     assert np.array_equal(before.t2, after.t2)
     assert np.array_equal(before.flags, after.flags)
 
@@ -109,4 +114,54 @@ def test_load_rejects_unknown_method(small_block, tmp_path):
     doc["method"] = "mystery"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="unknown method tag"):
+        load_model(path)
+
+
+# Format-1 files written before the models shared one monitoring base class:
+# the five small_block models (p=2; SCA with max_iters=20) and their T2 on
+# that block, in t2.json.
+
+
+@pytest.mark.parametrize("tag", _TAGS)
+def test_format_1_file_loads_and_scores(tag, small_block):
+    model = load_model(_GOLDEN / f"{tag}.json")
+    assert method_tag(model) == tag
+    stored = json.loads((_GOLDEN / "t2.json").read_text())[tag]
+    t2 = monitor(model, small_block).t2
+    assert np.allclose(t2, stored, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("tag", _TAGS)
+def test_format_1_file_resaves_unchanged(tag, tmp_path):
+    golden = _GOLDEN / f"{tag}.json"
+    path = save_model(load_model(golden), tmp_path / f"{tag}.json")
+    assert json.loads(path.read_text()) == json.loads(golden.read_text())
+
+
+@pytest.mark.parametrize(
+    "tag, key, value, match",
+    [
+        ("pca", "loading", None, "lacks the 'loading' entry"),
+        ("kpca", "gram_mean", None, "lacks the 'gram_mean' entry"),
+        ("sca", "activations", None, "lacks the 'activations' entry"),
+        ("ae", "scaler", None, "lacks the 'scaler' entry"),
+        ("pca", "control_limit", -1.0, "control limit must be positive"),
+        ("kpca", "kde_bandwidth", 0.0, "bandwidth must be positive"),
+        ("pca", "g_mean", [0.0], "feature mean has length 1"),
+        ("ae", "sigma_g_inv", [[1.0]], r"sigma_g_inv is \(1, 1\)"),
+        ("ae", "activations", ["tanh", "sigmoid"], "decoder activation must be 'identity'"),
+        ("sca", "activations", ["tanh", "sigmoid"], "decoder activation must be 'identity'"),
+        ("sca", "activations", ["sigmoid", "identity"], "unknown activation 'sigmoid'"),
+        ("ae", "expand_inputs", True, "ae model file holds a sae model"),
+    ],
+)
+def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):
+    path = shutil.copy(_GOLDEN / f"{tag}.json", tmp_path / f"{tag}.json")
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
         load_model(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scafd.activations import ActivationPair
+from scafd.baselines import ae_train, kpca_fit, pca_fit
 from scafd.data import DataMatrix, Scaler
 from scafd.manifold import StiefelPoint
 from scafd.optimizer import CgConfig
@@ -13,7 +13,6 @@ from scafd.sca import (
     DetectionReport,
     ScaModel,
     control_limit,
-    detect,
     encode,
     fit_monitoring_stats,
     kde_pdf,
@@ -285,7 +284,6 @@ def test_train_toy_model_shapes(toy_sca_model, toy_train):
     assert model.n_variables == 3
     assert model.n_components == 2
     assert model.encoder_activation == "tanh"
-    assert model.decoder_activation == "identity"
     assert model.t2_train.shape == (toy_train.n_samples,)
     assert trace.iterations >= 1
 
@@ -298,12 +296,6 @@ def test_train_is_deterministic(toy_train):
     assert np.array_equal(a.sigma_g_inv, b.sigma_g_inv)
     assert np.array_equal(a.t2_train, b.t2_train)
     assert a.control_limit == b.control_limit
-
-
-def test_train_rejects_non_identity_decoder(toy_train):
-    sigmoid_decoder = ActivationPair.from_names("tanh", "sigmoid")
-    with pytest.raises(ValueError, match="identity decoder"):
-        train(toy_train, p=2, cfg=CgConfig(max_iters=3), activations=sigmoid_decoder)
 
 
 def test_train_rejects_small_sample(rng):
@@ -351,26 +343,25 @@ def test_encode_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# detect / monitor
+# monitor
 
 
 def test_detect_training_alarm_rate_near_zeta(toy_sca_model, toy_train):
     model, _ = toy_sca_model
-    report = detect(model, toy_train)
+    report = monitor(model, toy_train)
     assert 0.0 <= report.flags.mean() <= 2.5 * model.zeta
-    assert report.mdr is None and report.far is None
 
 
 def test_detect_flags_follow_limit_strictly(toy_sca_model, toy_train):
     model, _ = toy_sca_model
-    report = detect(model, toy_train)
+    report = monitor(model, toy_train)
     assert np.array_equal(report.flags, report.t2 > model.control_limit)
 
 
 def test_detect_is_deterministic(toy_sca_model, toy_test):
     model, _ = toy_sca_model
-    a = detect(model, toy_test)
-    b = detect(model, toy_test)
+    a = monitor(model, toy_test)
+    b = monitor(model, toy_test)
     assert np.array_equal(a.t2, b.t2)
     assert np.array_equal(a.flags, b.flags)
 
@@ -378,7 +369,24 @@ def test_detect_is_deterministic(toy_sca_model, toy_test):
 def test_detect_dimension_mismatch(toy_sca_model, rng):
     model, _ = toy_sca_model
     with pytest.raises(ValueError, match="expects 3 variables"):
-        detect(model, DataMatrix(rng.standard_normal((4, 5))))
+        monitor(model, DataMatrix(rng.standard_normal((4, 5))))
+
+
+@pytest.mark.parametrize("method", ["sca", "pca", "kpca", "ae"])
+def test_monitor_scores_in_chunks(method, toy_sca_model, toy_train, toy_test, monkeypatch):
+    fits = {
+        "sca": lambda: toy_sca_model[0],
+        "pca": lambda: pca_fit(toy_train, n_components=2),
+        "kpca": lambda: kpca_fit(toy_train, p=2),
+        "ae": lambda: ae_train(toy_train, p=2, max_iters=30)[0],
+    }
+    model = fits[method]()
+    block = DataMatrix(toy_test.values[:, 75:125])  # normal head, faulty tail
+    whole = monitor(model, block)
+    monkeypatch.setattr("scafd.sca._SCORE_CHUNK", 7)
+    chunked = monitor(model, block)
+    assert np.array_equal(chunked.flags, whole.flags)
+    assert np.allclose(chunked.t2, whole.t2, rtol=1e-12, atol=0.0)
 
 
 def test_monitor_zero_t2_never_alarms():
@@ -472,8 +480,10 @@ def test_sca_model_validation():
 def test_detection_report_validation():
     with pytest.raises(ValueError, match="equal length"):
         DetectionReport(t2=np.zeros(3), flags=np.zeros(2, bool))
-    with pytest.raises(ValueError, match="percentage"):
-        DetectionReport(t2=np.zeros(2), flags=np.zeros(2, bool), mdr=101.0)
-    report = DetectionReport(t2=np.zeros(2), flags=np.zeros(2, bool),
-                             mdr=3.5, far=0.0)
-    assert report.mdr == 3.5
+
+
+def test_package_exports_resolve():
+    import scafd
+
+    missing = [name for name in scafd.__all__ if not hasattr(scafd, name)]
+    assert missing == []
