@@ -22,7 +22,6 @@ from .baselines import (
 )
 from .data import (
     DataMatrix,
-    ExpandedMatrix,
     Scaler,
     apply_scaler,
     expand_second_order,
@@ -68,7 +67,6 @@ __all__ = [
     "CgTrace",
     "DataMatrix",
     "DetectionReport",
-    "ExpandedMatrix",
     "KpcaModel",
     "LineSearchError",
     "MonitoringStats",

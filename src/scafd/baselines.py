@@ -20,6 +20,8 @@ from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
 _EIG_RANK_TOL = 1e-10
 _LR_FLOOR = 1e-16
 _FLAT_WINDOW = 10
+_LR_START = 1.0  # first gradient-descent step
+_COST_REL_TOL = 1e-9  # stop at a smaller relative drop over _FLAT_WINDOW steps
 
 
 @dataclass(kw_only=True)
@@ -120,7 +122,7 @@ class AeModel(MonitoringStats):
 
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         inputs = apply_scaler(self.scaler, X)
-        mat = expand_second_order(inputs).values if self.expand_inputs else inputs.values
+        mat = expand_second_order(inputs) if self.expand_inputs else inputs.values
         enc = get_activation(self.encoder_activation)
         return enc.fn(self.w_enc.T @ mat + self.b_enc[:, None])
 
@@ -265,8 +267,6 @@ def _gradient_descent(
     rng: np.random.Generator,
     encoder: Activation,
     max_iters: int,
-    tol: float,
-    lr: float,
 ) -> tuple[tuple[np.ndarray, ...], AeTrace]:
     n = X.shape[0]
     params = (
@@ -280,11 +280,12 @@ def _gradient_descent(
         raise FloatingPointError("autoencoder cost diverged at initialization")
     gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
     trace = AeTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
+    lr = _LR_START
     for _ in range(max_iters):
         costs = trace.cost_per_iter
         if len(costs) > _FLAT_WINDOW:
             drop = costs[-1 - _FLAT_WINDOW] - costs[-1]
-            if drop <= tol * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
+            if drop <= _COST_REL_TOL * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
                 break
         stepped = False
         while lr >= _LR_FLOOR:
@@ -311,8 +312,6 @@ def ae_train(
     X: DataMatrix,
     p: int,
     max_iters: int = 2000,
-    tol: float = 1e-9,
-    lr: float = 1.0,
     seed: int = 0,
     zeta: float = DEFAULT_ZETA,
     encoder: Activation = TANH,
@@ -325,10 +324,10 @@ def ae_train(
         raise ValueError("p must be at least 1")
     scaler = fit_scaler(X)
     inputs = apply_scaler(scaler, X)
-    mat = expand_second_order(inputs).values if expand_inputs else inputs.values
+    mat = expand_second_order(inputs) if expand_inputs else inputs.values
 
     rng = np.random.default_rng(seed)
-    params, trace = _gradient_descent(mat, p, rng, encoder, max_iters, tol, lr)
+    params, trace = _gradient_descent(mat, p, rng, encoder, max_iters)
     w_enc, b_enc, w_dec, b_dec = params
     codes = encoder.fn(w_enc.T @ mat + b_enc[:, None])
     stats = fit_monitoring_stats(codes, zeta)
@@ -349,8 +348,6 @@ def sae_train(
     X: DataMatrix,
     p: int,
     max_iters: int = 2000,
-    tol: float = 1e-9,
-    lr: float = 1.0,
     seed: int = 0,
     zeta: float = DEFAULT_ZETA,
     encoder: Activation = TANH,
@@ -360,8 +357,6 @@ def sae_train(
         X,
         p,
         max_iters=max_iters,
-        tol=tol,
-        lr=lr,
         seed=seed,
         zeta=zeta,
         encoder=encoder,

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import baselines, persistence, sca
 from .data import DataMatrix, load_csv
-from .optimizer import CgConfig, trace_rows
+from .optimizer import CgConfig
 
 METHODS = ("pca", "kpca", "ae", "sae", "sca")
-_BOOL_KEYS = {"noise-as-sd", "svg", "header", "lower-tail"}
+_BOOL_KEYS = {"noise-as-sd", "svg", "header"}
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,12 @@ class BenchCase:
             raise ValueError("normal_count must be at least 1")
 
 
+def _check_size(p: int | None, energy: float | None) -> None:
+    """A monitor size is either a component count p >= 1 or an energy target."""
+    if (p is None) == (energy is None) or (p is not None and p < 1):
+        raise ValueError("specify exactly one of p (at least 1) or energy")
+
+
 @dataclass
 class BenchSpec:
     train_path: Path
@@ -159,8 +165,7 @@ class BenchSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-        if (self.p is None) == (self.energy is None):
-            raise ValueError("specify exactly one of p or energy")
+        _check_size(self.p, self.energy)
 
 
 @dataclass
@@ -200,13 +205,10 @@ def train_method(
     p: int,
     zeta: float,
     seed: int,
-    energy: float | None = None,
     max_iters: int = 500,
 ):
     """Fit one monitoring method; returns (model, trace-or-None)."""
     if method == "pca":
-        if energy is not None:
-            return baselines.pca_fit(train_dm, energy=energy, zeta=zeta), None
         return baselines.pca_fit(train_dm, n_components=p, zeta=zeta), None
     if method == "kpca":
         return baselines.kpca_fit(train_dm, p, zeta=zeta), None
@@ -264,8 +266,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         t0 = time.perf_counter()
         try:
             model, trace = train_method(
-                method, train_dm, p, spec.zeta, m_seed,
-                energy=spec.energy, max_iters=spec.max_iters,
+                method, train_dm, p, spec.zeta, m_seed, max_iters=spec.max_iters
             )
         except _FIT_ERRORS as exc:  # record and move on
             metadata["failures"].append({"method": method, "stage": "train",
@@ -319,7 +320,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
 def _write_trace_csv(path: Path, trace) -> None:
     with path.open("w") as fh:
         fh.write("iter,cost,grad_norm\n")
-        for k, c, g in trace_rows(trace):
+        for k, (c, g) in enumerate(zip(trace.cost_per_iter, trace.grad_norm_per_iter)):
             fh.write(f"{k},{c!r},{g!r}\n")
 
 
@@ -502,15 +503,12 @@ def _cmd_bayes_demo(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_size(args.p, args.energy)
     train_dm = load_csv(args.train, samples=args.samples, header=args.header)
-    p = resolve_p(train_dm, args.p, args.energy) if (args.p or args.energy) else None
-    if p is None:
-        raise ValueError("specify --p or --energy")
+    p = resolve_p(train_dm, args.p, args.energy)
     seed = derive_seed(args.seed, args.method)
     model, trace = train_method(
-        args.method, train_dm, p, args.zeta, seed,
-        energy=args.energy if args.method == "pca" else None,
-        max_iters=args.max_iters,
+        args.method, train_dm, p, args.zeta, seed, max_iters=args.max_iters
     )
     persistence.save_model(model, args.out)
     if args.trace and trace is not None:

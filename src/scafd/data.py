@@ -72,27 +72,6 @@ class Scaler:
         return self.mean.shape[0]
 
 
-@dataclass
-class ExpandedMatrix:
-    """Second-order expansion of a DataMatrix: (1 + n + n^2) x m."""
-
-    values: np.ndarray
-    source_n: int
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        n = self.source_n
-        if self.values.shape[0] != 1 + n + n * n:
-            raise ValueError(
-                f"expanded row count {self.values.shape[0]} does not match "
-                f"1+n+n^2 = {1 + n + n * n} for n={n}"
-            )
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[1]
-
-
 def fit_scaler(X: DataMatrix) -> Scaler:
     """Learn per-variable mean and sample std (m-1 divisor) from training data.
 
@@ -118,8 +97,8 @@ def apply_scaler(scaler: Scaler, X: DataMatrix) -> DataMatrix:
     return DataMatrix(values=scaled, variable_names=X.variable_names)
 
 
-def expand_second_order(X: DataMatrix) -> ExpandedMatrix:
-    """Expand each sample to [1, x, all ordered products x_j*x_k].
+def expand_second_order(X: DataMatrix) -> np.ndarray:
+    """Expand each sample to [1, x, all ordered products x_j*x_k]: (1+n+n^2) x m.
 
     Products are laid out row-major (j outer, k inner), so the entry at row
     1 + n + j*n + k is exactly the IEEE product of rows 1+j and 1+k.
@@ -127,8 +106,7 @@ def expand_second_order(X: DataMatrix) -> ExpandedMatrix:
     vals = X.values
     n, m = vals.shape
     products = (vals[:, None, :] * vals[None, :, :]).reshape(n * n, m)
-    expanded = np.concatenate([np.ones((1, m)), vals, products], axis=0)
-    return ExpandedMatrix(values=expanded, source_n=n)
+    return np.concatenate([np.ones((1, m)), vals, products], axis=0)
 
 
 def expanded_dim(n: int) -> int:

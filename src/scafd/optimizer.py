@@ -35,7 +35,6 @@ import numpy as np
 from .activations import TANH, Activation
 from .manifold import (
     ProductPoint,
-    StiefelPoint,
     TangentPair,
     _polar_inv_sqrt,
     inner,
@@ -49,6 +48,9 @@ from .manifold import (
 _MAX_BACKTRACKS = 60
 _GAMMA_DEN_FLOOR = 1e-18
 _FLAT_WINDOW = 5
+_ARMIJO_C1 = 1e-4  # sufficient-decrease constant
+_BACKTRACK = 0.5  # step factor per backtrack
+_INITIAL_STEP = 1.0  # first trial step of every line search
 
 
 class LineSearchError(RuntimeError):
@@ -57,31 +59,20 @@ class LineSearchError(RuntimeError):
 
 @dataclass
 class CgConfig:
-    """Stopping and step-control knobs for the manifold conjugate gradient."""
+    """Stopping rule and seed of the manifold conjugate gradient.
+
+    The line search is fixed (``_INITIAL_STEP``, ``_BACKTRACK``, ``_ARMIJO_C1``)
+    and so is the restart count of ``sca.train`` (``sca._RESTARTS``).
+    """
 
     max_iters: int = 500
     grad_tol: float = 1e-5
     cost_rel_tol: float = 1e-9
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     seed: int = 0
-    # Maximum independent initializations tried when a fit collapses to
-    # constant features (singular feature covariance).  The first run that
-    # yields usable monitoring statistics wins; no cost-based selection.
-    restarts: int = 3
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
-        if not 0 < self.armijo_c1 < 1:
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -90,8 +81,8 @@ class CgTrace:
 
     cost_per_iter: list[float] = field(default_factory=list)
     grad_norm_per_iter: list[float] = field(default_factory=list)
-    # accepted Armijo step of each iteration; the backtrack count of
-    # iteration k is log(step_per_iter[k] / initial_step) / log(factor)
+    # accepted Armijo step of each iteration; the backtrack count of iteration
+    # k is log(step_per_iter[k] / _INITIAL_STEP) / log(_BACKTRACK)
     step_per_iter: list[float] = field(default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
@@ -239,46 +230,38 @@ def line_search(
     point: ProductPoint,
     direction: TangentPair,
     X: np.ndarray,
-    cfg: CgConfig,
+    grad: TangentPair,
+    f0: float,
+    x_sq: float,
     encoder: Activation = TANH,
-    grad: TangentPair | None = None,
-    f0: float | None = None,
-    x_sq: float | None = None,
 ) -> tuple[float, float, ProductPoint, TangentPair]:
-    """Armijo backtracking from cfg.initial_step along a descent direction.
+    """Armijo backtracking from _INITIAL_STEP along a descent direction.
 
-    Returns (t, cost at t, point at t, Riemannian gradient at that point)
-    for the largest tried step satisfying f(t) <= f(0) + c1 * t * <grad,
-    direction>.  Trials are evaluated in closed form along the retracted
-    curve (``_Ray``), so each costs p x p and p x m work; only the accepted
-    step builds the N x p point, through ``move``, and its gradient reuses
-    the accepted trial's products.  ``x_sq`` is ||X||_F^2 when the caller
-    already has it.
+    ``grad`` is the Riemannian gradient and ``f0`` the cost at ``point``,
+    ``x_sq`` is ||X||_F^2.  Returns (t, cost at t, point at t, Riemannian
+    gradient at that point) for the largest tried step satisfying
+    f(t) <= f0 + c1 * t * <grad, direction>.  Trials are evaluated in closed
+    form along the retracted curve (``_Ray``), so each costs p x p and p x m
+    work; only the accepted step builds the N x p point, through ``move``,
+    and its gradient reuses the accepted trial's products.  X is not checked
+    here: ``cg_optimize`` checks it once.
     Raises ValueError when the direction is not descent and LineSearchError
     when 60 backtracks fail.
     """
-    X = np.asarray(X, dtype=float)
-    _check_shapes(point, X)
-    if x_sq is None:
-        x_sq = _sq_norm(X)
-    if grad is None:
-        grad = riemannian_grad(point, euclidean_grad(point, X, encoder))
-    if f0 is None:
-        f0 = _forward(point, X, encoder).cost(x_sq)
     slope = inner(grad, direction)
     if not slope < 0:
         raise ValueError(f"not a descent direction: <grad, dir> = {slope:.3e}")
     ray = _Ray(point, direction, X, encoder)
-    t = cfg.initial_step
+    t = _INITIAL_STEP
     for _ in range(_MAX_BACKTRACKS + 1):
         fwd = ray.at(t)
         f_t = fwd.cost(x_sq)
         # a non-finite trial compares False and backtracks
-        if f_t <= f0 + cfg.armijo_c1 * t * slope:
+        if f_t <= f0 + _ARMIJO_C1 * t * slope:
             new_point = move(point, direction, t)
             eucl = _grad(fwd, X, new_point.w_tilde.matrix, encoder)
             return t, f_t, new_point, riemannian_grad(new_point, eucl)
-        t *= cfg.backtrack_factor
+        t *= _BACKTRACK
     raise LineSearchError(
         f"no Armijo step after {_MAX_BACKTRACKS} backtracks (f0={f0:.6e}, "
         f"slope={slope:.3e})"
@@ -316,7 +299,7 @@ def _stop_reason(trace: CgTrace, gnorm: float, cfg: CgConfig) -> str:
 def cg_optimize(
     init: ProductPoint,
     X: np.ndarray,
-    cfg: CgConfig | None = None,
+    cfg: CgConfig,
     encoder: Activation = TANH,
 ) -> tuple[ProductPoint, CgTrace]:
     """Minimize the reconstruction cost by conjugate gradient on the manifold.
@@ -332,8 +315,6 @@ def cg_optimize(
     steepest descent.  Every cost in the trace, the first included, is the
     expanded form of ``_Forward.cost``.
     """
-    if cfg is None:
-        cfg = CgConfig()
     X = np.asarray(X, dtype=float)
     _check_shapes(init, X)
     start = time.perf_counter()
@@ -357,14 +338,14 @@ def cg_optimize(
             direction = -grad
         try:
             t, f_new, new_point, new_grad = line_search(
-                point, direction, X, cfg, encoder, grad=grad, f0=f, x_sq=x_sq
+                point, direction, X, grad, f, x_sq, encoder
             )
         except LineSearchError:
             if inner(direction + grad, direction + grad) == 0.0:
                 raise  # already steepest descent
             direction = -grad
             t, f_new, new_point, new_grad = line_search(
-                point, direction, X, cfg, encoder, grad=grad, f0=f, x_sq=x_sq
+                point, direction, X, grad, f, x_sq, encoder
             )
 
         prev_grad, prev_dir = grad, direction
@@ -390,13 +371,3 @@ def cg_optimize(
 
     trace.wall_time = time.perf_counter() - start
     return point, trace
-
-
-def trace_rows(trace: CgTrace) -> list[tuple[int, float, float]]:
-    """(iteration, cost, gradient norm) triples for CSV export."""
-    return [
-        (k, c, g)
-        for k, (c, g) in enumerate(
-            zip(trace.cost_per_iter, trace.grad_norm_per_iter)
-        )
-    ]

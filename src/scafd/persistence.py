@@ -7,7 +7,8 @@ values round-trip exactly.  Three fields have their own encoding: the scaler
 is ``{mean, std}``, the Stiefel decoder is its matrix, and the encoder
 activation is stored as the pair ``"activations": [encoder, "identity"]``
 (the decoder is always linear).  The list of fields lives only in the model
-classes; loading checks every key and every value the model checks.
+classes; loading checks every key, every value the model checks, and the
+header sizes against the model.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def method_tag(model) -> str:
     return "sae" if tag == "ae" and model.expand_inputs else tag
 
 
+def _sizes(model) -> dict:
+    return {"n_variables": model.scaler.n_variables, "n_components": model.n_components}
+
+
 def _encode(value):
     if isinstance(value, Scaler):
         return {"mean": value.mean.tolist(), "std": value.std.tolist()}
@@ -64,8 +69,7 @@ def save_model(model, path: str | Path) -> Path:
     doc = {
         "format_version": FORMAT_VERSION,
         "method": method_tag(model),
-        "n_variables": int(model.scaler.n_variables),
-        "n_components": int(model.n_components),
+        **_sizes(model),
     }
     for f in dataclasses.fields(model):
         if f.name == "encoder_activation":
@@ -81,8 +85,8 @@ def load_model(path: str | Path):
     """Load any monitor saved by :func:`save_model`.
 
     Raises ValueError for a file of another format version, an unknown
-    method, a missing entry, a decoder other than identity, or values the
-    model rejects.
+    method, a missing entry, a decoder other than identity, values the
+    model rejects, or header sizes that disagree with the model.
     """
     doc = json.loads(Path(path).read_text())
     version = doc.get("format_version")
@@ -112,4 +116,7 @@ def load_model(path: str | Path):
     model = cls(**kwargs)
     if method_tag(model) != method:
         raise ValueError(f"{method} model file holds a {method_tag(model)} model")
+    for key, size in _sizes(model).items():
+        if doc.get(key) != size:
+            raise ValueError(f"header has {key} {doc.get(key)!r}, the model has {size}")
     return model

@@ -29,6 +29,12 @@ _KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
 # samples encoded and scored at once; bounds the N x chunk expansion
 # (23 MB at n=52) whatever the block size
 _SCORE_CHUNK = 1024
+_RESTARTS = 3  # starts tried when a fit collapses (see train)
+
+
+def _check_zeta(zeta: float) -> None:
+    if not 0.0 < zeta <= 0.5:
+        raise ValueError(f"zeta must lie in (0, 0.5], got {zeta}")
 
 
 @dataclass
@@ -76,6 +82,7 @@ class MonitoringStats:
             raise ValueError("control limit must be positive")
         if not self.kde_bandwidth > 0:
             raise ValueError("KDE bandwidth must be positive")
+        _check_zeta(self.zeta)
 
 
 @dataclass(kw_only=True)
@@ -113,7 +120,7 @@ class ScaModel(MonitoringStats):
             )
         expanded = expand_second_order(apply_scaler(self.scaler, X))
         enc = get_activation(self.encoder_activation)
-        return enc.fn(self.w.T @ expanded.values)
+        return enc.fn(self.w.T @ expanded)
 
 
 def t2(model_or_sigma_inv, g: np.ndarray) -> float:
@@ -168,24 +175,16 @@ def silverman_bandwidth(t2_samples: np.ndarray) -> float:
     return 1e-6 * max(1.0, float(abs(samples.mean())))
 
 
-def control_limit(
-    t2_samples: np.ndarray,
-    zeta: float,
-    h: float | None = None,
-    lower_tail: bool = False,
-) -> float:
+def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -> float:
     """T2 threshold whose KDE-estimated coverage on [0, max+5h] is 1 - zeta.
 
     The KDE density is integrated by cumulative trapezoid on a 4096-point
     grid, normalized by the total grid mass (Gaussian kernels leak some mass
     below zero, so the raw half-line integral falls short of one), and the
-    crossing is refined by bisection inside the bracketing grid cell.  With
-    ``lower_tail=True`` the threshold is instead the zeta-quantile — the
-    literal lower-tail reading of the significance level.
+    crossing is refined by bisection inside the bracketing grid cell.
     """
     samples = np.asarray(t2_samples, dtype=float).ravel()
-    if not 0.0 < zeta <= 0.5:
-        raise ValueError(f"zeta must lie in (0, 0.5], got {zeta}")
+    _check_zeta(zeta)
     if samples.size < 10:
         raise ValueError(f"need at least 10 samples, got {samples.size}")
     if h is None:
@@ -202,8 +201,7 @@ def control_limit(
     total = cdf[-1]
     if not total > 0:
         raise ValueError("estimated density carries no mass on the grid")
-    coverage = zeta if lower_tail else 1.0 - zeta
-    target = coverage * total
+    target = (1.0 - zeta) * total
 
     idx = int(np.searchsorted(cdf, target))
     if idx >= cdf.size:
@@ -283,20 +281,20 @@ def train(
         )
     scaler = fit_scaler(X_train)
     expanded = expand_second_order(apply_scaler(scaler, X_train))
-    N = expanded.values.shape[0]
+    N = expanded.shape[0]
     if p > N:
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
 
     rng = np.random.default_rng(cfg.seed)
     # A start can still collapse every feature onto a tanh plateau, leaving a
     # singular feature covariance.  Retry from the next draw of the same
-    # stream instead of failing outright; give up after cfg.restarts tries.
+    # stream instead of failing outright; give up after _RESTARTS tries.
     last_err: ValueError | None = None
-    for attempt in range(cfg.restarts):
+    for _ in range(_RESTARTS):
         point, trace = cg_optimize(
-            init_product_point(N, p, rng), expanded.values, cfg, encoder
+            init_product_point(N, p, rng), expanded, cfg, encoder
         )
-        codes = encoder.fn(point.w.T @ expanded.values)
+        codes = encoder.fn(point.w.T @ expanded)
         try:
             stats = fit_monitoring_stats(codes, zeta)
             break
@@ -304,7 +302,7 @@ def train(
             last_err = err
     else:
         raise ValueError(
-            f"all {cfg.restarts} starts produced degenerate features"
+            f"all {_RESTARTS} starts produced degenerate features"
         ) from last_err
     model = ScaModel(
         scaler=scaler,
@@ -314,16 +312,6 @@ def train(
         **vars(stats),
     )
     return model, trace
-
-
-def encode(model: ScaModel, x: np.ndarray) -> np.ndarray:
-    """Feature vector of a single raw sample (length-n input, length-p output)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != model.n_variables:
-        raise ValueError(
-            f"model expects {model.n_variables} variables, sample has {x.shape[0]}"
-        )
-    return model.encode_batch(DataMatrix(x[:, None]))[:, 0]
 
 
 def monitor(model: MonitoringStats, X_new: DataMatrix) -> DetectionReport:

@@ -329,7 +329,7 @@ def test_sae_zero_data_has_bias_only_exact_solution():
     # weights reconstructs it exactly
     raw = DataMatrix(np.zeros((2, 8)))
     scaled = apply_scaler(fit_scaler(raw), raw)
-    expanded = expand_second_order(scaled).values
+    expanded = expand_second_order(scaled)
     N = expanded.shape[0]
     b_dec = np.zeros(N)
     b_dec[0] = 1.0

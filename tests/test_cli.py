@@ -24,8 +24,10 @@ from scafd.cli import (
     toy_response,
     toy_samples,
     _parse_case,
+    _write_trace_csv,
 )
 from scafd.data import load_csv
+from scafd.optimizer import CgTrace
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,17 @@ def test_bench_writes_trace_and_metadata(bench_run):
     assert "sca" in meta["wall_times"]
 
 
+def test_write_trace_csv_aligns_iteration_cost_grad(tmp_path):
+    trace = CgTrace(cost_per_iter=[3.0, 0.1 + 0.2], grad_norm_per_iter=[1.0, 0.5])
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, trace)
+    assert path.read_text().splitlines() == [
+        "iter,cost,grad_norm",
+        "0,3.0,1.0",
+        "1,0.30000000000000004,0.5",
+    ]
+
+
 def test_bench_records_na_for_failing_case(toy_paths, tmp_path):
     train_path, _ = toy_paths
     bad = tmp_path / "bad.csv"
@@ -373,6 +386,20 @@ def test_cli_train_requires_a_size_argument(toy_paths, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "size_args", [["--p", "2", "--energy", "0.85"], ["--p", "0"]], ids=["both", "p0"]
+)
+def test_cli_train_rejects_ambiguous_size(toy_paths, tmp_path, capsys, size_args):
+    train_path, _ = toy_paths
+    rc = main(["train", "--train", str(train_path), "--header", "--method", "pca",
+               *size_args, "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "error: specify exactly one of p (at least 1) or energy" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_cli_detect_reports_variable_mismatch(toy_paths, tmp_path, capsys):
     train_path, _ = toy_paths
     model_path = tmp_path / "model.json"
@@ -465,3 +492,21 @@ def test_console_script_smoke(tmp_path, monkeypatch):
     assert result.returncode == 0
     assert (tmp_path / "train.csv").exists()
     assert (tmp_path / "test.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "script",
+    sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_script_help_exits_zero(script):
+    # runs against the source tree under test, so a script that imports a
+    # name the package no longer has fails here
+    src_dir = Path(scafd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src_dir), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, str(script), "--help"], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout

@@ -113,20 +113,20 @@ def test_expand_two_variables_layout():
     a, b = 2.0, -3.0
     out = expand_second_order(DataMatrix(np.array([[a], [b]])))
     expect = np.array([1.0, a, b, a * a, a * b, b * a, b * b])
-    assert out.values.shape == (7, 1)
-    assert np.array_equal(out.values[:, 0], expect)
+    assert out.shape == (7, 1)
+    assert np.array_equal(out[:, 0], expect)
 
 
 def test_expand_zero_sample():
     out = expand_second_order(DataMatrix(np.zeros((3, 1))))
     expect = np.zeros(13)
     expect[0] = 1.0
-    assert np.array_equal(out.values[:, 0], expect)
+    assert np.array_equal(out[:, 0], expect)
 
 
 def test_expand_single_variable():
     out = expand_second_order(DataMatrix(np.array([[3.0]])))
-    assert np.array_equal(out.values[:, 0], np.array([1.0, 3.0, 9.0]))
+    assert np.array_equal(out[:, 0], np.array([1.0, 3.0, 9.0]))
 
 
 def test_expanded_dim_arithmetic():
@@ -140,7 +140,7 @@ def test_expanded_dim_arithmetic():
 def test_expand_products_are_exact_ieee_products(rows):
     X = DataMatrix(np.array(rows, dtype=float).T)
     n = X.n_variables
-    out = expand_second_order(X).values
+    out = expand_second_order(X)
     assert np.all(out[0] == 1.0)
     assert np.array_equal(out[1 : 1 + n], X.values)
     for j in range(n):

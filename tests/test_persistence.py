@@ -153,6 +153,9 @@ def test_format_1_file_resaves_unchanged(tag, tmp_path):
         ("sca", "activations", ["tanh", "sigmoid"], "decoder activation must be 'identity'"),
         ("sca", "activations", ["sigmoid", "identity"], "unknown activation 'sigmoid'"),
         ("ae", "expand_inputs", True, "ae model file holds a sae model"),
+        ("pca", "n_components", 9, "header has n_components 9, the model has 2"),
+        ("pca", "n_variables", 40, "header has n_variables 40, the model has 3"),
+        ("pca", "zeta", 7, r"zeta must lie in \(0, 0.5\], got 7"),
     ],
 )
 def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):

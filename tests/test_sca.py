@@ -13,7 +13,6 @@ from scafd.sca import (
     DetectionReport,
     ScaModel,
     control_limit,
-    encode,
     fit_monitoring_stats,
     kde_pdf,
     monitor,
@@ -204,14 +203,6 @@ def test_control_limit_monotone_in_zeta():
     assert all(a >= b for a, b in zip(taus, taus[1:]))
 
 
-def test_control_limit_lower_tail_flag():
-    rng = np.random.default_rng(3)
-    samples = rng.exponential(size=3000)
-    assert control_limit(samples, 0.25, lower_tail=True) < control_limit(
-        samples, 0.25
-    )
-
-
 def test_control_limit_validation():
     ok = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError, match="zeta"):
@@ -316,15 +307,20 @@ def test_train_rejects_bad_p(rng):
 # encode
 
 
+def _encode_sample(model, x):
+    """Features of one raw sample, encoded as a one-column block."""
+    return model.encode_batch(DataMatrix(np.asarray(x, dtype=float)[:, None]))[:, 0]
+
+
 def test_encode_zero_weights_gives_zero_features():
     model = _tiny_model(w=np.zeros((3, 1)))
-    assert np.array_equal(encode(model, np.array([0.7])), np.zeros(1))
+    assert np.array_equal(_encode_sample(model, np.array([0.7])), np.zeros(1))
 
 
 def test_encode_constant_slot_one_hot():
     model = _tiny_model(encoder_activation="identity")
     # w picks expansion slot 0, which is the constant 1 for every sample
-    assert encode(model, np.array([2.3])) == pytest.approx([1.0], abs=0.0)
+    assert _encode_sample(model, np.array([2.3])) == pytest.approx([1.0], abs=0.0)
 
 
 def test_encode_batch_single_consistency(toy_sca_model, toy_train):
@@ -332,14 +328,14 @@ def test_encode_batch_single_consistency(toy_sca_model, toy_train):
     G = model.encode_batch(toy_train)
     for j in (0, 7, 499):
         assert np.all(
-            np.abs(encode(model, toy_train.values[:, j]) - G[:, j]) <= 1e-12
+            np.abs(_encode_sample(model, toy_train.values[:, j]) - G[:, j]) <= 1e-12
         )
 
 
 def test_encode_dimension_mismatch():
     model = _tiny_model()
     with pytest.raises(ValueError, match="expects 1 variables"):
-        encode(model, np.array([1.0, 2.0]))
+        _encode_sample(model, np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
