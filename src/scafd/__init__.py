@@ -53,7 +53,6 @@ from .sca import (
     monitor,
     score,
     silverman_bandwidth,
-    t2,
     train,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "save_model",
     "score",
     "silverman_bandwidth",
-    "t2",
     "train",
     "transport",
 ]

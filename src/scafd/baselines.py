@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import TANH, Activation, get_activation
-from .data import DataMatrix, Scaler, apply_scaler, expand_second_order, fit_scaler
+from .data import (
+    DataMatrix,
+    Scaler,
+    apply_scaler,
+    expand_second_order,
+    expanded_t_dot,
+    fit_scaler,
+)
 from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
 
 _EIG_RANK_TOL = 1e-10
@@ -122,9 +129,12 @@ class AeModel(MonitoringStats):
 
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         inputs = apply_scaler(self.scaler, X)
-        mat = expand_second_order(inputs) if self.expand_inputs else inputs.values
+        if self.expand_inputs:
+            pre = expanded_t_dot(inputs, self.w_enc).T
+        else:
+            pre = self.w_enc.T @ inputs.values
         enc = get_activation(self.encoder_activation)
-        return enc.fn(self.w_enc.T @ mat + self.b_enc[:, None])
+        return enc.fn(pre + self.b_enc[:, None])
 
 
 @dataclass

@@ -174,14 +174,6 @@ class BenchResult:
     resolved_p: int | None = None
     metrics_path: Path | None = None
 
-    def rates(self, fault_id: str, method: str) -> tuple[float, float] | None:
-        for row in self.rows:
-            if row["fault_id"] == fault_id and row["method"] == method:
-                if row["mdr"] is None:
-                    return None
-                return row["mdr"], row["far"]
-        return None
-
 
 def derive_seed(seed: int, *labels: str) -> int:
     """Stable per-cell seed from the run seed and string labels."""

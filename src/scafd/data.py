@@ -114,6 +114,50 @@ def expanded_dim(n: int) -> int:
     return 1 + n + n * n
 
 
+# The three products below use the expansion only through its structure, so
+# none of them forms the (1+n+n^2) x m array of ``expand_second_order``.
+
+
+def second_order_kernel(X: DataMatrix) -> np.ndarray:
+    """Gram matrix of the expansion, 1 + S + S*S with S = Z^T Z: m x m.
+
+    Equals ``expand_second_order(X).T @ expand_second_order(X)``, because
+    expanded samples satisfy x~^T y~ = 1 + x^T y + (x^T y)^2.
+    """
+    S = X.values.T @ X.values
+    return 1.0 + S + S * S
+
+
+def expanded_t_dot(X: DataMatrix, w: np.ndarray) -> np.ndarray:
+    """``expand_second_order(X).T @ w`` for a (1+n+n^2) x p matrix w: m x p.
+
+    The product rows of w, reshaped to n x n*p, meet the samples in one
+    matmul, Z^T W_2, and a batched row product with each sample finishes
+    the quadratic part; the largest temporary is that m x n*p matmul.
+    """
+    Z = X.values
+    n, m = Z.shape
+    p = w.shape[1]
+    zt = Z.T
+    quad = (zt @ w[1 + n :].reshape(n, n * p)).reshape(m, n, p)
+    return w[0] + zt @ w[1 : 1 + n] + np.matmul(zt[:, None, :], quad)[:, 0, :]
+
+
+def expanded_dot(X: DataMatrix, c: np.ndarray) -> np.ndarray:
+    """``expand_second_order(X) @ c`` for an m x p matrix c: (1+n+n^2) x p.
+
+    The product block is Z diag(c_q) Z^T for each column q, formed as one
+    n x m by m x n*p matmul; the largest temporary is that m x n*p operand.
+    """
+    Z = X.values
+    n, m = Z.shape
+    p = c.shape[1]
+    zt = np.ascontiguousarray(Z.T)  # so the product below is C-ordered
+    weighted = (zt[:, :, None] * c[:, None, :]).reshape(m, n * p)
+    quad = (Z @ weighted).reshape(n * n, p)
+    return np.concatenate([c.sum(axis=0, keepdims=True), Z @ c, quad])
+
+
 def load_csv(
     path: str | Path,
     samples: str = "cols",

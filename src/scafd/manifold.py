@@ -16,7 +16,6 @@ import numpy as np
 
 ORTHO_TOL = 1e-8
 TANGENT_TOL = 1e-6
-_EIG_FLOOR = 1e-14
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
@@ -115,23 +114,28 @@ def project_tangent(base: StiefelPoint, Z: np.ndarray) -> np.ndarray:
     return Z - W @ _sym(W.T @ Z)
 
 
-def _polar_inv_sqrt(hth: np.ndarray, t: float) -> np.ndarray:
-    """(I + t^2 H^T H)^(-1/2) by symmetric eigendecomposition with a floor."""
-    p = hth.shape[0]
-    a = np.eye(p) + (t * t) * hth
-    vals, vecs = np.linalg.eigh(_sym(a))
-    vals = np.maximum(vals, _EIG_FLOOR)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+def _polar_inv_sqrt(hth_eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """(I + t^2 H^T H)^(-1/2) from ``hth_eig = np.linalg.eigh(H^T H)``.
+
+    With a = t^2 lambda, (1 + a)^(-1/2) = 1 - a / (sqrt(1 + a) (1 + sqrt(1 + a))),
+    so the result is I - V diag(that fraction) V^T: one eigendecomposition
+    serves every step t, and the result is exactly I at t = 0 (V V^T is the
+    identity only to rounding, so V diag((1 + a)^(-1/2)) V^T is not).
+    """
+    vals, vecs = hth_eig
+    a = (t * t) * np.maximum(vals, 0.0)
+    root = np.sqrt(1.0 + a)
+    return np.eye(vecs.shape[0]) - (vecs * (a / (root * (1.0 + root)))) @ vecs.T
 
 
 def retract(base: StiefelPoint, H: np.ndarray, t: float) -> StiefelPoint:
     """Polar retraction (W + t*H) @ (I + t^2 H^T H)^(-1/2).
 
-    H must be tangent at base; the inverse square root is computed by
-    symmetric eigendecomposition with an eigenvalue floor.  The optimizer's
-    line search evaluates this same map in closed form from p x p Grams
-    (same inverse square root, same Newton-Schulz sweep), so a change here
-    must be mirrored in ``optimizer._Ray``.
+    H must be tangent at base; the inverse square root comes from one
+    eigendecomposition of H^T H (``_polar_inv_sqrt``), followed by one
+    Newton-Schulz sweep.  The optimizer's line search evaluates this same
+    map in closed form from p x p Grams, with the same helper and the same
+    sweep, so a change here must be mirrored in ``optimizer._Ray``.
     """
     H = np.asarray(H, dtype=float)
     if H.shape != base.shape:
@@ -146,7 +150,7 @@ def retract(base: StiefelPoint, H: np.ndarray, t: float) -> StiefelPoint:
             f"{TANGENT_TOL} * max(1, ||H||)"
         )
     p = base.shape[1]
-    out = (base.matrix + t * H) @ _polar_inv_sqrt(H.T @ H, t)
+    out = (base.matrix + t * H) @ _polar_inv_sqrt(np.linalg.eigh(H.T @ H), t)
     # One Newton-Schulz sweep squares away the roundoff left by an
     # ill-conditioned eigendecomposition at large steps.
     out = out @ (1.5 * np.eye(p) - 0.5 * (out.T @ out))

@@ -131,8 +131,9 @@ def _forward(point: ProductPoint, X: np.ndarray, enc: Activation) -> _Forward:
 class _Ray:
     """Forward pass at t along t -> (w + t dw, retract(W~, H, t)).
 
-    The constructor forms [w, dw, W~, H]^T X and the Grams of W~ and H; each
-    call then costs p x p and p x m work.  With
+    The constructor forms [w, dw, W~, H]^T X, the Grams of W~ and H and the
+    eigendecomposition of H^T H; each call then costs p x p and p x m work.
+    With
     gram(t) = (W~ + tH)^T (W~ + tH) = W~^T W~ + t (W~^T H + H^T W~) + t^2 H^T H,
     the retraction is (W~ + tH) S C with S = (I + t^2 H^T H)^(-1/2) and
     C = 1.5 I - 0.5 S^T gram(t) S, so with R = S C the new decoder gives
@@ -155,12 +156,13 @@ class _Ray:
         WH = np.hstack([W, H])
         grams = WH.T @ WH
         self.m, self.hh = grams[:p, :p], grams[p:, p:]
+        self.hh_eig = np.linalg.eigh(self.hh)
         self.k_sym = grams[:p, p:] + grams[p:, :p]
         self.eye = np.eye(p)
         self.enc = enc
 
     def at(self, t: float) -> _Forward:
-        S = _polar_inv_sqrt(self.hh, t)
+        S = _polar_inv_sqrt(self.hh_eig, t)
         gram = self.m + t * self.k_sym + (t * t) * self.hh
         R = S @ (1.5 * self.eye - 0.5 * (S.T @ gram @ S))
         pre = self.a + t * self.da

@@ -17,8 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import TANH, Activation, get_activation
-from .data import DataMatrix, Scaler, apply_scaler, expand_second_order, fit_scaler
-from .manifold import StiefelPoint
+from .data import (
+    DataMatrix,
+    Scaler,
+    apply_scaler,
+    expand_second_order,
+    expanded_dim,
+    expanded_dot,
+    expanded_t_dot,
+    fit_scaler,
+    second_order_kernel,
+)
+from .manifold import ProductPoint, StiefelPoint
 from .optimizer import CgConfig, CgTrace, cg_optimize, init_product_point
 
 DEFAULT_ZETA = 0.01
@@ -118,25 +128,8 @@ class ScaModel(MonitoringStats):
                 f"model expects {self.n_variables} variables, data has "
                 f"{X.n_variables}"
             )
-        expanded = expand_second_order(apply_scaler(self.scaler, X))
-        enc = get_activation(self.encoder_activation)
-        return enc.fn(self.w.T @ expanded)
-
-
-def t2(model_or_sigma_inv, g: np.ndarray) -> float:
-    """Quadratic form g^T Sigma_g^{-1} g of a single feature (deviation) vector.
-
-    The monitoring pipeline passes deviations from the training feature mean;
-    this function itself applies no shift.
-    """
-    sigma_inv = getattr(model_or_sigma_inv, "sigma_g_inv", model_or_sigma_inv)
-    g = np.asarray(g, dtype=float).ravel()
-    if g.shape[0] != sigma_inv.shape[0]:
-        raise ValueError(
-            f"feature length {g.shape[0]} does not match covariance "
-            f"dimension {sigma_inv.shape[0]}"
-        )
-    return float(g @ sigma_inv @ g)
+        pre = expanded_t_dot(apply_scaler(self.scaler, X), self.w)
+        return get_activation(self.encoder_activation).fn(pre.T)
 
 
 def t2_batch(G: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
@@ -263,6 +256,58 @@ def fit_monitoring_stats(G: np.ndarray, zeta: float = DEFAULT_ZETA) -> Monitorin
     )
 
 
+def _kernel_basis(Z: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal basis Q_X of the range of X = expand(Z), kept implicit.
+
+    With the m x m kernel K = X^T X = V diag(lam) V^T, restricted to the
+    eigenvalues above m * eps * max(lam), Q_X = X V diag(lam)^(-1/2).
+    Returns (coef, coords): Q_X = X @ coef and Q_X^T X = coords, so the
+    N x m expansion is never formed.
+    """
+    lam, V = np.linalg.eigh(second_order_kernel(Z))
+    keep = lam > Z.n_samples * np.finfo(float).eps * lam[-1]
+    root = np.sqrt(lam[keep])
+    V = V[:, keep]
+    return V / root, root[:, None] * V.T
+
+
+def _fit_in_span(
+    Z: DataMatrix,
+    coef: np.ndarray,
+    coords: np.ndarray,
+    init: ProductPoint,
+    cfg: CgConfig,
+    encoder: Activation,
+) -> tuple[ProductPoint, CgTrace, np.ndarray]:
+    """``cg_optimize`` from ``init`` on X = expand(Z), run in a d-dim subspace.
+
+    Every iterate stays in range(X) + span(W~_0): the gradients are X- and
+    W~-combinations of p columns, and tangent projection, retraction and
+    transport only right-multiply by p x p matrices.  So with an orthonormal
+    basis B = [Q_X, P] of that space (P completes Q_X to W~_0), CG on the
+    coordinates B^T w, B^T W~ against B^T X has the same costs, metric and
+    iterates in exact arithmetic, on d = r + p rows instead of N.  Returns
+    the point lifted back to N rows, the trace and the training codes.
+    """
+    w0 = init.w_tilde.matrix
+    c = coef.T @ expanded_t_dot(Z, w0)  # Q_X^T W~_0
+    P = np.linalg.qr(w0 - expanded_dot(Z, coef @ c))[0]
+    data = np.vstack([coords, expanded_t_dot(Z, P).T])
+    start = np.vstack([c, P.T @ w0])
+    point, trace = cg_optimize(
+        ProductPoint(w=start.copy(), w_tilde=StiefelPoint(start)), data, cfg, encoder
+    )
+    r = coef.shape[1]
+
+    def lift(M: np.ndarray) -> np.ndarray:
+        return expanded_dot(Z, coef @ M[:r]) + P @ M[r:]
+
+    lifted = ProductPoint(
+        w=lift(point.w), w_tilde=StiefelPoint(lift(point.w_tilde.matrix))
+    )
+    return lifted, trace, encoder.fn(point.w.T @ data)
+
+
 def train(
     X_train: DataMatrix,
     p: int,
@@ -280,10 +325,23 @@ def train(
             f"need at least p+2 = {p + 2} samples, got {X_train.n_samples}"
         )
     scaler = fit_scaler(X_train)
-    expanded = expand_second_order(apply_scaler(scaler, X_train))
-    N = expanded.shape[0]
+    scaled = apply_scaler(scaler, X_train)
+    n, m = scaled.values.shape
+    N = expanded_dim(n)
     if p > N:
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
+    if m + p < N:
+        coef, coords = _kernel_basis(scaled)
+
+        def fit(init: ProductPoint) -> tuple[ProductPoint, CgTrace, np.ndarray]:
+            return _fit_in_span(scaled, coef, coords, init, cfg, encoder)
+
+    else:
+        expanded = expand_second_order(scaled)
+
+        def fit(init: ProductPoint) -> tuple[ProductPoint, CgTrace, np.ndarray]:
+            point, trace = cg_optimize(init, expanded, cfg, encoder)
+            return point, trace, encoder.fn(point.w.T @ expanded)
 
     rng = np.random.default_rng(cfg.seed)
     # A start can still collapse every feature onto a tanh plateau, leaving a
@@ -291,10 +349,7 @@ def train(
     # stream instead of failing outright; give up after _RESTARTS tries.
     last_err: ValueError | None = None
     for _ in range(_RESTARTS):
-        point, trace = cg_optimize(
-            init_product_point(N, p, rng), expanded, cfg, encoder
-        )
-        codes = encoder.fn(point.w.T @ expanded)
+        point, trace, codes = fit(init_product_point(N, p, rng))
         try:
             stats = fit_monitoring_stats(codes, zeta)
             break

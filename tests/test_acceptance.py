@@ -337,13 +337,11 @@ def _toy_benchmark():
                 out_dir=root / f"out{seed}",
                 max_iters=150,
             )
-            result = run_bench(spec)
-            for method in ALL_METHODS:
-                rates = result.rates(f"s{seed}", method)
-                if rates is None:
-                    raise RuntimeError(f"{method} failed on seed {seed}")
-                mdr[method].append(rates[0])
-                far[method].append(rates[1])
+            for row in run_bench(spec).rows:
+                if row["mdr"] is None:
+                    raise RuntimeError(f"{row['method']} failed on seed {seed}")
+                mdr[row["method"]].append(row["mdr"])
+                far[row["method"]].append(row["far"])
         _BENCH_CACHE["toy"] = (mdr, far, time.perf_counter() - t0)
     return _BENCH_CACHE["toy"]
 

@@ -189,11 +189,11 @@ def test_bench_metrics_shape(bench_run):
     lines = result.metrics_path.read_text().splitlines()
     assert lines[0] == "fault_id,method,mdr,far"
     assert len(lines) == 3
-    for method in ("pca", "sca"):
-        rates = result.rates("toy", method)
-        assert rates is not None
-        assert 0.0 <= rates[0] <= 100.0 and 0.0 <= rates[1] <= 100.0
-    assert result.rates("nonexistent", "pca") is None
+    assert [(row["fault_id"], row["method"]) for row in result.rows] == [
+        ("toy", "pca"), ("toy", "sca")
+    ]
+    for row in result.rows:
+        assert 0.0 <= row["mdr"] <= 100.0 and 0.0 <= row["far"] <= 100.0
 
 
 def test_bench_chart_flags_match_limit_exactly(bench_run):
@@ -251,7 +251,7 @@ def test_bench_records_na_for_failing_case(toy_paths, tmp_path):
         out_dir=tmp_path / "out",
     )
     result = run_bench(spec)
-    assert result.rates("bad", "pca") is None
+    assert result.rows == [{"fault_id": "bad", "method": "pca", "mdr": None, "far": None}]
     line = result.metrics_path.read_text().splitlines()[1]
     assert line == "bad,pca,NA,NA"
 
@@ -307,7 +307,7 @@ def test_bench_records_na_for_failing_fit(toy_paths, tmp_path, monkeypatch):
     result = _bench_with_failing_fit(
         toy_paths, tmp_path, monkeypatch, ValueError("degenerate features")
     )
-    assert result.rates("toy", "pca") is None
+    assert result.rows == [{"fault_id": "toy", "method": "pca", "mdr": None, "far": None}]
     assert result.metrics_path.read_text().splitlines()[1] == "toy,pca,NA,NA"
 
     import json

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from scafd.data import (
@@ -11,8 +11,11 @@ from scafd.data import (
     apply_scaler,
     expand_second_order,
     expanded_dim,
+    expanded_dot,
+    expanded_t_dot,
     fit_scaler,
     load_csv,
+    second_order_kernel,
 )
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -147,6 +150,34 @@ def test_expand_products_are_exact_ieee_products(rows):
         for k in range(n):
             got = out[1 + n + j * n + k]
             assert np.array_equal(got, out[1 + j] * out[1 + k])
+
+
+# ---------------------------------------------------------------------------
+# structured products of the expansion
+
+
+@given(
+    st.integers(1, 6), st.integers(1, 9), st.integers(1, 4), st.integers(0, 2**31 - 1)
+)
+@example(n=1, m=1, p=1, seed=0)
+@example(n=1, m=5, p=2, seed=1)
+@example(n=4, m=1, p=3, seed=2)
+def test_structured_products_match_explicit_expansion(n, m, p, seed):
+    # Each entry is held to 1e-12 of the matching product of absolute values,
+    # the scale of its rounding error whatever the cancellation.
+    rng = np.random.default_rng(seed)
+    X = DataMatrix(rng.standard_normal((n, m)) * rng.uniform(0.1, 10.0, (n, 1)))
+    E = expand_second_order(X)
+    w = rng.standard_normal((expanded_dim(n), p))
+    c = rng.standard_normal((m, p))
+    pairs = [
+        (second_order_kernel(X), E.T @ E, np.abs(E).T @ np.abs(E)),
+        (expanded_t_dot(X, w), E.T @ w, np.abs(E).T @ np.abs(w)),
+        (expanded_dot(X, c), E @ c, np.abs(E) @ np.abs(c)),
+    ]
+    for got, want, scale in pairs:
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

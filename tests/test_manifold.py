@@ -13,6 +13,7 @@ from scafd.manifold import (
     ProductPoint,
     StiefelPoint,
     TangentPair,
+    _polar_inv_sqrt,
     inner,
     norm,
     orthonormality_error,
@@ -132,6 +133,21 @@ def test_retract_fixed_step_example(rng):
     H = random_tangent(base, rng)
     out = retract(base, H, 0.37)
     assert orthonormality_error(out.matrix) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-9, 0.01, 0.5, 1.0, 3.0, 10.0])
+def test_polar_inv_sqrt_matches_direct_inverse_root(rng, t):
+    H = rng.standard_normal((9, 4))
+    hth = H.T @ H
+    vals, vecs = np.linalg.eigh(np.eye(4) + t * t * hth)
+    direct = (vecs / np.sqrt(vals)) @ vecs.T
+    got = _polar_inv_sqrt(np.linalg.eigh(hth), t)
+    assert np.max(np.abs(got - direct)) <= 1e-13
+
+
+def test_polar_inv_sqrt_is_exactly_identity_at_zero_step(rng):
+    H = rng.standard_normal((9, 4))
+    assert np.array_equal(_polar_inv_sqrt(np.linalg.eigh(H.T @ H), 0.0), np.eye(4))
 
 
 def test_retract_rejects_non_tangent(rng):

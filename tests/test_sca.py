@@ -1,14 +1,24 @@
 """Monitoring statistics: T2, KDE control limits, training, detection, scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scafd.baselines import ae_train, kpca_fit, pca_fit
-from scafd.data import DataMatrix, Scaler
-from scafd.manifold import StiefelPoint
-from scafd.optimizer import CgConfig
+from scafd.data import (
+    DataMatrix,
+    Scaler,
+    apply_scaler,
+    expand_second_order,
+    expanded_dim,
+    fit_scaler,
+    second_order_kernel,
+)
+from scafd.manifold import StiefelPoint, orthonormality_error
+from scafd.optimizer import CgConfig, cg_optimize, init_product_point
 from scafd.sca import (
     DetectionReport,
     ScaModel,
@@ -18,7 +28,6 @@ from scafd.sca import (
     monitor,
     score,
     silverman_bandwidth,
-    t2,
     t2_batch,
     train,
 )
@@ -59,13 +68,18 @@ class _RawMonitor:
 # t2 / t2_batch
 
 
+def _t2_single(sigma_inv, g):
+    """T2 of one feature vector, scored as a one-column block."""
+    return float(t2_batch(np.asarray(g, dtype=float)[:, None], sigma_inv)[0])
+
+
 def test_t2_zero_vector():
-    assert t2(np.eye(3), np.zeros(3)) == 0.0
+    assert _t2_single(np.eye(3), np.zeros(3)) == 0.0
 
 
 def test_t2_identity_is_squared_norm():
     g = np.array([1.0, -2.0, 2.0])
-    assert t2(np.eye(3), g) == pytest.approx(9.0, rel=1e-14)
+    assert _t2_single(np.eye(3), g) == pytest.approx(9.0, rel=1e-14)
 
 
 def test_t2_matches_linear_solve(rng):
@@ -73,17 +87,12 @@ def test_t2_matches_linear_solve(rng):
     sigma = A @ A.T + 3.0 * np.eye(3)
     g = rng.standard_normal(3)
     oracle = float(g @ np.linalg.solve(sigma, g))
-    assert t2(np.linalg.inv(sigma), g) == pytest.approx(oracle, rel=1e-10)
-
-
-def test_t2_accepts_model_argument():
-    model = _tiny_model()
-    assert t2(model, np.array([2.0])) == pytest.approx(4.0, rel=1e-14)
+    assert _t2_single(np.linalg.inv(sigma), g) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_t2_length_mismatch():
-    with pytest.raises(ValueError, match="does not match covariance"):
-        t2(np.eye(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        _t2_single(np.eye(2), np.zeros(3))
 
 
 def test_t2_batch_matches_per_column(rng):
@@ -91,7 +100,7 @@ def test_t2_batch_matches_per_column(rng):
     sigma_inv = A @ A.T + np.eye(4)
     G = rng.standard_normal((4, 9))
     batch = t2_batch(G, sigma_inv)
-    singles = np.array([t2(sigma_inv, G[:, j]) for j in range(9)])
+    singles = np.array([G[:, j] @ sigma_inv @ G[:, j] for j in range(9)])
     assert np.all(np.abs(batch - singles) <= 1e-12 * np.maximum(1.0, singles))
 
 
@@ -233,7 +242,7 @@ def test_fit_stats_t2_centers_on_feature_mean(rng):
     stats = fit_monitoring_stats(G)
     j = 17
     dev = G[:, j] - stats.g_mean
-    assert stats.t2_train[j] == pytest.approx(t2(stats.sigma_g_inv, dev), rel=1e-12)
+    assert stats.t2_train[j] == pytest.approx(dev @ stats.sigma_g_inv @ dev, rel=1e-12)
 
 
 def test_fit_stats_rejects_constant_features():
@@ -301,6 +310,74 @@ def test_train_rejects_bad_p(rng):
         train(X, p=0)
     with pytest.raises(ValueError, match="expanded dimension"):
         train(X, p=4)  # N = 1 + 1 + 1 = 3 for one variable
+
+
+def _latent_block(rng, n, m):
+    """n variables driven by two latent factors plus noise, m samples."""
+    latent = rng.standard_normal((n, 2)) @ rng.standard_normal((2, m))
+    return DataMatrix(latent + 0.3 * rng.standard_normal((n, m)))
+
+
+def test_train_in_data_span_matches_explicit_expansion():
+    # n=6, m=20, p=3: m + p < N = 43, so train runs CG on coordinates in the
+    # span of the data; the reference runs it on the explicit expansion.
+    X = _latent_block(np.random.default_rng(5), 6, 20)
+    cfg = CgConfig(seed=4, max_iters=10)
+    model, trace = train(X, p=3, cfg=cfg)
+    expanded = expand_second_order(apply_scaler(model.scaler, X))
+    init = init_product_point(expanded_dim(6), 3, np.random.default_rng(cfg.seed))
+    ref, ref_trace = cg_optimize(init, expanded, cfg)
+    assert trace.iterations == ref_trace.iterations == 10
+    costs, ref_costs = np.array(trace.cost_per_iter), np.array(ref_trace.cost_per_iter)
+    assert np.all(np.abs(costs - ref_costs) <= 1e-11 * np.abs(ref_costs))
+    assert np.max(np.abs(model.w - ref.w)) <= 1e-8
+    assert np.max(np.abs(model.w_tilde.matrix - ref.w_tilde.matrix)) <= 1e-8
+
+
+def test_train_in_data_span_with_rank_deficient_kernel():
+    # every sample twice and one constant variable: rank(K) <= 20 < m = 40
+    rng = np.random.default_rng(6)
+    base = _latent_block(rng, 6, 20).values
+    base[2] = 4.0
+    X = DataMatrix(np.hstack([base, base]))
+    kernel = second_order_kernel(apply_scaler(fit_scaler(X), X))
+    assert np.linalg.matrix_rank(kernel) <= 20
+    model, _ = train(X, p=2, cfg=CgConfig(seed=0, max_iters=50))
+    assert orthonormality_error(model.w_tilde.matrix) <= 1e-12
+    t2_values = monitor(model, X).t2
+    assert np.all(np.abs(t2_values - model.t2_train) <= 1e-6 * np.maximum(1.0, model.t2_train))
+
+
+def test_train_in_data_span_and_encode_never_expand(rng, monkeypatch):
+    import scafd.sca
+
+    def forbidden(X):
+        raise AssertionError("the N x m expansion was formed")
+
+    monkeypatch.setattr(scafd.sca, "expand_second_order", forbidden)
+    X = _latent_block(rng, 6, 20)
+    model, _ = train(X, p=3, cfg=CgConfig(seed=0, max_iters=5))
+    assert monitor(model, X).t2.shape == (20,)
+
+
+def test_train_and_monitor_memory_stay_below_the_expansion_at_ac10_shape():
+    # The AC10 problem: n=52 (N=2757), m=500, p=27.  The expansion alone is
+    # 11 MB for training and 22.6 MB per 1024-sample scoring chunk.
+    rng = np.random.default_rng(0)
+    latent = rng.standard_normal((52, 12)) @ rng.standard_normal((12, 500))
+    X = DataMatrix(latent + 0.3 * rng.standard_normal((52, 500)))
+    block = DataMatrix(rng.standard_normal((52, 20000)))
+    tracemalloc.start()
+    try:
+        model, _ = train(X, p=27, cfg=CgConfig(seed=0, max_iters=10))
+        train_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monitor(model, block)
+        monitor_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert train_peak < 20e6
+    assert monitor_peak < 32e6
 
 
 # ---------------------------------------------------------------------------
