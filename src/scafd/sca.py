@@ -4,10 +4,14 @@ Offline: z-score the training block, expand each sample to second order,
 train the orthogonality-constrained autoencoder by manifold conjugate
 gradient, then fit the monitoring statistics — inverse feature covariance,
 per-sample T2 values, a Gaussian-KDE density of those values, and the
-control limit covering probability 1 - zeta.
+control limit covering probability 1 - zeta.  When the samples and the
+components together number fewer than the expanded dimension (m + p < N),
+training runs the same conjugate gradient in the span of the expanded data
+and the starting decoder, reached through the m x m second-order kernel,
+and never forms the N x m expansion.
 
-Online: scale/expand/encode a new sample, compute its T2, and alarm when it
-exceeds the control limit.
+Online: scale and encode a new sample, W^T expand(z) computed without
+expanding, compute its T2, and alarm when it exceeds the control limit.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ _RIDGE_SCALE = 1e-8
 _CDF_GRID_POINTS = 4096
 _BISECT_ITERS = 100
 _KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
-# samples encoded and scored at once; bounds the N x chunk expansion
-# (23 MB at n=52) whatever the block size
+# samples encoded and scored at once; bounds the chunk x n x p temporary of
+# the structured encode (11.5 MB at n=52, p=27) whatever the block size
 _SCORE_CHUNK = 1024
 _RESTARTS = 3  # starts tried when a fit collapses (see train)
 
@@ -330,6 +334,8 @@ def train(
     N = expanded_dim(n)
     if p > N:
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
+    # The span has at most m + p dimensions, so it only pays when that is
+    # below N; toy data (n = 3, N = 13) keeps the explicit expansion.
     if m + p < N:
         coef, coords = _kernel_basis(scaled)
 
