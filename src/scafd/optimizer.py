@@ -7,10 +7,11 @@ orthonormal columns:
     f(w, w_tilde) = || X - w_tilde @ enc(w^T X) ||_F^2
 
 Minimization runs a nonlinear conjugate gradient on the product manifold:
-Riemannian gradients via tangent projection, Armijo backtracking along the
-retracted curve, projection-based vector transport of the previous gradient
-and direction, and a Liu-Storey style direction parameter with a descent
-safeguard.
+Riemannian gradients via tangent projection, an Armijo search over the
+dyadic steps 2^-k (0 <= k <= 60) along the retracted curve that starts at
+the previous iteration's step, projection-based vector transport of the
+previous gradient and direction, and a Liu-Storey style direction parameter
+with a descent safeguard.
 
 Because the decoder is linear, with G = enc(w^T X),
 
@@ -50,11 +51,20 @@ _GAMMA_DEN_FLOOR = 1e-18
 _FLAT_WINDOW = 5
 _ARMIJO_C1 = 1e-4  # sufficient-decrease constant
 _BACKTRACK = 0.5  # step factor per backtrack
-_INITIAL_STEP = 1.0  # first trial step of every line search
+_INITIAL_STEP = 1.0  # largest step; the first search of a run starts here
+# the steps a line search may try, largest first; all are exact powers of two
+_STEPS = [_INITIAL_STEP * _BACKTRACK**k for k in range(_MAX_BACKTRACKS + 1)]
 
 
 class LineSearchError(RuntimeError):
-    """No admissible Armijo step was found along the given direction."""
+    """No admissible Armijo step was found along the given direction.
+
+    ``trials`` is the number of steps the failed search evaluated.
+    """
+
+    def __init__(self, message: str, trials: int) -> None:
+        super().__init__(message)
+        self.trials = trials
 
 
 @dataclass
@@ -81,9 +91,11 @@ class CgTrace:
 
     cost_per_iter: list[float] = field(default_factory=list)
     grad_norm_per_iter: list[float] = field(default_factory=list)
-    # accepted Armijo step of each iteration; the backtrack count of iteration
-    # k is log(step_per_iter[k] / _INITIAL_STEP) / log(_BACKTRACK)
+    # accepted Armijo step of each iteration, one of _STEPS
     step_per_iter: list[float] = field(default_factory=list)
+    # closed-form trials each iteration's line search evaluated, a failed
+    # search before the steepest-descent retry included
+    trials_per_iter: list[int] = field(default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
     # why the run ended: "grad_tol", "flat" (cost_rel_tol over the last
@@ -236,38 +248,69 @@ def line_search(
     f0: float,
     x_sq: float,
     encoder: Activation = TANH,
-) -> tuple[float, float, ProductPoint, TangentPair]:
-    """Armijo backtracking from _INITIAL_STEP along a descent direction.
+    start: float = _INITIAL_STEP,
+) -> tuple[float, float, ProductPoint, TangentPair, int]:
+    """Armijo search over the steps _INITIAL_STEP * _BACKTRACK^k, 0 <= k <= 60.
 
     ``grad`` is the Riemannian gradient and ``f0`` the cost at ``point``,
-    ``x_sq`` is ||X||_F^2.  Returns (t, cost at t, point at t, Riemannian
-    gradient at that point) for the largest tried step satisfying
-    f(t) <= f0 + c1 * t * <grad, direction>.  Trials are evaluated in closed
-    form along the retracted curve (``_Ray``), so each costs p x p and p x m
-    work; only the accepted step builds the N x p point, through ``move``,
-    and its gradient reuses the accepted trial's products.  X is not checked
-    here: ``cg_optimize`` checks it once.
-    Raises ValueError when the direction is not descent and LineSearchError
-    when 60 backtracks fail.
+    ``x_sq`` is ||X||_F^2.  A step t is accepted when
+    f(t) <= f0 + c1 * t * <grad, direction>.  The search tries ``start``
+    (one of the steps) first.  If it is accepted, the step doubles while the
+    doubled step is a step of the set and is accepted; otherwise it halves
+    until a step is accepted, and after the smallest step it tries the steps
+    above ``start`` from the largest down.  So it returns the largest
+    accepted step of the run of accepted steps that contains the first
+    accepted one; when the accepted steps form one run, that is the largest
+    accepted step, the result of backtracking from _INITIAL_STEP.
+
+    Returns (t, cost at t, point at t, Riemannian gradient at that point,
+    number of trials).  Trials are evaluated in closed form along the
+    retracted curve (``_Ray``), so each costs p x p and p x m work; only the
+    accepted step builds the N x p point, through ``move``, and its gradient
+    reuses the accepted trial's products.  X is not checked here:
+    ``cg_optimize`` checks it once.
+    Raises ValueError when the direction is not descent or ``start`` is not
+    a step, and LineSearchError when all 61 steps are rejected.
     """
     slope = inner(grad, direction)
     if not slope < 0:
         raise ValueError(f"not a descent direction: <grad, dir> = {slope:.3e}")
+    if start not in _STEPS:
+        raise ValueError(
+            f"start must be {_INITIAL_STEP} * {_BACKTRACK}**k, 0 <= k <= {_MAX_BACKTRACKS}"
+        )
     ray = _Ray(point, direction, X, encoder)
-    t = _INITIAL_STEP
-    for _ in range(_MAX_BACKTRACKS + 1):
+    trials = 0
+
+    def accepted(k: int) -> tuple[_Forward, float] | None:
+        nonlocal trials
+        trials += 1
+        t = _STEPS[k]
         fwd = ray.at(t)
         f_t = fwd.cost(x_sq)
-        # a non-finite trial compares False and backtracks
-        if f_t <= f0 + _ARMIJO_C1 * t * slope:
-            new_point = move(point, direction, t)
-            eucl = _grad(fwd, X, new_point.w_tilde.matrix, encoder)
-            return t, f_t, new_point, riemannian_grad(new_point, eucl)
-        t *= _BACKTRACK
-    raise LineSearchError(
-        f"no Armijo step after {_MAX_BACKTRACKS} backtracks (f0={f0:.6e}, "
-        f"slope={slope:.3e})"
-    )
+        # a non-finite trial compares False and is rejected
+        return (fwd, f_t) if f_t <= f0 + _ARMIJO_C1 * t * slope else None
+
+    k = _STEPS.index(start)
+    found = accepted(k)
+    if found:
+        while k > 0 and (up := accepted(k - 1)):
+            k, found = k - 1, up
+    else:
+        for k in [*range(k + 1, len(_STEPS)), *range(k)]:
+            if found := accepted(k):
+                break
+        else:
+            raise LineSearchError(
+                f"no Armijo step in {trials} trials (f0={f0:.6e}, "
+                f"slope={slope:.3e})",
+                trials,
+            )
+    fwd, f_t = found
+    t = _STEPS[k]
+    new_point = move(point, direction, t)
+    eucl = _grad(fwd, X, new_point.w_tilde.matrix, encoder)
+    return t, f_t, new_point, riemannian_grad(new_point, eucl), trials
 
 
 def init_product_point(
@@ -315,7 +358,9 @@ def cg_optimize(
     descent directions, so the conjugate weight is the clamped magnitude
     max(0, -quotient), and any non-descent combination falls back to
     steepest descent.  Every cost in the trace, the first included, is the
-    expanded form of ``_Forward.cost``.
+    expanded form of ``_Forward.cost``.  Each line search starts at the step
+    the previous iteration accepted; the first one, and the steepest-descent
+    retry after a failed search, start at _INITIAL_STEP.
     """
     X = np.asarray(X, dtype=float)
     _check_shapes(init, X)
@@ -338,17 +383,19 @@ def cg_optimize(
             break
         if inner(direction, grad) >= 0:
             direction = -grad
+        start = trace.step_per_iter[-1] if trace.step_per_iter else _INITIAL_STEP
         try:
-            t, f_new, new_point, new_grad = line_search(
-                point, direction, X, grad, f, x_sq, encoder
+            t, f_new, new_point, new_grad, trials = line_search(
+                point, direction, X, grad, f, x_sq, encoder, start
             )
-        except LineSearchError:
+        except LineSearchError as failed:
             if inner(direction + grad, direction + grad) == 0.0:
                 raise  # already steepest descent
             direction = -grad
-            t, f_new, new_point, new_grad = line_search(
+            t, f_new, new_point, new_grad, trials = line_search(
                 point, direction, X, grad, f, x_sq, encoder
             )
+            trials += failed.trials
 
         prev_grad, prev_dir = grad, direction
         point, f, grad = new_point, f_new, new_grad
@@ -356,6 +403,7 @@ def cg_optimize(
         trace.cost_per_iter.append(f)
         trace.grad_norm_per_iter.append(gnorm)
         trace.step_per_iter.append(t)
+        trace.trials_per_iter.append(trials)
         trace.iterations += 1
 
         prev_grad_t = transport(point.w_tilde, prev_grad)

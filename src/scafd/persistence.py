@@ -64,20 +64,29 @@ def _decode(field_type: str, value):
     return value
 
 
-def save_model(model, path: str | Path) -> Path:
-    """Serialize a fitted monitor to a versioned JSON file."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "method": method_tag(model),
-        **_sizes(model),
-    }
+def _field_entries(model):
+    """(key, JSON value) of each model field, encoded when it is reached."""
     for f in dataclasses.fields(model):
         if f.name == "encoder_activation":
-            doc["activations"] = [model.encoder_activation, _DECODER]
+            yield "activations", [model.encoder_activation, _DECODER]
         else:
-            doc[f.name] = _encode(getattr(model, f.name))
+            yield f.name, _encode(getattr(model, f.name))
+
+
+def save_model(model, path: str | Path) -> Path:
+    """Serialize a fitted monitor to a versioned JSON file.
+
+    Fields are encoded and written one at a time, so only one field's lists
+    and text are alive at once; the bytes equal ``json.dumps`` of the whole
+    document (same key order and separators).
+    """
+    header = {"format_version": FORMAT_VERSION, "method": method_tag(model), **_sizes(model)}
     path = Path(path)
-    path.write_text(json.dumps(doc))
+    with path.open("w") as fh:
+        fh.write(json.dumps(header)[:-1])  # the header without its closing brace
+        for key, value in _field_entries(model):
+            fh.write(f", {json.dumps(key)}: {json.dumps(value)}")
+        fh.write("}")
     return path
 
 

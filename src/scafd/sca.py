@@ -155,9 +155,17 @@ def kde_pdf(
     scale = 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
     out = np.empty_like(q)
     step = max(1, _KDE_CHUNK // samples.size)
+    # exp(-(q - s)^2 / (2 h^2)), one ufunc at a time in one reused buffer
+    buf = np.empty((min(step, q.size), samples.size))
     for lo in range(0, q.size, step):
-        block = q[lo : lo + step, None] - samples[None, :]
-        out[lo : lo + step] = scale * np.exp(-(block * block) / (2.0 * h * h)).sum(axis=1)
+        rows = q[lo : lo + step]
+        block = buf[: rows.size]
+        np.subtract(rows[:, None], samples[None, :], out=block)
+        np.square(block, out=block)
+        np.negative(block, out=block)
+        np.divide(block, 2.0 * h * h, out=block)
+        np.exp(block, out=block)
+        out[lo : lo + step] = scale * block.sum(axis=1)
     return float(out[0]) if np.isscalar(query) or np.ndim(query) == 0 else out
 
 

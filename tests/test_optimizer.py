@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from scafd import optimizer
 from scafd.activations import get_activation
+from scafd.data import DataMatrix
 from scafd.manifold import (
     ProductPoint,
     StiefelPoint,
@@ -31,10 +33,13 @@ from scafd.optimizer import (
     _ARMIJO_C1,
     _BACKTRACK,
     _INITIAL_STEP,
+    _MAX_BACKTRACKS,
+    _STEPS,
     _grad,
     _Ray,
     _sq_norm,
 )
+from scafd.sca import train
 
 IDENTITY = get_activation("identity")
 TANH_ID = get_activation("tanh")
@@ -224,10 +229,10 @@ def test_line_search_accepts_armijo_step(rng):
     grad = riemannian_grad(point, euclidean_grad(point, X))
     direction = -1.0 * grad
     f0 = cost(point, X)
-    t, f_t, new_point, new_grad = line_search(
+    t, f_t, new_point, new_grad, trials = line_search(
         point, direction, X, grad, f0, _sq_norm(X)
     )
-    assert t > 0
+    assert t > 0 and trials >= 1
     assert f_t <= f0 + _ARMIJO_C1 * t * inner(grad, direction)
     assert f_t == pytest.approx(cost(new_point, X), rel=1e-12)
     direct = riemannian_grad(new_point, euclidean_grad(new_point, X))
@@ -250,6 +255,138 @@ def test_line_search_rejects_ascent_direction(rng):
     grad = riemannian_grad(point, euclidean_grad(point, X))
     with pytest.raises(ValueError, match="not a descent direction"):
         line_search(point, grad, X, grad, cost(point, X), _sq_norm(X))
+
+
+def test_line_search_rejects_start_outside_the_step_set(rng):
+    N, p, m = 6, 2, 12
+    point = _random_point(N, p, rng)
+    X = rng.standard_normal((N, m))
+    grad = riemannian_grad(point, euclidean_grad(point, X))
+    for start in (0.3, 2.0 * _INITIAL_STEP, _STEPS[-1] * _BACKTRACK):
+        with pytest.raises(ValueError, match="start must be"):
+            line_search(point, -1.0 * grad, X, grad, cost(point, X), _sq_norm(X), start=start)
+
+
+def _backtrack_from_one(
+    point, direction, X, grad, f0, x_sq, encoder=TANH_ID, start=_INITIAL_STEP
+):
+    """Reference search: backtrack from _INITIAL_STEP whatever ``start`` says,
+    so it returns the largest accepted step of the set."""
+    slope = inner(grad, direction)
+    ray = _Ray(point, direction, X, encoder)
+    t = _INITIAL_STEP
+    for trials in range(1, _MAX_BACKTRACKS + 2):
+        fwd = ray.at(t)
+        f_t = fwd.cost(x_sq)
+        if f_t <= f0 + _ARMIJO_C1 * t * slope:
+            new_point = move(point, direction, t)
+            eucl = _grad(fwd, X, new_point.w_tilde.matrix, encoder)
+            return t, f_t, new_point, riemannian_grad(new_point, eucl), trials
+        t *= _BACKTRACK
+    raise LineSearchError("no Armijo step", trials)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.integers(2, 30),
+    st.floats(-1.0, 3.0),
+    st.integers(0, 12),
+    st.integers(0, 2**31 - 1),
+)
+def test_warm_started_search_climbs_to_the_top_of_its_run(p, extra, m, log_scale, k0, seed):
+    rng = np.random.default_rng(seed)
+    N = p + 1 + extra
+    point = _random_point(N, p, rng)
+    X = 3.0 * rng.standard_normal((N, m))
+    grad = riemannian_grad(point, euclidean_grad(point, X))
+    direction = -(10.0**log_scale) * grad
+    f0, x_sq = cost(point, X), _sq_norm(X)
+    if not inner(grad, direction) < 0:
+        return  # stationary start
+    slope = inner(grad, direction)
+    ray = _Ray(point, direction, X, TANH_ID)
+    accepted = [
+        k for k, t in enumerate(_STEPS) if ray.at(t).cost(x_sq) <= f0 + _ARMIJO_C1 * t * slope
+    ]
+    if not accepted:
+        with pytest.raises(LineSearchError):
+            line_search(point, direction, X, grad, f0, x_sq, start=_STEPS[k0])
+        return
+    t, f_t, new_point, _, trials = line_search(
+        point, direction, X, grad, f0, x_sq, start=_STEPS[k0]
+    )
+    k = _STEPS.index(t)  # t is a step, so at most _INITIAL_STEP
+    assert k in accepted
+    assert k == 0 or k - 1 not in accepted
+    assert 1 <= trials <= len(_STEPS)
+    if accepted == list(range(accepted[0], accepted[-1] + 1)):
+        ref_t, ref_f, ref_point, _, _ = _backtrack_from_one(point, direction, X, grad, f0, x_sq)
+        assert (t, f_t) == (ref_t, ref_f)
+        assert np.array_equal(new_point.w, ref_point.w)
+        assert np.array_equal(new_point.w_tilde.matrix, ref_point.w_tilde.matrix)
+
+
+def test_failing_search_tries_every_step_from_a_warm_start(rng, monkeypatch):
+    N, p, m = 6, 2, 12
+    point = _random_point(N, p, rng)
+    X = rng.standard_normal((N, m))
+    grad = riemannian_grad(point, euclidean_grad(point, X))
+    tried = []
+    real_at = _Ray.at
+
+    def recording_at(self, t):
+        tried.append(t)
+        return real_at(self, t)
+
+    monkeypatch.setattr(_Ray, "at", recording_at)
+    # the cost is a squared norm, so no step reaches below f0 = -1
+    with pytest.raises(LineSearchError) as failed:
+        line_search(point, -1.0 * grad, X, grad, -1.0, _sq_norm(X), start=_STEPS[30])
+    assert tried == [_STEPS[k] for k in [*range(30, len(_STEPS)), *range(30)]]
+    assert failed.value.trials == len(_STEPS) == _MAX_BACKTRACKS + 1
+
+
+def test_search_below_an_isolated_run_falls_back_to_larger_steps(rng, monkeypatch):
+    # Only k = 2 and 3 pass: a search started at k = 30 halves to the floor,
+    # then tries k = 0, 1, 2 and returns the largest accepted step.
+    N, p, m = 6, 2, 12
+    point = _random_point(N, p, rng)
+    X = rng.standard_normal((N, m))
+    grad = riemannian_grad(point, euclidean_grad(point, X))
+    step_of = {}
+    real_at = _Ray.at
+
+    def recording_at(self, t):
+        fwd = real_at(self, t)
+        step_of[id(fwd)] = t
+        return fwd
+
+    def rigged_cost(self, x_sq):
+        return -2.0 if step_of[id(self)] in (_STEPS[2], _STEPS[3]) else 0.0
+
+    monkeypatch.setattr(_Ray, "at", recording_at)
+    monkeypatch.setattr(optimizer._Forward, "cost", rigged_cost)
+    t, f_t, _, _, trials = line_search(
+        point, -1.0 * grad, X, grad, -1.0, _sq_norm(X), start=_STEPS[30]
+    )
+    assert (t, f_t) == (_STEPS[2], -2.0)
+    assert trials == (len(_STEPS) - 30) + 3
+
+
+def test_warm_start_keeps_the_backtracking_iterates_at_ac10(monkeypatch):
+    # On the AC10 data every search's accepted steps form one run, so the
+    # warm start must reproduce backtracking from _INITIAL_STEP exactly.
+    rng = np.random.default_rng(0)
+    latent = rng.standard_normal((52, 12)) @ rng.standard_normal((12, 500))
+    X = DataMatrix(latent + 0.3 * rng.standard_normal((52, 500)))
+    cfg = CgConfig(seed=0, cost_rel_tol=1e-5)
+    _, warm = train(X, p=27, cfg=cfg)
+    monkeypatch.setattr(optimizer, "line_search", _backtrack_from_one)
+    _, ref = train(X, p=27, cfg=cfg)
+    assert warm.step_per_iter == ref.step_per_iter
+    assert warm.cost_per_iter == ref.cost_per_iter
+    assert sum(warm.trials_per_iter) < sum(ref.trials_per_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +449,7 @@ def test_cg_trace_steps_and_stop_reasons(rng):
     assert trace.stop_reason == "flat"
     assert trace.iterations < cfg.max_iters
     assert len(trace.step_per_iter) == trace.iterations
+    assert len(trace.trials_per_iter) == trace.iterations
     for t in trace.step_per_iter:
         backtracks = np.log(t / _INITIAL_STEP) / np.log(_BACKTRACK)
         assert 0 < t <= _INITIAL_STEP
@@ -320,6 +458,51 @@ def test_cg_trace_steps_and_stop_reasons(rng):
     _, short = cg_optimize(init_product_point(N, p, rng), X, CgConfig(max_iters=3))
     assert short.stop_reason == "max_iters"
     assert short.iterations == 3 and len(short.step_per_iter) == 3
+
+
+def _count_trials(monkeypatch):
+    calls = [0]
+    real_at = _Ray.at
+
+    def counting_at(self, t):
+        calls[0] += 1
+        return real_at(self, t)
+
+    monkeypatch.setattr(_Ray, "at", counting_at)
+    return calls
+
+
+def test_cg_trace_counts_line_search_trials(rng, monkeypatch):
+    N, p, m = 10, 2, 40
+    X = rng.standard_normal((N, m))
+    calls = _count_trials(monkeypatch)
+    _, trace = cg_optimize(init_product_point(N, p, rng), X, CgConfig(max_iters=30))
+    assert len(trace.trials_per_iter) == trace.iterations > 0
+    assert all(n >= 1 for n in trace.trials_per_iter)
+    assert sum(trace.trials_per_iter) == calls[0]
+
+
+def test_cg_trace_counts_the_failed_search_before_a_retry(rng, monkeypatch):
+    # The first conjugate (not steepest-descent) direction gets a search that
+    # cannot succeed; cg_optimize retries along -grad and that iteration's
+    # count must include both searches.
+    N, p, m = 8, 2, 30
+    X = rng.standard_normal((N, m))
+    real_search = optimizer.line_search
+    failed = []
+
+    def failing_once(point, direction, X, grad, f0, x_sq, encoder, start=_INITIAL_STEP):
+        if not failed and inner(direction + grad, direction + grad) != 0.0:
+            failed.append(True)
+            f0 = -1.0  # below any squared norm: every step is rejected
+        return real_search(point, direction, X, grad, f0, x_sq, encoder, start)
+
+    calls = _count_trials(monkeypatch)
+    monkeypatch.setattr(optimizer, "line_search", failing_once)
+    _, trace = cg_optimize(init_product_point(N, p, rng), X, CgConfig(max_iters=10))
+    assert failed, "no conjugate direction was searched"
+    assert max(trace.trials_per_iter) > len(_STEPS)
+    assert sum(trace.trials_per_iter) == calls[0]
 
 
 def test_cg_identity_cost_reaches_pca_floor(rng):

@@ -1,5 +1,6 @@
 """Round-trip exactness of the JSON model files for every monitor kind."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -99,6 +100,13 @@ def test_method_tag_rejects_foreign_objects():
         method_tag(object())
 
 
+def test_save_of_a_foreign_object_writes_no_file(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(TypeError, match="unknown model type"):
+        save_model(object(), path)
+    assert not path.exists()
+
+
 def test_load_rejects_other_format_versions(small_block, tmp_path):
     path = save_model(pca_fit(small_block, n_components=1), tmp_path / "m.json")
     doc = json.loads(path.read_text())
@@ -131,11 +139,38 @@ def test_format_1_file_loads_and_scores(tag, small_block):
     assert np.allclose(t2, stored, rtol=1e-12, atol=0.0)
 
 
+def _whole_document(model) -> str:
+    """The file as one json.dumps of the whole document: the header, then
+    one entry per model field (the encoder as the activations pair)."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "method": method_tag(model),
+        "n_variables": model.scaler.n_variables,
+        "n_components": model.n_components,
+    }
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        if f.name == "encoder_activation":
+            doc["activations"] = [value, "identity"]
+        elif f.name == "scaler":
+            doc[f.name] = {"mean": value.mean.tolist(), "std": value.std.tolist()}
+        elif f.name == "w_tilde":
+            doc[f.name] = value.matrix.tolist()
+        elif isinstance(value, np.ndarray):
+            doc[f.name] = value.tolist()
+        else:
+            doc[f.name] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("tag", _TAGS)
 def test_format_1_file_resaves_unchanged(tag, tmp_path):
     golden = _GOLDEN / f"{tag}.json"
-    path = save_model(load_model(golden), tmp_path / f"{tag}.json")
+    model = load_model(golden)
+    path = save_model(model, tmp_path / f"{tag}.json")
     assert json.loads(path.read_text()) == json.loads(golden.read_text())
+    # written entry by entry, the file keeps the bytes of one json.dumps
+    assert path.read_text() == _whole_document(model)
 
 
 @pytest.mark.parametrize(

@@ -142,13 +142,20 @@ def test_kde_vector_query_matches_scalars(rng):
 def test_kde_chunking_is_bit_identical(rng, monkeypatch, chunk):
     # Chunks split query rows only, so each density sums its samples in the
     # same order whatever the chunk size; 1 << 22 was the earlier default.
+    # The in-place buffer runs the ufuncs of the plain expression in the same
+    # order, so both must agree bit for bit.
     import scafd.sca
 
     samples = rng.exponential(size=500)
     grid = np.linspace(0.0, samples.max() + 2.0, 4096)
-    default = kde_pdf(samples, 0.3, grid)
+    h = 0.3
+    block = grid[:, None] - samples[None, :]
+    plain = np.exp(-(block * block) / (2.0 * h * h)).sum(axis=1)
+    plain *= 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
+    default = kde_pdf(samples, h, grid)
+    assert np.array_equal(default, plain)
     monkeypatch.setattr(scafd.sca, "_KDE_CHUNK", chunk)
-    assert np.array_equal(kde_pdf(samples, 0.3, grid), default)
+    assert np.array_equal(kde_pdf(samples, h, grid), plain)
 
 
 def test_kde_rejects_bad_inputs():
