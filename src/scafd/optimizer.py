@@ -59,12 +59,16 @@ _STEPS = [_INITIAL_STEP * _BACKTRACK**k for k in range(_MAX_BACKTRACKS + 1)]
 class LineSearchError(RuntimeError):
     """No admissible Armijo step was found along the given direction.
 
-    ``trials`` is the number of steps the failed search evaluated.
+    ``trials`` is the number of steps the failed search evaluated.  When
+    ``cg_optimize`` gives up (its steepest-descent search failed too),
+    ``trace`` is the run's ``CgTrace`` up to the last completed iteration,
+    with stop_reason "line_search"; otherwise it is None.
     """
 
     def __init__(self, message: str, trials: int) -> None:
         super().__init__(message)
         self.trials = trials
+        self.trace: CgTrace | None = None
 
 
 @dataclass
@@ -99,7 +103,8 @@ class CgTrace:
     iterations: int = 0
     wall_time: float = 0.0
     # why the run ended: "grad_tol", "flat" (cost_rel_tol over the last
-    # iterations) or "max_iters"; empty until cg_optimize returns
+    # iterations), "max_iters", or "line_search" on the trace a
+    # LineSearchError carries; empty until cg_optimize returns
     stop_reason: str = ""
 
 
@@ -364,7 +369,7 @@ def cg_optimize(
     """
     X = np.asarray(X, dtype=float)
     _check_shapes(init, X)
-    start = time.perf_counter()
+    began = time.perf_counter()
     x_sq = _sq_norm(X)
 
     point = init
@@ -377,47 +382,53 @@ def cg_optimize(
     trace = CgTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
     direction = -grad
 
-    while True:
-        trace.stop_reason = _stop_reason(trace, gnorm, cfg)
-        if trace.stop_reason:
-            break
-        if inner(direction, grad) >= 0:
-            direction = -grad
-        start = trace.step_per_iter[-1] if trace.step_per_iter else _INITIAL_STEP
-        try:
-            t, f_new, new_point, new_grad, trials = line_search(
-                point, direction, X, grad, f, x_sq, encoder, start
-            )
-        except LineSearchError as failed:
-            if inner(direction + grad, direction + grad) == 0.0:
-                raise  # already steepest descent
-            direction = -grad
-            t, f_new, new_point, new_grad, trials = line_search(
-                point, direction, X, grad, f, x_sq, encoder
-            )
-            trials += failed.trials
+    try:
+        while True:
+            trace.stop_reason = _stop_reason(trace, gnorm, cfg)
+            if trace.stop_reason:
+                break
+            if inner(direction, grad) >= 0:
+                direction = -grad
+            start = trace.step_per_iter[-1] if trace.step_per_iter else _INITIAL_STEP
+            try:
+                t, f_new, new_point, new_grad, trials = line_search(
+                    point, direction, X, grad, f, x_sq, encoder, start
+                )
+            except LineSearchError as failed:
+                if inner(direction + grad, direction + grad) == 0.0:
+                    raise  # already steepest descent
+                direction = -grad
+                t, f_new, new_point, new_grad, trials = line_search(
+                    point, direction, X, grad, f, x_sq, encoder
+                )
+                trials += failed.trials
 
-        prev_grad, prev_dir = grad, direction
-        point, f, grad = new_point, f_new, new_grad
-        gnorm = norm(grad)
-        trace.cost_per_iter.append(f)
-        trace.grad_norm_per_iter.append(gnorm)
-        trace.step_per_iter.append(t)
-        trace.trials_per_iter.append(trials)
-        trace.iterations += 1
+            prev_grad, prev_dir = grad, direction
+            point, f, grad = new_point, f_new, new_grad
+            gnorm = norm(grad)
+            trace.cost_per_iter.append(f)
+            trace.grad_norm_per_iter.append(gnorm)
+            trace.step_per_iter.append(t)
+            trace.trials_per_iter.append(trials)
+            trace.iterations += 1
 
-        prev_grad_t = transport(point.w_tilde, prev_grad)
-        prev_dir_t = transport(point.w_tilde, prev_dir)
-        den = inner(prev_dir_t, prev_grad_t)
-        beta = 0.0
-        if abs(den) > _GAMMA_DEN_FLOOR:
-            quotient = inner(grad, grad - prev_grad_t) / den
-            beta = max(0.0, -quotient)
-        direction = -grad + beta * prev_dir_t
-        # the combination can drift off the tangent space at large norms
-        direction = transport(point.w_tilde, direction)
-        if inner(direction, grad) >= 0:
-            direction = -grad
-
-    trace.wall_time = time.perf_counter() - start
+            prev_grad_t = transport(point.w_tilde, prev_grad)
+            prev_dir_t = transport(point.w_tilde, prev_dir)
+            den = inner(prev_dir_t, prev_grad_t)
+            beta = 0.0
+            if abs(den) > _GAMMA_DEN_FLOOR:
+                quotient = inner(grad, grad - prev_grad_t) / den
+                beta = max(0.0, -quotient)
+            direction = -grad + beta * prev_dir_t
+            # the combination can drift off the tangent space at large norms
+            direction = transport(point.w_tilde, direction)
+            if inner(direction, grad) >= 0:
+                direction = -grad
+    except LineSearchError as failed:
+        # steepest descent failed too: hand the run so far to the caller
+        trace.stop_reason = "line_search"
+        failed.trace = trace
+        raise
+    finally:
+        trace.wall_time = time.perf_counter() - began
     return point, trace

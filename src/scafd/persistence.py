@@ -1,20 +1,27 @@
 """Model persistence: one self-describing JSON file per fitted monitor.
 
-Layout (format 1): a header with the format version, the method tag and the
-model's sizes, then one entry per dataclass field of the model.  Arrays are
-nested lists of decimal floats; Python's JSON float formatting uses repr, so
-values round-trip exactly.  Three fields have their own encoding: the scaler
-is ``{mean, std}``, the Stiefel decoder is its matrix, and the encoder
-activation is stored as the pair ``"activations": [encoder, "identity"]``
-(the decoder is always linear).  The list of fields lives only in the model
-classes; loading checks every key, every value the model checks, and the
-header sizes against the model.
+Layout: a header with the format version, the method tag and the model's
+sizes, then one entry per dataclass field of the model.  Format 2, which
+``save_model`` writes, stores every array as the object
+``{"dtype": "<f8", "shape": [...], "data": "<base64>"}``, where data is the
+base64 of the array's little-endian float64 bytes in C order; scalars are
+JSON numbers, which Python formats with repr.  Both encodings are exact, so
+a model round-trips bit for bit.  Three fields have their own encoding: the
+scaler is ``{mean, std}``, the Stiefel decoder is its matrix, and the
+encoder activation is stored as the pair ``"activations": [encoder,
+"identity"]`` (the decoder is always linear).  Format 1 has the same keys
+and field order but writes arrays as nested lists of decimal floats;
+``load_model`` still reads it.  The list of fields lives only in the model
+classes; loading checks every key, every array entry, every value the model
+checks, and the header sizes against the model.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +31,14 @@ from .data import Scaler
 from .manifold import StiefelPoint
 from .sca import ScaModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 _METHODS = {ScaModel: "sca", PcaModel: "pca", KpcaModel: "kpca", AeModel: "ae"}
 _CLASSES = {**{tag: cls for cls, tag in _METHODS.items()}, "sae": AeModel}
 _DECODER = "identity"
+_DTYPE = "<f8"
+_ARRAY_KEYS = {"dtype", "shape", "data"}
 
 
 def method_tag(model) -> str:
@@ -43,24 +53,57 @@ def _sizes(model) -> dict:
     return {"n_variables": model.scaler.n_variables, "n_components": model.n_components}
 
 
+def _array_entry(array: np.ndarray) -> dict:
+    array = np.asarray(array, dtype=_DTYPE)
+    data = base64.b64encode(array.tobytes()).decode("ascii")
+    return {"dtype": _DTYPE, "shape": list(array.shape), "data": data}
+
+
 def _encode(value):
     if isinstance(value, Scaler):
-        return {"mean": value.mean.tolist(), "std": value.std.tolist()}
+        return {"mean": _array_entry(value.mean), "std": _array_entry(value.std)}
     if isinstance(value, StiefelPoint):
-        return value.matrix.tolist()
+        return _array_entry(value.matrix)
     if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=float).tolist()
+        return _array_entry(value)
     return value
 
 
-def _decode(field_type: str, value):
+def _array_v1(value, name: str) -> np.ndarray:
+    return np.array(value)
+
+
+def _array_v2(value, name: str) -> np.ndarray:
+    """A format-2 array entry as a writable float64 array."""
+    if not (isinstance(value, dict) and value.keys() == _ARRAY_KEYS):
+        raise ValueError(f"entry {name!r} must be an object with keys dtype, shape, data")
+    if value["dtype"] != _DTYPE:
+        raise ValueError(f"entry {name!r} has dtype {value['dtype']!r}, expected {_DTYPE!r}")
+    shape = value["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"entry {name!r} has a bad shape {shape!r}")
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(f"entry {name!r} holds invalid base64 data") from None
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise ValueError(f"entry {name!r} holds {len(raw)} bytes, shape {shape} needs {nbytes}")
+    # frombuffer is a read-only view of raw; astype makes a writable copy
+    return np.frombuffer(raw, dtype=_DTYPE).astype(float).reshape(shape)
+
+
+def _decode(field_type: str, name: str, value, array):
     # field types are strings: the model modules postpone annotations
     if field_type == "Scaler":
-        return Scaler(mean=np.array(value["mean"]), std=np.array(value["std"]))
+        return Scaler(
+            mean=array(value["mean"], f"{name}.mean"),
+            std=array(value["std"], f"{name}.std"),
+        )
     if field_type == "StiefelPoint":
-        return StiefelPoint(np.array(value))
-    if isinstance(value, list):
-        return np.array(value)
+        return StiefelPoint(array(value, name))
+    if field_type == "np.ndarray":
+        return array(value, name)
     return value
 
 
@@ -74,9 +117,9 @@ def _field_entries(model):
 
 
 def save_model(model, path: str | Path) -> Path:
-    """Serialize a fitted monitor to a versioned JSON file.
+    """Serialize a fitted monitor to a format-2 JSON file; returns the path.
 
-    Fields are encoded and written one at a time, so only one field's lists
+    Fields are encoded and written one at a time, so only one field's bytes
     and text are alive at once; the bytes equal ``json.dumps`` of the whole
     document (same key order and separators).
     """
@@ -85,25 +128,29 @@ def save_model(model, path: str | Path) -> Path:
     with path.open("w") as fh:
         fh.write(json.dumps(header)[:-1])  # the header without its closing brace
         for key, value in _field_entries(model):
-            fh.write(f", {json.dumps(key)}: {json.dumps(value)}")
+            fh.write(f", {json.dumps(key)}: ")
+            fh.write(json.dumps(value))
         fh.write("}")
     return path
 
 
 def load_model(path: str | Path):
-    """Load any monitor saved by :func:`save_model`.
+    """Load any monitor saved by :func:`save_model`, in format 1 or 2.
 
     Raises ValueError for a file of another format version, an unknown
-    method, a missing entry, a decoder other than identity, values the
-    model rejects, or header sizes that disagree with the model.
+    method, a missing entry, a malformed format-2 array entry (wrong dtype,
+    bad shape, invalid base64 or a byte count that disagrees with the
+    shape), a decoder other than identity, values the model rejects, or
+    header sizes that disagree with the model.
     """
     doc = json.loads(Path(path).read_text())
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported model format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads versions 1 and {FORMAT_VERSION})"
         )
+    array = _array_v1 if version == 1 else _array_v2
     method = doc.get("method")
     if method not in _CLASSES:
         raise ValueError(f"unknown method tag {method!r}")
@@ -121,7 +168,7 @@ def load_model(path: str | Path):
                 )
             kwargs[f.name] = encoder
         else:
-            kwargs[f.name] = _decode(f.type, doc[key])
+            kwargs[f.name] = _decode(f.type, key, doc[key], array)
     model = cls(**kwargs)
     if method_tag(model) != method:
         raise ValueError(f"{method} model file holds a {method_tag(model)} model")

@@ -428,6 +428,19 @@ def test_cli_detect_reports_malformed_model_file(toy_paths, tmp_path, capsys):
     assert "error:" in err and "'loading'" in err
 
 
+def test_cli_detect_reports_malformed_format_2_array(toy_paths, tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "v2" / "pca.json"
+    doc = json.loads(golden.read_text())
+    doc["loading"]["data"] = "not base64!"
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    rc = main(["detect", "--model", str(model_path), "--data", str(toy_paths[1]),
+               "--header"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: entry 'loading' holds invalid base64 data" in err
+
+
 def test_cli_missing_file_exits_nonzero(tmp_path, capsys):
     rc = main(["detect", "--model", str(tmp_path / "none.json"),
                "--data", str(tmp_path / "none.csv")])

@@ -1,8 +1,10 @@
 """Cost/gradient correctness and conjugate-gradient behavior on the manifold."""
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
@@ -184,6 +186,8 @@ def _direct_grad(point, X, enc):
     st.floats(-2.0, 1.0),
     st.integers(0, 2**31 - 1),
 )
+# ||X||^2 = 0.67 cancels down to a cost of 2.8e-6, 1.4e-11 apart relative
+@example(p=1, extra=0, m=1, log_t=0.0, log_scale=-1.0, seed=11735)
 def test_closed_form_trial_matches_moved_point(p, extra, m, log_t, log_scale, seed):
     # t up to 10 with direction norms up to ~10 drives (I + t^2 H^T H) far
     # from I, exercising the eigenvalue floor and the Newton-Schulz sweep.
@@ -202,7 +206,12 @@ def test_closed_form_trial_matches_moved_point(p, extra, m, log_t, log_scale, se
     fwd = _Ray(point, direction, X, enc).at(t)
     moved = move(point, direction, t)
     oracle = cost(moved, X)
-    assert abs(fwd.cost(_sq_norm(X)) - oracle) <= 1e-12 * oracle
+    # The expanded cost ||X||^2 - 2 <W~^T X, G> + <G, W~^T W~ G> sums terms
+    # of size ||X||^2, so its rounding error is a few eps * ||X||^2 however
+    # small the cost they cancel down to; the relative term alone cannot hold.
+    x_sq = _sq_norm(X)
+    tol = 1e-12 * oracle + 16 * np.finfo(float).eps * x_sq
+    assert abs(fwd.cost(x_sq) - oracle) <= tol
 
     gw, gwt = _grad(fwd, X, moved.w_tilde.matrix, enc)
     ow, owt = _direct_grad(moved, X, enc)
@@ -345,6 +354,7 @@ def test_failing_search_tries_every_step_from_a_warm_start(rng, monkeypatch):
         line_search(point, -1.0 * grad, X, grad, -1.0, _sq_norm(X), start=_STEPS[30])
     assert tried == [_STEPS[k] for k in [*range(30, len(_STEPS)), *range(30)]]
     assert failed.value.trials == len(_STEPS) == _MAX_BACKTRACKS + 1
+    assert failed.value.trace is None  # only cg_optimize attaches one
 
 
 def test_search_below_an_isolated_run_falls_back_to_larger_steps(rng, monkeypatch):
@@ -425,7 +435,17 @@ def test_cg_trace_is_monotone_and_orthonormal(rng):
     assert orthonormality_error(point.w_tilde.matrix) <= 1e-8
     assert len(trace.cost_per_iter) == len(trace.grad_norm_per_iter)
     assert trace.iterations == len(costs) - 1
-    assert trace.wall_time >= 0.0
+
+
+def test_cg_trace_wall_time_is_the_run_time(rng):
+    N, p, m = 10, 2, 40
+    X = rng.standard_normal((N, m))
+    init = init_product_point(N, p, rng)
+    before = time.perf_counter()
+    _, trace = cg_optimize(init, X, CgConfig(max_iters=20))
+    elapsed = time.perf_counter() - before
+    assert trace.iterations == 20
+    assert 0.0 < trace.wall_time <= elapsed
 
 
 def test_cg_trace_cost_matches_final_point(rng):
@@ -500,6 +520,36 @@ def test_cg_trace_counts_the_failed_search_before_a_retry(rng, monkeypatch):
     assert failed, "no conjugate direction was searched"
     assert max(trace.trials_per_iter) > len(_STEPS)
     assert sum(trace.trials_per_iter) == calls[0]
+
+
+def test_line_search_error_carries_the_trace_so_far(rng, monkeypatch):
+    # From the third iteration on every search is rigged to fail, the
+    # steepest-descent retry included; the error must carry the first two.
+    N, p, m = 8, 2, 30
+    X = rng.standard_normal((N, m))
+    init = init_product_point(N, p, rng)
+    _, ref = cg_optimize(init, X, CgConfig(max_iters=2))
+    real_search = optimizer.line_search
+    searches = []
+
+    def failing_from_the_third(point, direction, X, grad, f0, x_sq, encoder, start=_INITIAL_STEP):
+        searches.append(start)
+        if len(searches) > 2:
+            f0 = -1.0  # below any squared norm: every step is rejected
+        return real_search(point, direction, X, grad, f0, x_sq, encoder, start)
+
+    monkeypatch.setattr(optimizer, "line_search", failing_from_the_third)
+    with pytest.raises(LineSearchError) as failed:
+        cg_optimize(init, X, CgConfig(max_iters=10))
+    trace = failed.value.trace
+    assert len(searches) == 4  # the conjugate search and its retry failed
+    assert trace.stop_reason == "line_search"
+    assert trace.iterations == 2
+    assert trace.cost_per_iter == ref.cost_per_iter
+    assert trace.step_per_iter == ref.step_per_iter
+    assert trace.trials_per_iter == ref.trials_per_iter
+    assert trace.wall_time > 0.0
+    assert failed.value.trials == len(_STEPS)
 
 
 def test_cg_identity_cost_reaches_pca_floor(rng):

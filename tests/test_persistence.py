@@ -1,19 +1,21 @@
 """Round-trip exactness of the JSON model files for every monitor kind."""
 
-import dataclasses
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scafd.baselines import ae_train, kpca_fit, pca_fit, sae_train
-from scafd.data import DataMatrix
+from scafd.data import DataMatrix, Scaler
+from scafd.manifold import random_stiefel
 from scafd.persistence import FORMAT_VERSION, load_model, method_tag, save_model
-from scafd.sca import monitor
+from scafd.sca import ScaModel, monitor
 
 _GOLDEN = Path(__file__).parent / "data" / "v1"
+_GOLDEN_V2 = Path(__file__).parent / "data" / "v2"
 _TAGS = ("sca", "pca", "kpca", "ae", "sae")
 
 _ARRAY_FIELDS = {
@@ -33,20 +35,28 @@ _ARRAY_FIELDS = {
 }
 
 
-def _assert_exact_round_trip(model, tag, tmp_path):
-    path = save_model(model, tmp_path / f"{tag}.json")
-    loaded = load_model(path)
+def _assert_same_model(model, loaded, tag):
     assert method_tag(loaded) == tag
-    # JSON floats are serialized via repr, so every array must return
-    # bit-for-bit identical
     for name in _ARRAY_FIELDS[tag]:
         a, b = getattr(model, name), getattr(loaded, name)
         assert np.array_equal(np.asarray(a), np.asarray(b)), name
+        assert b.flags.writeable, name
     assert np.array_equal(model.scaler.mean, loaded.scaler.mean)
     assert np.array_equal(model.scaler.std, loaded.scaler.std)
+    if tag == "sca":
+        assert np.array_equal(model.w_tilde.matrix, loaded.w_tilde.matrix)
     assert loaded.control_limit == model.control_limit
     assert loaded.kde_bandwidth == model.kde_bandwidth
     assert loaded.zeta == model.zeta
+
+
+def _assert_exact_round_trip(model, tag, tmp_path):
+    path = save_model(model, tmp_path / f"{tag}.json")
+    assert json.loads(path.read_text())["format_version"] == 2
+    loaded = load_model(path)
+    # arrays are stored as their float64 bytes and scalars as repr floats,
+    # so everything must return bit-for-bit identical
+    _assert_same_model(model, loaded, tag)
     return loaded
 
 
@@ -59,7 +69,6 @@ def small_block():
 def test_sca_round_trip_exact(toy_sca_model, toy_test, tmp_path):
     model, _ = toy_sca_model
     loaded = _assert_exact_round_trip(model, "sca", tmp_path)
-    assert np.array_equal(model.w_tilde.matrix, loaded.w_tilde.matrix)
     assert loaded.encoder_activation == "tanh"
     before = monitor(model, toy_test)
     after = monitor(loaded, toy_test)
@@ -127,7 +136,8 @@ def test_load_rejects_unknown_method(small_block, tmp_path):
 
 # Format-1 files written before the models shared one monitoring base class:
 # the five small_block models (p=2; SCA with max_iters=20) and their T2 on
-# that block, in t2.json.
+# that block, in t2.json.  The format-2 files in data/v2 hold the same five
+# models, re-saved by save_model, and their T2 on that block.
 
 
 @pytest.mark.parametrize("tag", _TAGS)
@@ -139,38 +149,65 @@ def test_format_1_file_loads_and_scores(tag, small_block):
     assert np.allclose(t2, stored, rtol=1e-12, atol=0.0)
 
 
-def _whole_document(model) -> str:
-    """The file as one json.dumps of the whole document: the header, then
-    one entry per model field (the encoder as the activations pair)."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "method": method_tag(model),
-        "n_variables": model.scaler.n_variables,
-        "n_components": model.n_components,
-    }
-    for f in dataclasses.fields(model):
-        value = getattr(model, f.name)
-        if f.name == "encoder_activation":
-            doc["activations"] = [value, "identity"]
-        elif f.name == "scaler":
-            doc[f.name] = {"mean": value.mean.tolist(), "std": value.std.tolist()}
-        elif f.name == "w_tilde":
-            doc[f.name] = value.matrix.tolist()
-        elif isinstance(value, np.ndarray):
-            doc[f.name] = value.tolist()
-        else:
-            doc[f.name] = value
-    return json.dumps(doc)
+@pytest.mark.parametrize("tag", _TAGS)
+def test_format_1_file_resaves_as_format_2(tag, tmp_path):
+    model = load_model(_GOLDEN / f"{tag}.json")
+    path = save_model(model, tmp_path / f"{tag}.json")
+    text = path.read_text()
+    assert json.loads(text)["format_version"] == 2
+    # written entry by entry, the file keeps the bytes of one json.dumps
+    assert text == json.dumps(json.loads(text))
+    _assert_same_model(model, load_model(path), tag)
 
 
 @pytest.mark.parametrize("tag", _TAGS)
-def test_format_1_file_resaves_unchanged(tag, tmp_path):
-    golden = _GOLDEN / f"{tag}.json"
+def test_format_2_file_loads_scores_and_resaves_unchanged(tag, small_block, tmp_path):
+    golden = _GOLDEN_V2 / f"{tag}.json"
     model = load_model(golden)
+    assert method_tag(model) == tag
+    stored = json.loads((_GOLDEN_V2 / "t2.json").read_text())[tag]
+    t2 = monitor(model, small_block).t2
+    assert np.allclose(t2, stored, rtol=1e-12, atol=0.0)
     path = save_model(model, tmp_path / f"{tag}.json")
-    assert json.loads(path.read_text()) == json.loads(golden.read_text())
-    # written entry by entry, the file keeps the bytes of one json.dumps
-    assert path.read_text() == _whole_document(model)
+    assert path.read_bytes() == golden.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def ac10_shape_model():
+    """An SCA model of the AC10 shape: n=52, p=27 (N=2757), m=500."""
+    rng = np.random.default_rng(5)
+    n, p, m = 52, 27, 500
+    N = 1 + n + n * n
+    return ScaModel(
+        scaler=Scaler(mean=rng.standard_normal(n), std=rng.uniform(0.5, 2.0, n)),
+        w=rng.standard_normal((N, p)),
+        w_tilde=random_stiefel(N, p, rng),
+        sigma_g_inv=np.eye(p),
+        g_mean=rng.standard_normal(p),
+        t2_train=rng.chisquare(p, m),
+        kde_bandwidth=1.5,
+        control_limit=40.0,
+    )
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_ac10_shape_file_size_and_memory(ac10_shape_model, tmp_path):
+    # 2 x 74,439 decoder and encoder entries and the smaller arrays, at
+    # 8 bytes each and 4/3 for base64: about 1.6 MB (3.2 MB as decimals)
+    path, save_peak = _traced_peak_mb(save_model, ac10_shape_model, tmp_path / "m.json")
+    assert path.stat().st_size <= 1.7e6
+    loaded, load_peak = _traced_peak_mb(load_model, path)
+    assert save_peak < 5.0
+    assert load_peak < 5.0
+    _assert_same_model(ac10_shape_model, loaded, "sca")
 
 
 @pytest.mark.parametrize(
@@ -191,15 +228,27 @@ def test_format_1_file_resaves_unchanged(tag, tmp_path):
         ("pca", "n_components", 9, "header has n_components 9, the model has 2"),
         ("pca", "n_variables", 40, "header has n_variables 40, the model has 3"),
         ("pca", "zeta", 7, r"zeta must lie in \(0, 0.5\], got 7"),
+        # a dotted key edits one part of an entry of the format-2 file
+        ("pca", "loading.dtype", "<f4", "entry 'loading' has dtype '<f4', expected '<f8'"),
+        ("pca", "loading.shape", [3, 3], "entry 'loading' holds 48 bytes, shape"),
+        ("pca", "loading.shape", [-3, -2], r"entry 'loading' has a bad shape \[-3, -2\]"),
+        ("pca", "loading.shape", [3, 2.0], "entry 'loading' has a bad shape"),
+        ("pca", "loading.data", "not base64!", "entry 'loading' holds invalid base64"),
+        ("sca", "w.data", None, "entry 'w' must be an object with keys"),
+        ("sca", "w_tilde.data", "AAAA", "entry 'w_tilde' holds 3 bytes"),
+        ("ae", "scaler.mean", [0.0, 0.0, 0.0], "entry 'scaler.mean' must be an object"),
     ],
 )
 def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):
-    path = shutil.copy(_GOLDEN / f"{tag}.json", tmp_path / f"{tag}.json")
+    entry, _, part = key.partition(".")
+    golden = (_GOLDEN_V2 if part else _GOLDEN) / f"{tag}.json"
+    path = shutil.copy(golden, tmp_path / f"{tag}.json")
     doc = json.loads(path.read_text())
+    target, key = (doc[entry], part) if part else (doc, key)
     if value is None:
-        del doc[key]
+        del target[key]
     else:
-        doc[key] = value
+        target[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         load_model(path)
