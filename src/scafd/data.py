@@ -116,46 +116,68 @@ def expanded_dim(n: int) -> int:
 
 # The three products below use the expansion only through its structure, so
 # none of them forms the (1+n+n^2) x m array of ``expand_second_order``.
+# Cap on the elements of the largest temporary of expanded_t_dot and
+# expanded_dot (1 MB): they work in slices of samples or of columns of c
+# under it, instead of holding m x n*p arrays.
+_PRODUCT_CHUNK = 1 << 17
 
 
 def second_order_kernel(X: DataMatrix) -> np.ndarray:
     """Gram matrix of the expansion, 1 + S + S*S with S = Z^T Z: m x m.
 
     Equals ``expand_second_order(X).T @ expand_second_order(X)``, because
-    expanded samples satisfy x~^T y~ = 1 + x^T y + (x^T y)^2.
+    expanded samples satisfy x~^T y~ = 1 + x^T y + (x^T y)^2.  Only S and
+    the result are held: S * S overwrites S.
     """
     S = X.values.T @ X.values
-    return 1.0 + S + S * S
+    K = 1.0 + S
+    S *= S
+    K += S
+    return K
 
 
 def expanded_t_dot(X: DataMatrix, w: np.ndarray) -> np.ndarray:
     """``expand_second_order(X).T @ w`` for a (1+n+n^2) x p matrix w: m x p.
 
-    The product rows of w, reshaped to n x n*p, meet the samples in one
+    The product rows of w, reshaped to n x n*p, meet the samples in a
     matmul, Z^T W_2, and a batched row product with each sample finishes
-    the quadratic part; the largest temporary is that m x n*p matmul.
+    the quadratic part.  Samples go through in slices, so the largest
+    temporary, that matmul, has at most ``_PRODUCT_CHUNK`` elements (or one
+    sample's n*p).
     """
     Z = X.values
     n, m = Z.shape
     p = w.shape[1]
-    zt = Z.T
-    quad = (zt @ w[1 + n :].reshape(n, n * p)).reshape(m, n, p)
-    return w[0] + zt @ w[1 : 1 + n] + np.matmul(zt[:, None, :], quad)[:, 0, :]
+    w2 = w[1 + n :].reshape(n, n * p)
+    out = np.empty((m, p))
+    step = max(1, _PRODUCT_CHUNK // (n * p))
+    for lo in range(0, m, step):
+        zt = Z[:, lo : lo + step].T
+        quad = (zt @ w2).reshape(-1, n, p)
+        out[lo : lo + step] = (
+            w[0] + zt @ w[1 : 1 + n] + np.matmul(zt[:, None, :], quad)[:, 0, :]
+        )
+    return out
 
 
 def expanded_dot(X: DataMatrix, c: np.ndarray) -> np.ndarray:
     """``expand_second_order(X) @ c`` for an m x p matrix c: (1+n+n^2) x p.
 
-    The product block is Z diag(c_q) Z^T for each column q, formed as one
-    n x m by m x n*p matmul; the largest temporary is that m x n*p operand.
+    The product block is Z diag(c_q) Z^T for each column q, formed by one
+    batched matmul per slice of k columns of c; the largest temporary, the
+    k x m x n stack of weighted samples, has at most ``_PRODUCT_CHUNK``
+    elements (or one column's m*n).
     """
     Z = X.values
     n, m = Z.shape
     p = c.shape[1]
-    zt = np.ascontiguousarray(Z.T)  # so the product below is C-ordered
-    weighted = (zt[:, :, None] * c[:, None, :]).reshape(m, n * p)
-    quad = (Z @ weighted).reshape(n * n, p)
-    return np.concatenate([c.sum(axis=0, keepdims=True), Z @ c, quad])
+    zt = np.ascontiguousarray(Z.T)  # so each weighted stack is C-ordered
+    quad = np.empty((p, n, n))
+    step = max(1, _PRODUCT_CHUNK // max(1, m * n))
+    for lo in range(0, p, step):
+        quad[lo : lo + step] = Z @ (c.T[lo : lo + step, :, None] * zt)
+    products = quad.reshape(p, n * n).T
+    return np.concatenate([c.sum(axis=0, keepdims=True), Z @ c, products])
 
 
 def load_csv(

@@ -40,8 +40,8 @@ _RIDGE_SCALE = 1e-8
 _CDF_GRID_POINTS = 4096
 _BISECT_ITERS = 100
 _KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
-# samples encoded and scored at once; bounds the chunk x n x p temporary of
-# the structured encode (11.5 MB at n=52, p=27) whatever the block size
+# samples scaled, encoded and scored at once; bounds the n x chunk scaled
+# copy and the p x chunk features whatever the block size
 _SCORE_CHUNK = 1024
 _RESTARTS = 3  # starts tried when a fit collapses (see train)
 
