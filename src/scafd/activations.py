@@ -2,7 +2,9 @@
 
 Every decoder is linear (identity), so only the encoder has a choice:
 ``tanh`` (the default; zero-centered, matches z-scored inputs) or
-``identity``.
+``identity``.  ``deriv`` is the derivative written in terms of the
+activation's *output* y = fn(z) (tanh: 1 - y^2; identity: ones), so a caller
+that already holds the codes need not evaluate ``fn`` again.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 class Activation:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray], np.ndarray]  # fn'(z) as a function of y = fn(z)
 
 
 _REGISTRY = {
-    "identity": Activation("identity", lambda z: z, lambda z: np.ones_like(z)),
-    "tanh": Activation("tanh", np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "identity": Activation("identity", lambda z: z, lambda y: np.ones_like(y)),
+    "tanh": Activation("tanh", np.tanh, lambda y: 1.0 - y * y),
 }
 
 TANH = _REGISTRY["tanh"]

@@ -9,6 +9,7 @@ manifold-trained model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .data import (
     Scaler,
     apply_scaler,
     expand_second_order,
+    expanded_dim,
     expanded_t_dot,
     fit_scaler,
 )
@@ -29,6 +31,14 @@ _LR_FLOOR = 1e-16
 _FLAT_WINDOW = 10
 _LR_START = 1.0  # first gradient-descent step
 _COST_REL_TOL = 1e-9  # stop at a smaller relative drop over _FLAT_WINDOW steps
+
+
+def _check_shapes(model: MonitoringStats, expected: dict[str, tuple[int, ...]]) -> None:
+    """Reject feature-map arrays that would only broadcast against each other."""
+    for name, shape in expected.items():
+        actual = getattr(model, name).shape
+        if actual != shape:
+            raise ValueError(f"{name} has shape {actual}, expected {shape}")
 
 
 @dataclass(kw_only=True)
@@ -43,7 +53,8 @@ class PcaModel(MonitoringStats):
         super().__post_init__()
         self.loading = np.asarray(self.loading, dtype=float)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float).ravel()
-        p = self.loading.shape[1]
+        n, p = self.scaler.n_variables, self.g_mean.shape[0]
+        _check_shapes(self, {"loading": (n, p), "eigenvalues": (n,)})
         err = np.linalg.norm(self.loading.T @ self.loading - np.eye(p))
         if err > 1e-10:
             raise ValueError(f"loading columns not orthonormal: {err:.3e}")
@@ -74,7 +85,17 @@ class KpcaModel(MonitoringStats):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        for name in ("train_scaled", "alphas", "gram_col_means"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float).ravel()
+        n, p = self.scaler.n_variables, self.g_mean.shape[0]
+        m = self.train_scaled.shape[-1]
+        _check_shapes(self, {
+            "train_scaled": (n, m),
+            "alphas": (m, p),
+            "eigenvalues": (p,),
+            "gram_col_means": (m,),
+        })
         if np.any(self.eigenvalues <= 0):
             raise ValueError("retained Gram eigenvalues must be positive")
         if np.any(np.diff(self.eigenvalues) > 1e-12):
@@ -122,6 +143,12 @@ class AeModel(MonitoringStats):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
+        n, p = self.scaler.n_variables, self.g_mean.shape[0]
+        if self.expand_inputs:
+            n = expanded_dim(n)
+        _check_shapes(
+            self, {"w_enc": (n, p), "b_enc": (p,), "w_dec": (n, p), "b_dec": (n,)}
+        )
 
     @property
     def n_components(self) -> int:
@@ -144,6 +171,10 @@ class AeTrace:
     cost_per_iter: list[float] = field(default_factory=list)
     grad_norm_per_iter: list[float] = field(default_factory=list)
     iterations: int = 0
+    # why the descent stopped: "flat" (cost dropped too little over
+    # _FLAT_WINDOW steps), "step_floor" (no step down to _LR_FLOOR lowered
+    # the cost) or "max_iters"
+    stop_reason: str = ""
 
 
 def pca_fit(
@@ -255,17 +286,21 @@ def ae_cost_grad(
     """Reconstruction cost and analytic gradients for the biased autoencoder.
 
     The decoder is linear: the reconstruction is w_dec enc(w_enc^T X + b_enc)
-    + b_dec.
+    + b_dec.  Biases and residual are formed in place, in the order of that
+    expression.
     """
     w_enc, b_enc, w_dec, b_dec = params
-    pre_codes = w_enc.T @ X + b_enc[:, None]
+    pre_codes = w_enc.T @ X
+    pre_codes += b_enc[:, None]
     codes = encoder.fn(pre_codes)
-    err = w_dec @ codes + b_dec[:, None] - X
-    value = float(np.sum(err * err))
+    err = w_dec @ codes
+    err += b_dec[:, None]
+    err -= X
+    value = float((err * err).sum())
     D = 2.0 * err
     g_w_dec = D @ codes.T
     g_b_dec = D.sum(axis=1)
-    dcodes = (w_dec.T @ D) * encoder.deriv(pre_codes)
+    dcodes = (w_dec.T @ D) * encoder.deriv(codes)
     g_w_enc = X @ dcodes.T
     g_b_enc = dcodes.sum(axis=1)
     return value, (g_w_enc, g_b_enc, g_w_dec, g_b_dec)
@@ -278,44 +313,63 @@ def _gradient_descent(
     encoder: Activation,
     max_iters: int,
 ) -> tuple[tuple[np.ndarray, ...], AeTrace]:
+    """Monotone gradient descent: halve the step until the cost does not rise.
+
+    theta = (w_enc, b_enc, w_dec, b_dec) lives in one flat vector, so a
+    trial step is one ``theta - lr * g``; the parameters handed to
+    ``ae_cost_grad`` and returned are views of it.
+    """
     n = X.shape[0]
-    params = (
+    shapes = ((n, p), (p,), (n, p), (n,))
+    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    blocks = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+
+    def unpack(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple([flat[b].reshape(s) for b, s in zip(blocks, shapes)])
+
+    def grad_norm(g: np.ndarray) -> float:
+        # per-block sums added in block order, as over the separate arrays
+        gg = g * g
+        return math.sqrt(sum([np.add.reduce(gg[b]) for b in blocks]))
+
+    theta = np.concatenate([
         rng.standard_normal((n, p)) / np.sqrt(n),
         np.zeros(p),
         rng.standard_normal((n, p)) / np.sqrt(n),
         np.zeros(n),
-    )
-    f, grads = ae_cost_grad(params, X, encoder)
+    ], axis=None)
+    f, grads = ae_cost_grad(unpack(theta), X, encoder)
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
-    gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
-    trace = AeTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
+    g = np.concatenate(grads, axis=None)
+    trace = AeTrace(cost_per_iter=[f], grad_norm_per_iter=[grad_norm(g)])
+    costs = trace.cost_per_iter
     lr = _LR_START
     for _ in range(max_iters):
-        costs = trace.cost_per_iter
         if len(costs) > _FLAT_WINDOW:
             drop = costs[-1 - _FLAT_WINDOW] - costs[-1]
             if drop <= _COST_REL_TOL * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
+                trace.stop_reason = "flat"
                 break
-        stepped = False
         while lr >= _LR_FLOOR:
-            candidate = tuple(p_ - lr * g_ for p_, g_ in zip(params, grads))
+            candidate = theta - lr * g
             try:
-                f_new, grads_new = ae_cost_grad(candidate, X, encoder)
+                f_new, grads_new = ae_cost_grad(unpack(candidate), X, encoder)
             except FloatingPointError:
                 f_new = np.inf
-            if np.isfinite(f_new) and f_new <= f:
-                params, f, grads = candidate, f_new, grads_new
-                stepped = True
+            if math.isfinite(f_new) and f_new <= f:
+                theta, f, g = candidate, f_new, np.concatenate(grads_new, axis=None)
                 break
             lr *= 0.5  # halve on cost increase, keep the reduced step
-        if not stepped:
+        else:
+            trace.stop_reason = "step_floor"
             break
-        gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
-        trace.cost_per_iter.append(f)
-        trace.grad_norm_per_iter.append(gnorm)
+        costs.append(f)
+        trace.grad_norm_per_iter.append(grad_norm(g))
         trace.iterations += 1
-    return params, trace
+    else:
+        trace.stop_reason = "max_iters"
+    return unpack(theta), trace
 
 
 def ae_train(

@@ -126,8 +126,7 @@ def _sq_norm(X: np.ndarray) -> float:
 class _Forward:
     """The products of one point with the data that cost and gradient need."""
 
-    pre: np.ndarray  # w^T X, p x m
-    codes: np.ndarray  # G = enc(w^T X)
+    codes: np.ndarray  # G = enc(w^T X), p x m
     wt_x: np.ndarray  # W~^T X, p x m
     gram: np.ndarray  # W~^T W~, p x p
 
@@ -142,7 +141,7 @@ def _forward(point: ProductPoint, X: np.ndarray, enc: Activation) -> _Forward:
     p = point.shape[1]
     W = point.w_tilde.matrix
     prod = np.hstack([point.w, W]).T @ X
-    return _Forward(prod[:p], enc.fn(prod[:p]), prod[p:], W.T @ W)
+    return _Forward(enc.fn(prod[:p]), prod[p:], W.T @ W)
 
 
 class _Ray:
@@ -184,7 +183,7 @@ class _Ray:
         R = S @ (1.5 * self.eye - 0.5 * (S.T @ gram @ S))
         pre = self.a + t * self.da
         wt_x = R.T @ (self.b + t * self.db)
-        return _Forward(pre, self.enc.fn(pre), wt_x, R.T @ gram @ R)
+        return _Forward(self.enc.fn(pre), wt_x, R.T @ gram @ R)
 
 
 def _grad(
@@ -194,11 +193,11 @@ def _grad(
 
     W~^T D = 2 (W~^T W~ G - W~^T X) and Delta = enc'(w^T X) * W~^T D give
     d/dw = X Delta^T and d/dW~ = 2 (W~ G G^T - X G^T); both X products come
-    from one N x m x 2p matmul.
+    from one N x m x 2p matmul.  enc' is read off the codes G.
     """
     G = fwd.codes
     p = G.shape[0]
-    delta = enc.deriv(fwd.pre) * (2.0 * (fwd.gram @ G - fwd.wt_x))
+    delta = enc.deriv(G) * (2.0 * (fwd.gram @ G - fwd.wt_x))
     x_prod = X @ np.concatenate([G, delta]).T
     grad_wt = 2.0 * (w_tilde @ (G @ G.T) - x_prod[:, :p])
     grad_w = np.ascontiguousarray(x_prod[:, p:])

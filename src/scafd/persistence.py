@@ -169,9 +169,12 @@ def load_model(path: str | Path):
             kwargs[f.name] = encoder
         else:
             kwargs[f.name] = _decode(f.type, key, doc[key], array)
+    # ae and sae share a class; check the flag before the model checks its
+    # shapes against it
+    if cls is AeModel and kwargs["expand_inputs"] != (method == "sae"):
+        held = "sae" if kwargs["expand_inputs"] else "ae"
+        raise ValueError(f"{method} model file holds a {held} model")
     model = cls(**kwargs)
-    if method_tag(model) != method:
-        raise ValueError(f"{method} model file holds a {method_tag(model)} model")
     for key, size in _sizes(model).items():
         if doc.get(key) != size:
             raise ValueError(f"header has {key} {doc.get(key)!r}, the model has {size}")

@@ -40,6 +40,9 @@ _RIDGE_SCALE = 1e-8
 _CDF_GRID_POINTS = 4096
 _BISECT_ITERS = 100
 _KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
+# exp of an exponent below log(smallest normal double) is subnormal or 0
+_EXP_FLOOR = float(np.log(np.finfo(float).tiny))  # about -708.40
+_LOWEST = -float(np.finfo(float).max)
 # samples scaled, encoded and scored at once; bounds the n x chunk scaled
 # copy and the p x chunk features whatever the block size
 _SCORE_CHUNK = 1024
@@ -155,16 +158,31 @@ def kde_pdf(
     scale = 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
     out = np.empty_like(q)
     step = max(1, _KDE_CHUNK // samples.size)
-    # exp(-(q - s)^2 / (2 h^2)), one ufunc at a time in one reused buffer
+    # exp((q - s)^2 / (-2 h^2)), one ufunc at a time in reused buffers;
+    # (-x)/y and x/(-y) round alike, so this is exp(-(q - s)^2 / (2 h^2))
+    neg_2h2 = -2.0 * h * h
     buf = np.empty((min(step, q.size), samples.size))
+    keep_buf = np.empty(buf.shape, dtype=bool)
     for lo in range(0, q.size, step):
         rows = q[lo : lo + step]
-        block = buf[: rows.size]
+        block, keep = buf[: rows.size], keep_buf[: rows.size]
         np.subtract(rows[:, None], samples[None, :], out=block)
         np.square(block, out=block)
-        np.negative(block, out=block)
-        np.divide(block, 2.0 * h * h, out=block)
-        np.exp(block, out=block)
+        np.divide(block, neg_2h2, out=block)
+        # numpy's exp leaves its vector path for exponents whose result is
+        # subnormal, about 100 times slower; such terms (below 2.2e-308) are
+        # set to 0 instead.  Exponents below _EXP_FLOOR become -0.0 before
+        # exp and their results 0 after; the clamp keeps a -inf exponent
+        # from turning into NaN on the way.  A NaN makes min() NaN, so such
+        # a block takes the plain exp.
+        if block.min() < _EXP_FLOOR:
+            np.maximum(block, _LOWEST, out=block)
+            np.greater_equal(block, _EXP_FLOOR, out=keep)
+            np.multiply(block, keep, out=block)
+            np.exp(block, out=block)
+            np.multiply(block, keep, out=block)
+        else:
+            np.exp(block, out=block)
         out[lo : lo + step] = scale * block.sum(axis=1)
     return float(out[0]) if np.isscalar(query) or np.ndim(query) == 0 else out
 
@@ -221,6 +239,10 @@ def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -
 
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent doubles (or equal): every later step
+            # returns this same midpoint, so stop evaluating the density
+            break
         if partial_mass(mid) < target:
             lo = mid
         else:

@@ -6,10 +6,15 @@ from scipy.linalg import subspace_angles
 
 from scafd.activations import get_activation
 from scafd.baselines import (
+    _COST_REL_TOL,
+    _FLAT_WINDOW,
+    _LR_FLOOR,
+    _LR_START,
     AeModel,
     AeTrace,
     KpcaModel,
     PcaModel,
+    _gradient_descent,
     ae_cost_grad,
     ae_train,
     center_gram,
@@ -18,7 +23,15 @@ from scafd.baselines import (
     pca_fit,
     sae_train,
 )
-from scafd.data import DataMatrix, apply_scaler, expand_second_order, expanded_dim, fit_scaler
+from scafd.cli import gen_toy
+from scafd.data import (
+    DataMatrix,
+    apply_scaler,
+    expand_second_order,
+    expanded_dim,
+    fit_scaler,
+    load_csv,
+)
 from scafd.sca import monitor
 
 IDENTITY = get_activation("identity")
@@ -311,6 +324,152 @@ def test_ae_model_rejects_non_finite(rng):
             kde_bandwidth=model.kde_bandwidth,
             control_limit=model.control_limit,
         )
+
+
+# ---------------------------------------------------------------------------
+# descent oracle: the descent as it was before theta became one flat vector
+
+
+def _old_deriv(encoder, pre_codes):
+    # Activation.deriv used to take the pre-activation; it now takes the codes
+    if encoder.name == "tanh":
+        return 1.0 - np.tanh(pre_codes) ** 2
+    return np.ones_like(pre_codes)
+
+
+def _old_ae_cost_grad(params, X, encoder=TANH_ID):
+    w_enc, b_enc, w_dec, b_dec = params
+    pre_codes = w_enc.T @ X + b_enc[:, None]
+    codes = encoder.fn(pre_codes)
+    err = w_dec @ codes + b_dec[:, None] - X
+    value = float(np.sum(err * err))
+    D = 2.0 * err
+    g_w_dec = D @ codes.T
+    g_b_dec = D.sum(axis=1)
+    dcodes = (w_dec.T @ D) * _old_deriv(encoder, pre_codes)
+    g_w_enc = X @ dcodes.T
+    g_b_enc = dcodes.sum(axis=1)
+    return value, (g_w_enc, g_b_enc, g_w_dec, g_b_dec)
+
+
+def _old_gradient_descent(X, p, rng, encoder, max_iters):
+    n = X.shape[0]
+    params = (
+        rng.standard_normal((n, p)) / np.sqrt(n),
+        np.zeros(p),
+        rng.standard_normal((n, p)) / np.sqrt(n),
+        np.zeros(n),
+    )
+    f, grads = _old_ae_cost_grad(params, X, encoder)
+    if not np.isfinite(f):
+        raise FloatingPointError("autoencoder cost diverged at initialization")
+    gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+    trace = AeTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
+    lr = _LR_START
+    for _ in range(max_iters):
+        costs = trace.cost_per_iter
+        if len(costs) > _FLAT_WINDOW:
+            drop = costs[-1 - _FLAT_WINDOW] - costs[-1]
+            if drop <= _COST_REL_TOL * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
+                break
+        stepped = False
+        while lr >= _LR_FLOOR:
+            candidate = tuple(p_ - lr * g_ for p_, g_ in zip(params, grads))
+            try:
+                f_new, grads_new = _old_ae_cost_grad(candidate, X, encoder)
+            except FloatingPointError:
+                f_new = np.inf
+            if np.isfinite(f_new) and f_new <= f:
+                params, f, grads = candidate, f_new, grads_new
+                stepped = True
+                break
+            lr *= 0.5  # halve on cost increase, keep the reduced step
+        if not stepped:
+            break
+        gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+        trace.cost_per_iter.append(f)
+        trace.grad_norm_per_iter.append(gnorm)
+        trace.iterations += 1
+    return params, trace
+
+
+@pytest.fixture(scope="module")
+def toy_fits(tmp_path_factory):
+    """ae and sae fits of toy seeds 0-1 at the bench settings (seed = toy seed).
+
+    Each entry is (toy seed, training matrix, model, trace, ae_cost_grad calls).
+    """
+    from scafd import baselines
+
+    fits = []
+    original = baselines.ae_cost_grad
+    for toy_seed in (0, 1):
+        train_path, _ = gen_toy(tmp_path_factory.mktemp("toy"), seed=toy_seed)
+        X = load_csv(train_path, samples="rows", header=True)
+        inputs = apply_scaler(fit_scaler(X), X)
+        for expand in (False, True):
+            calls = []
+
+            def counted(*args):
+                calls.append(1)
+                return original(*args)
+
+            baselines.ae_cost_grad = counted
+            try:
+                model, trace = ae_train(X, 2, seed=toy_seed, expand_inputs=expand)
+            finally:
+                baselines.ae_cost_grad = original
+            mat = expand_second_order(inputs) if expand else inputs.values
+            fits.append((toy_seed, mat, model, trace, len(calls)))
+    return fits
+
+
+def test_descent_is_bit_identical_to_the_separate_array_descent(toy_fits):
+    for toy_seed, mat, model, trace, _ in toy_fits:
+        rng = np.random.default_rng(toy_seed)
+        params, old = _old_gradient_descent(mat, 2, rng, TANH_ID, 2000)
+        for name, ref in zip(("w_enc", "b_enc", "w_dec", "b_dec"), params):
+            assert np.array_equal(getattr(model, name), ref), name
+        assert np.array_equal(trace.cost_per_iter, old.cost_per_iter)
+        assert np.array_equal(trace.grad_norm_per_iter, old.grad_norm_per_iter)
+        assert trace.iterations == old.iterations
+    # one call at the start and one per trial: a fit with more trials than
+    # accepted steps halved its step, so the halving path is covered too
+    assert any(calls - 1 > trace.iterations for *_, trace, calls in toy_fits)
+
+
+def test_toy_fits_stop_at_max_iters(toy_fits):
+    for *_, trace, _ in toy_fits:
+        assert trace.stop_reason == "max_iters"
+        assert trace.iterations == 2000
+
+
+def test_descent_stops_flat_on_zero_data():
+    # zero inputs and zero biases: the cost is 0 and every step keeps it there
+    _, trace = _gradient_descent(
+        np.zeros((3, 20)), 2, np.random.default_rng(0), TANH_ID, 100
+    )
+    assert trace.stop_reason == "flat"
+    assert trace.iterations == _FLAT_WINDOW
+
+
+def test_descent_stops_at_step_floor_when_no_step_lowers_the_cost(rng, monkeypatch):
+    from scafd import baselines
+
+    original = baselines.ae_cost_grad
+    costs = []
+
+    def rising(params, X, encoder):
+        value, grads = original(params, X, encoder)
+        costs.append(value)
+        return (value if len(costs) == 1 else costs[0] + 1.0), grads
+
+    monkeypatch.setattr(baselines, "ae_cost_grad", rising)
+    _, trace = ae_train(DataMatrix(rng.standard_normal((3, 40))), 2, seed=0)
+    assert trace.stop_reason == "step_floor"
+    assert trace.iterations == 0
+    # trials at 1, 1/2, ..., down to the 1e-16 floor
+    assert len(costs) - 1 == int(np.floor(np.log2(1.0 / _LR_FLOOR))) + 1
 
 
 # ---------------------------------------------------------------------------

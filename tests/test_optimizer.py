@@ -175,7 +175,7 @@ def _direct_grad(point, X, enc):
     G = enc.fn(pre)
     W = point.w_tilde.matrix
     D = 2.0 * (W @ G - X)
-    return X @ (enc.deriv(pre) * (W.T @ D)).T, D @ G.T
+    return X @ (enc.deriv(G) * (W.T @ D)).T, D @ G.T
 
 
 @given(

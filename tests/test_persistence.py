@@ -1,5 +1,6 @@
 """Round-trip exactness of the JSON model files for every monitor kind."""
 
+import base64
 import json
 import shutil
 import tracemalloc
@@ -251,4 +252,36 @@ def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):
         target[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
+        load_model(path)
+
+
+def _v2_array(entry):
+    data = base64.b64decode(entry["data"])
+    return np.frombuffer(data, dtype=entry["dtype"]).reshape(entry["shape"])
+
+
+def _v2_entry(array):
+    array = np.ascontiguousarray(array, dtype="<f8")
+    data = base64.b64encode(array.tobytes()).decode("ascii")
+    return {"dtype": "<f8", "shape": list(array.shape), "data": data}
+
+
+# Each cut array still broadcasts against the rest of its model, so without
+# the shape checks the file would load and score wrong T2.
+@pytest.mark.parametrize(
+    "tag, key, cut",
+    [
+        ("pca", "loading", np.s_[:, :1]),
+        ("kpca", "alphas", np.s_[:, :1]),
+        ("kpca", "gram_col_means", np.s_[:1]),
+        ("ae", "b_enc", np.s_[:1]),
+        ("sae", "b_enc", np.s_[:1]),
+    ],
+)
+def test_load_rejects_inconsistent_feature_map_shapes(tag, key, cut, tmp_path):
+    path = shutil.copy(_GOLDEN_V2 / f"{tag}.json", tmp_path / f"{tag}.json")
+    doc = json.loads(path.read_text())
+    doc[key] = _v2_entry(_v2_array(doc[key])[cut])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{key} has shape"):
         load_model(path)

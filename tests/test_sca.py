@@ -20,6 +20,8 @@ from scafd.data import (
 from scafd.manifold import StiefelPoint, orthonormality_error
 from scafd.optimizer import CgConfig, cg_optimize, init_product_point
 from scafd.sca import (
+    _CDF_GRID_POINTS,
+    _KDE_CHUNK,
     DetectionReport,
     ScaModel,
     control_limit,
@@ -115,8 +117,17 @@ def test_kde_single_sample_peak():
 
 
 def test_kde_vanishes_far_away():
-    assert kde_pdf(np.array([2.0]), 1.0, 60.0) < 1e-300
-    assert kde_pdf(np.array([2.0]), 1.0, -60.0) < 1e-300
+    assert kde_pdf(np.array([2.0]), 1.0, 60.0) == 0.0
+    assert kde_pdf(np.array([2.0]), 1.0, -60.0) == 0.0
+
+
+def test_kde_drops_only_subnormal_terms():
+    # exp(-714.1) is subnormal, so that term counts as 0; exp(-707.8) is normal
+    # and stays
+    s = np.array([0.0])
+    assert INV_SQRT_2PI * np.exp(-0.5 * 37.79**2) > 0.0
+    assert kde_pdf(s, 1.0, 37.79) == 0.0
+    assert kde_pdf(s, 1.0, 37.625) == INV_SQRT_2PI * np.exp(-(37.625**2) / 2.0)
 
 
 def test_kde_integrates_to_one(rng):
@@ -217,6 +228,104 @@ def test_control_limit_monotone_in_zeta():
     samples = rng.exponential(size=3000)
     taus = [control_limit(samples, z) for z in (0.01, 0.02, 0.05, 0.1, 0.25, 0.5)]
     assert all(a >= b for a, b in zip(taus, taus[1:]))
+
+
+# The density and limit as they were before kde_pdf set subnormal kernel terms
+# to 0 and the bisection stopped early: the oracle for both changes.
+
+
+def _old_kde_pdf(t2_samples, h, query):
+    if not h > 0:
+        raise ValueError("bandwidth must be positive")
+    samples = np.asarray(t2_samples, dtype=float).ravel()
+    if samples.size == 0:
+        raise ValueError("need at least one sample")
+    q = np.atleast_1d(np.asarray(query, dtype=float))
+    scale = 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
+    out = np.empty_like(q)
+    step = max(1, _KDE_CHUNK // samples.size)
+    # exp(-(q - s)^2 / (2 h^2)), one ufunc at a time in one reused buffer
+    buf = np.empty((min(step, q.size), samples.size))
+    for lo in range(0, q.size, step):
+        rows = q[lo : lo + step]
+        block = buf[: rows.size]
+        np.subtract(rows[:, None], samples[None, :], out=block)
+        np.square(block, out=block)
+        np.negative(block, out=block)
+        np.divide(block, 2.0 * h * h, out=block)
+        np.exp(block, out=block)
+        out[lo : lo + step] = scale * block.sum(axis=1)
+    return float(out[0]) if np.isscalar(query) or np.ndim(query) == 0 else out
+
+
+def _old_control_limit(t2_samples, zeta, h=None):
+    samples = np.asarray(t2_samples, dtype=float).ravel()
+    if h is None:
+        h = silverman_bandwidth(samples)
+    grid = np.linspace(0.0, float(samples.max()) + 5.0 * h, _CDF_GRID_POINTS)
+    dens = np.asarray(_old_kde_pdf(samples, h, grid))
+    widths = np.diff(grid)
+    cdf = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * widths)]
+    )
+    total = cdf[-1]
+    if not total > 0:
+        raise ValueError("estimated density carries no mass on the grid")
+    target = (1.0 - zeta) * total
+
+    idx = int(np.searchsorted(cdf, target))
+    if idx >= cdf.size:
+        return float(grid[-1])
+    if idx == 0:
+        return float(grid[0])
+    lo, hi = float(grid[idx - 1]), float(grid[idx])
+    base, d_lo = cdf[idx - 1], dens[idx - 1]
+
+    def partial_mass(t):
+        return base + 0.5 * (d_lo + float(_old_kde_pdf(samples, h, t))) * (t - lo)
+
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if partial_mass(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _subnormal_exponent_share(samples):
+    h = silverman_bandwidth(samples)
+    grid = np.linspace(0.0, samples.max() + 5.0 * h, _CDF_GRID_POINTS)
+    exponents = -((grid[:, None] - samples[None, :]) ** 2) / (2.0 * h * h)
+    return float(np.mean(exponents < np.log(np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_control_limit_matches_the_plain_kde_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    exponential = rng.exponential(size=500)
+    # one far outlier stretches the grid to about 78 h, so most grid points
+    # lie more than 37.6 h (exponent -708.4) from the other 499 samples
+    wide = np.append(rng.exponential(size=499), 1000.0)
+    assert _subnormal_exponent_share(wide) > 0.30
+    for samples in (exponential, wide):
+        h = silverman_bandwidth(samples)
+        grid = np.linspace(0.0, samples.max() + 5.0 * h, _CDF_GRID_POINTS)
+        for zeta in (0.01, 0.05, 0.5):
+            assert control_limit(samples, zeta) == _old_control_limit(samples, zeta)
+        if samples is exponential:
+            assert np.array_equal(kde_pdf(samples, h, grid), _old_kde_pdf(samples, h, grid))
+
+
+def test_kde_keeps_the_plain_result_for_infinite_and_nan_exponents():
+    # h so small that 2 h^2 underflows: (q - s)^2 / -0.0 is -inf where q != s
+    # (exp gives 0) and NaN where q == s
+    samples = np.array([1.0, 2.0, 3.0])
+    for query in (np.array([0.5, 4.0]), np.array([1.0, 4.0])):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = kde_pdf(samples, 1e-170, query)
+            old = _old_kde_pdf(samples, 1e-170, query)
+        assert np.array_equal(new, old, equal_nan=True)
 
 
 def test_control_limit_validation():
