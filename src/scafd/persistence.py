@@ -39,6 +39,7 @@ _CLASSES = {**{tag: cls for cls, tag in _METHODS.items()}, "sae": AeModel}
 _DECODER = "identity"
 _DTYPE = "<f8"
 _ARRAY_KEYS = {"dtype", "shape", "data"}
+_SCALARS = {"float": (int, float), "bool": bool}
 
 
 def method_tag(model) -> str:
@@ -70,7 +71,10 @@ def _encode(value):
 
 
 def _array_v1(value, name: str) -> np.ndarray:
-    return np.array(value)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"entry {name!r} must be a nested list of numbers") from None
 
 
 def _array_v2(value, name: str) -> np.ndarray:
@@ -96,6 +100,8 @@ def _array_v2(value, name: str) -> np.ndarray:
 def _decode(field_type: str, name: str, value, array):
     # field types are strings: the model modules postpone annotations
     if field_type == "Scaler":
+        if not (isinstance(value, dict) and value.keys() == {"mean", "std"}):
+            raise ValueError(f"entry {name!r} must be an object with keys mean, std")
         return Scaler(
             mean=array(value["mean"], f"{name}.mean"),
             std=array(value["std"], f"{name}.std"),
@@ -104,6 +110,8 @@ def _decode(field_type: str, name: str, value, array):
         return StiefelPoint(array(value, name))
     if field_type == "np.ndarray":
         return array(value, name)
+    if not isinstance(value, _SCALARS[field_type]):
+        raise ValueError(f"entry {name!r} must be a {field_type}, got {value!r}")
     return value
 
 
@@ -138,12 +146,18 @@ def load_model(path: str | Path):
     """Load any monitor saved by :func:`save_model`, in format 1 or 2.
 
     Raises ValueError for a file of another format version, an unknown
-    method, a missing entry, a malformed format-2 array entry (wrong dtype,
-    bad shape, invalid base64 or a byte count that disagrees with the
-    shape), a decoder other than identity, values the model rejects, or
-    header sizes that disagree with the model.
+    method, a document that is not a JSON object, a missing entry, an entry
+    of the wrong JSON type (a scaler that is not ``{mean, std}``,
+    activations that are not a list of two names, a number or flag of
+    another type, a format-1 array that is not a nested list of numbers), a
+    malformed format-2 array entry (wrong dtype, bad shape, invalid base64
+    or a byte count that disagrees with the shape), a decoder other than
+    identity, values the model rejects, or header sizes that disagree with
+    the model.
     """
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version not in _READABLE_VERSIONS:
         raise ValueError(
@@ -161,7 +175,12 @@ def load_model(path: str | Path):
         if key not in doc:
             raise ValueError(f"{method} model file lacks the {key!r} entry")
         if key == "activations":
-            encoder, decoder = doc[key]
+            pair = doc[key]
+            if not (isinstance(pair, list) and [type(a) for a in pair] == [str, str]):
+                raise ValueError(
+                    f"entry 'activations' must be a list of two names, got {pair!r}"
+                )
+            encoder, decoder = pair
             if decoder != _DECODER:
                 raise ValueError(
                     f"decoder activation must be {_DECODER!r}, got {decoder!r}"

@@ -16,6 +16,7 @@ expanding, compute its T2, and alarm when it exceeds the control limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,9 @@ from .optimizer import CgConfig, CgTrace, cg_optimize, init_product_point
 
 DEFAULT_ZETA = 0.01
 _RIDGE_SCALE = 1e-8
-_CDF_GRID_POINTS = 4096
-_BISECT_ITERS = 100
 _KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
-# exp of an exponent below log(smallest normal double) is subnormal or 0
-_EXP_FLOOR = float(np.log(np.finfo(float).tiny))  # about -708.40
-_LOWEST = -float(np.finfo(float).max)
+# numpy has no erfc, and the runtime depends on numpy alone
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 # samples scaled, encoded and scored at once; bounds the n x chunk scaled
 # copy and the p x chunk features whatever the block size
 _SCORE_CHUNK = 1024
@@ -158,38 +156,22 @@ def kde_pdf(
     scale = 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
     out = np.empty_like(q)
     step = max(1, _KDE_CHUNK // samples.size)
-    # exp((q - s)^2 / (-2 h^2)), one ufunc at a time in reused buffers;
-    # (-x)/y and x/(-y) round alike, so this is exp(-(q - s)^2 / (2 h^2))
-    neg_2h2 = -2.0 * h * h
-    buf = np.empty((min(step, q.size), samples.size))
-    keep_buf = np.empty(buf.shape, dtype=bool)
     for lo in range(0, q.size, step):
-        rows = q[lo : lo + step]
-        block, keep = buf[: rows.size], keep_buf[: rows.size]
-        np.subtract(rows[:, None], samples[None, :], out=block)
-        np.square(block, out=block)
-        np.divide(block, neg_2h2, out=block)
-        # Below _EXP_FLOOR, where the result is subnormal or 0, numpy's exp
-        # leaves its vector path and runs 5 to 100 times slower, so those
-        # terms (each below 2.2e-308) are set to 0 instead: their exponents
-        # become -0.0 before exp and their results 0 after.  The clamp keeps
-        # a -inf exponent from turning into NaN on the way.  A NaN makes
-        # min() NaN, so such a block takes the plain exp.
-        if block.min() < _EXP_FLOOR:
-            np.maximum(block, _LOWEST, out=block)
-            np.greater_equal(block, _EXP_FLOOR, out=keep)
-            np.multiply(block, keep, out=block)
-            np.exp(block, out=block)
-            np.multiply(block, keep, out=block)
-        else:
-            np.exp(block, out=block)
-        out[lo : lo + step] = scale * block.sum(axis=1)
+        d = q[lo : lo + step, None] - samples
+        out[lo : lo + step] = scale * np.exp(-(d * d) / (2.0 * h * h)).sum(axis=1)
     return float(out[0]) if np.isscalar(query) or np.ndim(query) == 0 else out
+
+
+def _finite_samples(t2_samples: np.ndarray) -> np.ndarray:
+    samples = np.asarray(t2_samples, dtype=float).ravel()
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("T2 samples must be finite, got inf or NaN")
+    return samples
 
 
 def silverman_bandwidth(t2_samples: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 1.06 * sigma * N^(-1/5) with a degenerate floor."""
-    samples = np.asarray(t2_samples, dtype=float).ravel()
+    samples = _finite_samples(t2_samples)
     if samples.size < 2:
         raise ValueError("need at least 2 samples for a bandwidth")
     sigma = float(samples.std(ddof=1))
@@ -199,14 +181,15 @@ def silverman_bandwidth(t2_samples: np.ndarray) -> float:
 
 
 def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -> float:
-    """T2 threshold whose KDE-estimated coverage on [0, max+5h] is 1 - zeta.
+    """T2 threshold whose KDE-estimated coverage on [0, U] is 1 - zeta.
 
-    The KDE density is integrated by cumulative trapezoid on a 4096-point
-    grid, normalized by the total grid mass (Gaussian kernels leak some mass
-    below zero, so the raw half-line integral falls short of one), and the
-    crossing is refined by bisection inside the bracketing grid cell.
+    U = max + 5h.  The KDE mass of [t, U] is A(t) = sum_i Q((t - s_i)/h) -
+    Q((U - s_i)/h) with the normal upper tail Q(x) = erfc(x / sqrt 2) / 2,
+    and the limit is the t where A(t) = zeta * A(0): Gaussian kernels leak
+    some mass below zero, so coverage is relative to the mass on [0, U].
+    Bisection on [0, U] runs until the bracket holds adjacent doubles.
     """
-    samples = np.asarray(t2_samples, dtype=float).ravel()
+    samples = _finite_samples(t2_samples)
     _check_zeta(zeta)
     if samples.size < 10:
         raise ValueError(f"need at least 10 samples, got {samples.size}")
@@ -215,39 +198,28 @@ def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -
     if not h > 0:
         raise ValueError("bandwidth must be positive")
 
-    grid = np.linspace(0.0, float(samples.max()) + 5.0 * h, _CDF_GRID_POINTS)
-    dens = np.asarray(kde_pdf(samples, h, grid))
-    widths = np.diff(grid)
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * widths)]
-    )
-    total = cdf[-1]
-    if not total > 0:
-        raise ValueError("estimated density carries no mass on the grid")
-    target = (1.0 - zeta) * total
+    width = h * math.sqrt(2.0)
+    upper = float(samples.max()) + 5.0 * h
+    # the common factor 1/2 of Q is left out of every mass
+    beyond = _erfc((upper - samples) / width).astype(float)
 
-    idx = int(np.searchsorted(cdf, target))
-    if idx >= cdf.size:
-        return float(grid[-1])
-    if idx == 0:
-        return float(grid[0])
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    base, d_lo = cdf[idx - 1], dens[idx - 1]
+    def mass_above(t: float) -> float:
+        return float(np.sum(_erfc((t - samples) / width).astype(float) - beyond))
 
-    def partial_mass(t: float) -> float:
-        return base + 0.5 * (d_lo + float(kde_pdf(samples, h, t))) * (t - lo)
-
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # lo and hi are adjacent doubles (or equal): every later step
-            # returns this same midpoint, so stop evaluating the density
-            break
-        if partial_mass(mid) < target:
+    lo, hi = 0.0, upper
+    target = zeta * mass_above(lo)
+    if not target > 0:
+        raise ValueError("estimated density carries no mass on [0, max + 5h]")
+    # stop once lo and hi are adjacent doubles (or equal): every later step
+    # would return this same midpoint
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if mass_above(mid) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def fit_monitoring_stats(G: np.ndarray, zeta: float = DEFAULT_ZETA) -> MonitoringStats:

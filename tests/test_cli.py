@@ -441,6 +441,27 @@ def test_cli_detect_reports_malformed_format_2_array(toy_paths, tmp_path, capsys
     assert "error: entry 'loading' holds invalid base64 data" in err
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: [doc], "model file must hold a JSON object, got list"),
+        (lambda doc: {**doc, "activations": 5}, "entry 'activations' must be a list"),
+        (lambda doc: {**doc, "activations": "xy"}, "entry 'activations' must be a list"),
+        (lambda doc: {**doc, "scaler": [0.0]}, "entry 'scaler' must be an object"),
+    ],
+    ids=["array", "activations-int", "activations-str", "scaler-list"],
+)
+def test_cli_detect_reports_malformed_model_structure(toy_paths, tmp_path, capsys, edit, match):
+    golden = Path(__file__).parent / "data" / "v2" / "sca.json"
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(edit(json.loads(golden.read_text()))))
+    rc = main(["detect", "--model", str(model_path), "--data", str(toy_paths[1]),
+               "--header"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {match}" in err
+
+
 def test_cli_missing_file_exits_nonzero(tmp_path, capsys):
     rc = main(["detect", "--model", str(tmp_path / "none.json"),
                "--data", str(tmp_path / "none.csv")])

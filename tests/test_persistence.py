@@ -238,6 +238,17 @@ def test_ac10_shape_file_size_and_memory(ac10_shape_model, tmp_path):
         ("sca", "w.data", None, "entry 'w' must be an object with keys"),
         ("sca", "w_tilde.data", "AAAA", "entry 'w_tilde' holds 3 bytes"),
         ("ae", "scaler.mean", [0.0, 0.0, 0.0], "entry 'scaler.mean' must be an object"),
+        ("sca", "activations", 5, "entry 'activations' must be a list of two names"),
+        ("sca", "activations", "xy", "entry 'activations' must be a list of two names"),
+        ("ae", "activations", ["tanh"], "entry 'activations' must be a list of two names"),
+        ("ae", "activations", ["tanh", 0], "entry 'activations' must be a list of two names"),
+        ("pca", "scaler", [0.0, 1.0], "entry 'scaler' must be an object with keys mean, std"),
+        ("kpca", "scaler", {"mean": [0.0]}, "entry 'scaler' must be an object with keys"),
+        ("sca", "kde_bandwidth", "2.0", "entry 'kde_bandwidth' must be a float"),
+        ("pca", "zeta", [0.01], "entry 'zeta' must be a float"),
+        ("ae", "expand_inputs", "yes", "entry 'expand_inputs' must be a bool"),
+        ("sca", "w", {"a": 1.0}, "entry 'w' must be a nested list of numbers"),
+        ("kpca", "alphas", [[1.0], [1.0, 2.0]], "entry 'alphas' must be a nested list"),
     ],
 )
 def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):
@@ -252,6 +263,14 @@ def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):
         target[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
+        load_model(path)
+
+
+@pytest.mark.parametrize("doc", [[], [1, 2], "model", 3.5, None])
+def test_load_rejects_a_document_that_is_not_an_object(doc, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must hold a JSON object"):
         load_model(path)
 
 

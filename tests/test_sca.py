@@ -20,8 +20,6 @@ from scafd.data import (
 from scafd.manifold import StiefelPoint, orthonormality_error
 from scafd.optimizer import CgConfig, cg_optimize, init_product_point
 from scafd.sca import (
-    _CDF_GRID_POINTS,
-    _KDE_CHUNK,
     DetectionReport,
     ScaModel,
     control_limit,
@@ -121,13 +119,12 @@ def test_kde_vanishes_far_away():
     assert kde_pdf(np.array([2.0]), 1.0, -60.0) == 0.0
 
 
-def test_kde_drops_only_subnormal_terms():
-    # exp(-714.1) is subnormal, so that term counts as 0; exp(-707.8) is normal
-    # and stays
+def test_kde_keeps_subnormal_terms():
+    # exp(-714.1) is subnormal, and the density is the plain expression
     s = np.array([0.0])
-    assert INV_SQRT_2PI * np.exp(-0.5 * 37.79**2) > 0.0
-    assert kde_pdf(s, 1.0, 37.79) == 0.0
-    assert kde_pdf(s, 1.0, 37.625) == INV_SQRT_2PI * np.exp(-(37.625**2) / 2.0)
+    plain = INV_SQRT_2PI * np.exp(-(37.79**2) / 2.0)
+    assert 0.0 < plain < np.finfo(float).tiny
+    assert kde_pdf(s, 1.0, 37.79) == plain
 
 
 def test_kde_integrates_to_one(rng):
@@ -153,8 +150,6 @@ def test_kde_vector_query_matches_scalars(rng):
 def test_kde_chunking_is_bit_identical(rng, monkeypatch, chunk):
     # Chunks split query rows only, so each density sums its samples in the
     # same order whatever the chunk size; 1 << 22 was the earlier default.
-    # The in-place buffer runs the ufuncs of the plain expression in the same
-    # order, so both must agree bit for bit.
     import scafd.sca
 
     samples = rng.exponential(size=500)
@@ -197,6 +192,12 @@ def test_silverman_needs_two_samples():
         silverman_bandwidth(np.array([4.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_silverman_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        silverman_bandwidth(np.append(np.linspace(0.0, 1.0, 20), bad))
+
+
 # ---------------------------------------------------------------------------
 # control_limit
 
@@ -230,102 +231,47 @@ def test_control_limit_monotone_in_zeta():
     assert all(a >= b for a, b in zip(taus, taus[1:]))
 
 
-# The density and limit as they were before kde_pdf set subnormal kernel terms
-# to 0 and the bisection stopped early: the oracle for both changes.
+def _exact_limit(samples, zeta):
+    """The 1 - zeta quantile of the KDE truncated to [0, max + 5h], by scipy."""
+    from scipy.optimize import brentq
+    from scipy.special import ndtr
 
-
-def _old_kde_pdf(t2_samples, h, query):
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    samples = np.asarray(t2_samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
-    q = np.atleast_1d(np.asarray(query, dtype=float))
-    scale = 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
-    out = np.empty_like(q)
-    step = max(1, _KDE_CHUNK // samples.size)
-    # exp(-(q - s)^2 / (2 h^2)), one ufunc at a time in one reused buffer
-    buf = np.empty((min(step, q.size), samples.size))
-    for lo in range(0, q.size, step):
-        rows = q[lo : lo + step]
-        block = buf[: rows.size]
-        np.subtract(rows[:, None], samples[None, :], out=block)
-        np.square(block, out=block)
-        np.negative(block, out=block)
-        np.divide(block, 2.0 * h * h, out=block)
-        np.exp(block, out=block)
-        out[lo : lo + step] = scale * block.sum(axis=1)
-    return float(out[0]) if np.isscalar(query) or np.ndim(query) == 0 else out
-
-
-def _old_control_limit(t2_samples, zeta, h=None):
-    samples = np.asarray(t2_samples, dtype=float).ravel()
-    if h is None:
-        h = silverman_bandwidth(samples)
-    grid = np.linspace(0.0, float(samples.max()) + 5.0 * h, _CDF_GRID_POINTS)
-    dens = np.asarray(_old_kde_pdf(samples, h, grid))
-    widths = np.diff(grid)
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * widths)]
-    )
-    total = cdf[-1]
-    if not total > 0:
-        raise ValueError("estimated density carries no mass on the grid")
-    target = (1.0 - zeta) * total
-
-    idx = int(np.searchsorted(cdf, target))
-    if idx >= cdf.size:
-        return float(grid[-1])
-    if idx == 0:
-        return float(grid[0])
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    base, d_lo = cdf[idx - 1], dens[idx - 1]
-
-    def partial_mass(t):
-        return base + 0.5 * (d_lo + float(_old_kde_pdf(samples, h, t))) * (t - lo)
-
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if partial_mass(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _subnormal_exponent_share(samples):
     h = silverman_bandwidth(samples)
-    grid = np.linspace(0.0, samples.max() + 5.0 * h, _CDF_GRID_POINTS)
-    exponents = -((grid[:, None] - samples[None, :]) ** 2) / (2.0 * h * h)
-    return float(np.mean(exponents < np.log(np.finfo(float).tiny)))
+    upper = samples.max() + 5.0 * h
+
+    def mass_above(t):
+        return np.sum(ndtr((samples - t) / h) - ndtr((samples - upper) / h))
+
+    total = mass_above(0.0)
+    return brentq(
+        lambda t: mass_above(t) - zeta * total, 0.0, upper,
+        xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000,
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_control_limit_matches_the_plain_kde_bit_for_bit(seed):
+def test_control_limit_is_the_exact_truncated_kde_quantile(seed):
     rng = np.random.default_rng(seed)
     exponential = rng.exponential(size=500)
-    # one far outlier stretches the grid to about 78 h, so most grid points
-    # lie more than 37.6 h (exponent -708.4) from the other 499 samples
+    # one far outlier stretches [0, max + 5h] to about 78 h
     wide = np.append(rng.exponential(size=499), 1000.0)
-    assert _subnormal_exponent_share(wide) > 0.30
-    for samples in (exponential, wide):
-        h = silverman_bandwidth(samples)
-        grid = np.linspace(0.0, samples.max() + 5.0 * h, _CDF_GRID_POINTS)
+    chi2 = rng.chisquare(27, size=500)
+    for samples in (exponential, wide, chi2):
         for zeta in (0.01, 0.05, 0.5):
-            assert control_limit(samples, zeta) == _old_control_limit(samples, zeta)
-        if samples is exponential:
-            assert np.array_equal(kde_pdf(samples, h, grid), _old_kde_pdf(samples, h, grid))
+            exact = _exact_limit(samples, zeta)
+            assert control_limit(samples, zeta) == pytest.approx(exact, rel=1e-12)
 
 
 def test_kde_keeps_the_plain_result_for_infinite_and_nan_exponents():
     # h so small that 2 h^2 underflows: (q - s)^2 / -0.0 is -inf where q != s
     # (exp gives 0) and NaN where q == s
-    samples = np.array([1.0, 2.0, 3.0])
+    samples, h = np.array([1.0, 2.0, 3.0]), 1e-170
     for query in (np.array([0.5, 4.0]), np.array([1.0, 4.0])):
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = kde_pdf(samples, 1e-170, query)
-            old = _old_kde_pdf(samples, 1e-170, query)
-        assert np.array_equal(new, old, equal_nan=True)
+            d = query[:, None] - samples
+            plain = np.exp(-(d * d) / (2.0 * h * h)).sum(axis=1)
+            plain *= 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
+            assert np.array_equal(kde_pdf(samples, h, query), plain, equal_nan=True)
 
 
 def test_control_limit_validation():
@@ -336,6 +282,15 @@ def test_control_limit_validation():
         control_limit(ok, 0.6)
     with pytest.raises(ValueError, match="at least 10"):
         control_limit(np.linspace(0.0, 1.0, 9), 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_control_limit_rejects_non_finite_samples(bad):
+    samples = np.append(np.linspace(0.0, 1.0, 20), bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        control_limit(samples, 0.01)
+    with pytest.raises(ValueError, match="must be finite"):
+        control_limit(samples, 0.01, h=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -676,3 +631,37 @@ def test_package_exports_resolve():
 
     missing = [name for name in scafd.__all__ if not hasattr(scafd, name)]
     assert missing == []
+
+
+def test_runtime_needs_numpy_only():
+    # pyproject.toml declares numpy as the only runtime dependency: fitting a
+    # monitor and its control limit must not import scipy
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import scafd
+
+    script = """
+import sys
+import numpy as np
+import scafd.cli
+from scafd.data import DataMatrix
+from scafd.optimizer import CgConfig
+from scafd.sca import control_limit, train
+
+rng = np.random.default_rng(0)
+control_limit(rng.exponential(size=200), 0.01)
+model, _ = train(DataMatrix(rng.standard_normal((3, 60))), p=2,
+                 cfg=CgConfig(seed=0, max_iters=10))
+assert model.control_limit > 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+"""
+    src = str(Path(scafd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
