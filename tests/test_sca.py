@@ -1,12 +1,17 @@
 """Monitoring statistics: T2, KDE control limits, training, detection, scoring."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scafd
 from scafd.baselines import ae_train, kpca_fit, pca_fit
 from scafd.data import (
     DataMatrix,
@@ -636,13 +641,6 @@ def test_package_exports_resolve():
 def test_runtime_needs_numpy_only():
     # pyproject.toml declares numpy as the only runtime dependency: fitting a
     # monitor and its control limit must not import scipy
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import scafd
-
     script = """
 import sys
 import numpy as np
