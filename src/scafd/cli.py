@@ -25,6 +25,7 @@ from .optimizer import CgConfig
 
 METHODS = ("pca", "kpca", "ae", "sae", "sca")
 _BOOL_KEYS = {"noise-as-sd", "svg", "header"}
+_MAX_ITERS_HELP = "caps sca's conjugate gradient only; ae and sae run up to 2000 steps"
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eigenvalue-energy fraction for choosing p")
     p_train.add_argument("--zeta", type=float, default=sca.DEFAULT_ZETA)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--max-iters", type=int, default=500)
+    p_train.add_argument("--max-iters", type=int, default=500, help=_MAX_ITERS_HELP)
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--trace", default=None, help="optional trace CSV path")
     _add_layout_flags(p_train)
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--energy", type=float, default=None)
     p_bench.add_argument("--zeta", type=float, default=sca.DEFAULT_ZETA)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--max-iters", type=int, default=500)
+    p_bench.add_argument("--max-iters", type=int, default=500, help=_MAX_ITERS_HELP)
     p_bench.add_argument("--out-dir", required=True)
     p_bench.add_argument("--svg", action="store_true",
                          help="also write an SVG chart per cell")

@@ -128,14 +128,23 @@ def _polar_inv_sqrt(hth_eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndar
     return np.eye(vecs.shape[0]) - (vecs * (a / (root * (1.0 + root)))) @ vecs.T
 
 
+def _polar_factor(
+    hth_eig: tuple[np.ndarray, np.ndarray], gram: np.ndarray, t: float
+) -> np.ndarray:
+    """R with (W + tH) @ R the polar retraction, given gram = (W + tH)^T (W + tH).
+
+    R = S (1.5 I - 0.5 S^T gram S), S = ``_polar_inv_sqrt(hth_eig, t)``: one
+    Newton-Schulz sweep squares away the roundoff of an ill-conditioned eigh.
+    """
+    S = _polar_inv_sqrt(hth_eig, t)
+    return S @ (1.5 * np.eye(S.shape[0]) - 0.5 * (S.T @ gram @ S))
+
+
 def retract(base: StiefelPoint, H: np.ndarray, t: float) -> StiefelPoint:
     """Polar retraction (W + t*H) @ (I + t^2 H^T H)^(-1/2).
 
-    H must be tangent at base; the inverse square root comes from one
-    eigendecomposition of H^T H (``_polar_inv_sqrt``), followed by one
-    Newton-Schulz sweep.  The optimizer's line search evaluates this same
-    map in closed form from p x p Grams, with the same helper and the same
-    sweep, so a change here must be mirrored in ``optimizer._Ray``.
+    H must be tangent at base; the map is (W + tH) @ ``_polar_factor``, the
+    factor the optimizer's line search also builds from p x p Grams.
     """
     H = np.asarray(H, dtype=float)
     if H.shape != base.shape:
@@ -149,12 +158,8 @@ def retract(base: StiefelPoint, H: np.ndarray, t: float) -> StiefelPoint:
             f"direction is not tangent at base: residual {res:.3e} > "
             f"{TANGENT_TOL} * max(1, ||H||)"
         )
-    p = base.shape[1]
-    out = (base.matrix + t * H) @ _polar_inv_sqrt(np.linalg.eigh(H.T @ H), t)
-    # One Newton-Schulz sweep squares away the roundoff left by an
-    # ill-conditioned eigendecomposition at large steps.
-    out = out @ (1.5 * np.eye(p) - 0.5 * (out.T @ out))
-    return StiefelPoint(out)
+    Y = base.matrix + t * H
+    return StiefelPoint(Y @ _polar_factor(np.linalg.eigh(H.T @ H), Y.T @ Y, t))
 
 
 def inner(a: TangentPair, b: TangentPair) -> float:

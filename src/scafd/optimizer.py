@@ -20,10 +20,10 @@ Because the decoder is linear, with G = enc(w^T X),
 so the cost and the gradient depend on the data only through the p x m
 products w^T X and W~^T X.  Along a direction (dw, H) both are closed-form
 in the step t: w^T X moves linearly, and the polar retraction with its
-Newton-Schulz sweep maps W~ to (W~ + tH) S C with p x p factors S and C.  A
-line search therefore forms [w, dw, W~, H]^T X once per direction, and each
-Armijo trial costs p x p and p x m work instead of two N x m x p products.
-The accepted trial's products then give the gradient at the new point.
+Newton-Schulz sweep maps W~ to (W~ + tH) R with a p x p factor R.  A line
+search forms only [dw, H]^T X per direction, each Armijo trial costs p x p
+and p x m work instead of two N x m x p products, and the accepted trial's
+products and R give the new point's forward pass, gradient and decoder.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ import numpy as np
 from .activations import TANH, Activation
 from .manifold import (
     ProductPoint,
+    StiefelPoint,
     TangentPair,
-    _polar_inv_sqrt,
+    _polar_factor,
     inner,
     norm,
     random_stiefel,
@@ -126,6 +127,7 @@ def _sq_norm(X: np.ndarray) -> float:
 class _Forward:
     """The products of one point with the data that cost and gradient need."""
 
+    pre: np.ndarray  # w^T X, p x m
     codes: np.ndarray  # G = enc(w^T X), p x m
     wt_x: np.ndarray  # W~^T X, p x m
     gram: np.ndarray  # W~^T W~, p x p
@@ -141,49 +143,49 @@ def _forward(point: ProductPoint, X: np.ndarray, enc: Activation) -> _Forward:
     p = point.shape[1]
     W = point.w_tilde.matrix
     prod = np.hstack([point.w, W]).T @ X
-    return _Forward(enc.fn(prod[:p]), prod[p:], W.T @ W)
+    return _Forward(prod[:p], enc.fn(prod[:p]), prod[p:], W.T @ W)
 
 
 class _Ray:
     """Forward pass at t along t -> (w + t dw, retract(W~, H, t)).
 
-    The constructor forms [w, dw, W~, H]^T X, the Grams of W~ and H and the
-    eigendecomposition of H^T H; each call then costs p x p and p x m work.
-    With
+    ``fwd`` is the forward pass at ``point``; the constructor adds [dw, H]^T X,
+    the Grams of W~ and H and the eigendecomposition of H^T H, so each call
+    costs p x p and p x m work.  With R = ``_polar_factor`` of
     gram(t) = (W~ + tH)^T (W~ + tH) = W~^T W~ + t (W~^T H + H^T W~) + t^2 H^T H,
-    the retraction is (W~ + tH) S C with S = (I + t^2 H^T H)^(-1/2) and
-    C = 1.5 I - 0.5 S^T gram(t) S, so with R = S C the new decoder gives
-    W~(t)^T X = R^T (W~^T X + t H^T X) and W~(t)^T W~(t) = R^T gram(t) R.
+    the new decoder (W~ + tH) R gives W~(t)^T X = R^T (W~^T X + t H^T X) and
+    W~(t)^T W~(t) = R^T gram(t) R.
     """
 
     def __init__(
         self,
         point: ProductPoint,
+        fwd: _Forward,
         direction: TangentPair,
         X: np.ndarray,
         enc: Activation,
     ) -> None:
         W, H = point.w_tilde.matrix, direction.dh
         p = W.shape[1]
-        prod = np.hstack([point.w, direction.dw, W, H]).T @ X
-        self.a, self.da, self.b, self.db = (
-            prod[k * p : (k + 1) * p] for k in range(4)
-        )
+        prod = np.hstack([direction.dw, H]).T @ X
+        self.a, self.da, self.b, self.db = fwd.pre, prod[:p], fwd.wt_x, prod[p:]
         WH = np.hstack([W, H])
         grams = WH.T @ WH
         self.m, self.hh = grams[:p, :p], grams[p:, p:]
-        self.hh_eig = np.linalg.eigh(self.hh)
         self.k_sym = grams[:p, p:] + grams[p:, :p]
-        self.eye = np.eye(p)
+        self.hh_eig = np.linalg.eigh(self.hh)
         self.enc = enc
 
-    def at(self, t: float) -> _Forward:
-        S = _polar_inv_sqrt(self.hh_eig, t)
+    def factor(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """gram(t) and R; the point at t is (w + t dw, (W~ + tH) R)."""
         gram = self.m + t * self.k_sym + (t * t) * self.hh
-        R = S @ (1.5 * self.eye - 0.5 * (S.T @ gram @ S))
+        return gram, _polar_factor(self.hh_eig, gram, t)
+
+    def at(self, t: float) -> _Forward:
+        gram, R = self.factor(t)
         pre = self.a + t * self.da
         wt_x = R.T @ (self.b + t * self.db)
-        return _Forward(self.enc.fn(pre), wt_x, R.T @ gram @ R)
+        return _Forward(pre, self.enc.fn(pre), wt_x, R.T @ gram @ R)
 
 
 def _grad(
@@ -246,6 +248,7 @@ def move(point: ProductPoint, direction: TangentPair, t: float) -> ProductPoint:
 
 def line_search(
     point: ProductPoint,
+    fwd: _Forward,
     direction: TangentPair,
     X: np.ndarray,
     grad: TangentPair,
@@ -253,11 +256,11 @@ def line_search(
     x_sq: float,
     encoder: Activation = TANH,
     start: float = _INITIAL_STEP,
-) -> tuple[float, float, ProductPoint, TangentPair, int]:
+) -> tuple[float, float, ProductPoint, _Forward, TangentPair, int]:
     """Armijo search over the steps _INITIAL_STEP * _BACKTRACK^k, 0 <= k <= 60.
 
-    ``grad`` is the Riemannian gradient and ``f0`` the cost at ``point``,
-    ``x_sq`` is ||X||_F^2.  A step t is accepted when
+    ``fwd`` is the forward pass, ``grad`` the Riemannian gradient and ``f0``
+    the cost at ``point``, ``x_sq`` is ||X||_F^2.  A step t is accepted when
     f(t) <= f0 + c1 * t * <grad, direction>.  The search tries ``start``
     (one of the steps) first.  If it is accepted, the step doubles while the
     doubled step is a step of the set and is accepted; otherwise it halves
@@ -267,11 +270,11 @@ def line_search(
     accepted one; when the accepted steps form one run, that is the largest
     accepted step, the result of backtracking from _INITIAL_STEP.
 
-    Returns (t, cost at t, point at t, Riemannian gradient at that point,
-    number of trials).  Trials are evaluated in closed form along the
-    retracted curve (``_Ray``), so each costs p x p and p x m work; only the
-    accepted step builds the N x p point, through ``move``, and its gradient
-    reuses the accepted trial's products.  X is not checked here:
+    Returns (t, cost at t, point at t, forward pass and Riemannian gradient
+    at that point, number of trials).  Trials are evaluated in closed form
+    along the retracted curve (``_Ray``), each in p x p and p x m work; only
+    the accepted step builds the N x p point (``move`` up to rounding), and
+    its forward pass is the accepted trial's.  X is not checked here:
     ``cg_optimize`` checks it once.
     Raises ValueError when the direction is not descent or ``start`` is not
     a step, and LineSearchError when all 61 steps are rejected.
@@ -283,17 +286,17 @@ def line_search(
         raise ValueError(
             f"start must be {_INITIAL_STEP} * {_BACKTRACK}**k, 0 <= k <= {_MAX_BACKTRACKS}"
         )
-    ray = _Ray(point, direction, X, encoder)
+    ray = _Ray(point, fwd, direction, X, encoder)
     trials = 0
 
     def accepted(k: int) -> tuple[_Forward, float] | None:
         nonlocal trials
         trials += 1
         t = _STEPS[k]
-        fwd = ray.at(t)
-        f_t = fwd.cost(x_sq)
+        trial = ray.at(t)
+        f_t = trial.cost(x_sq)
         # a non-finite trial compares False and is rejected
-        return (fwd, f_t) if f_t <= f0 + _ARMIJO_C1 * t * slope else None
+        return (trial, f_t) if f_t <= f0 + _ARMIJO_C1 * t * slope else None
 
     k = _STEPS.index(start)
     found = accepted(k)
@@ -310,11 +313,12 @@ def line_search(
                 f"slope={slope:.3e})",
                 trials,
             )
-    fwd, f_t = found
+    new_fwd, f_t = found
     t = _STEPS[k]
-    new_point = move(point, direction, t)
-    eucl = _grad(fwd, X, new_point.w_tilde.matrix, encoder)
-    return t, f_t, new_point, riemannian_grad(new_point, eucl), trials
+    w_tilde = StiefelPoint((point.w_tilde.matrix + t * direction.dh) @ ray.factor(t)[1])
+    new_point = ProductPoint(point.w + t * direction.dw, w_tilde)
+    eucl = _grad(new_fwd, X, new_point.w_tilde.matrix, encoder)
+    return t, f_t, new_point, new_fwd, riemannian_grad(new_point, eucl), trials
 
 
 def init_product_point(
@@ -386,24 +390,22 @@ def cg_optimize(
             trace.stop_reason = _stop_reason(trace, gnorm, cfg)
             if trace.stop_reason:
                 break
-            if inner(direction, grad) >= 0:
-                direction = -grad
             start = trace.step_per_iter[-1] if trace.step_per_iter else _INITIAL_STEP
             try:
-                t, f_new, new_point, new_grad, trials = line_search(
-                    point, direction, X, grad, f, x_sq, encoder, start
+                t, f_new, new_point, new_fwd, new_grad, trials = line_search(
+                    point, fwd, direction, X, grad, f, x_sq, encoder, start
                 )
             except LineSearchError as failed:
                 if inner(direction + grad, direction + grad) == 0.0:
                     raise  # already steepest descent
                 direction = -grad
-                t, f_new, new_point, new_grad, trials = line_search(
-                    point, direction, X, grad, f, x_sq, encoder
+                t, f_new, new_point, new_fwd, new_grad, trials = line_search(
+                    point, fwd, direction, X, grad, f, x_sq, encoder
                 )
                 trials += failed.trials
 
             prev_grad, prev_dir = grad, direction
-            point, f, grad = new_point, f_new, new_grad
+            point, fwd, f, grad = new_point, new_fwd, f_new, new_grad
             gnorm = norm(grad)
             trace.cost_per_iter.append(f)
             trace.grad_norm_per_iter.append(gnorm)

@@ -140,7 +140,7 @@ class ScaModel(MonitoringStats):
 def t2_batch(G: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
     """T2 of every column of a p x m feature matrix."""
     G = np.asarray(G, dtype=float)
-    return np.einsum("pm,pq,qm->m", G, sigma_inv, G)
+    return np.einsum("pm,pm->m", G, sigma_inv @ G)
 
 
 def kde_pdf(

@@ -37,6 +37,7 @@ from scafd.optimizer import (
     _INITIAL_STEP,
     _MAX_BACKTRACKS,
     _STEPS,
+    _forward,
     _grad,
     _Ray,
     _sq_norm,
@@ -203,7 +204,7 @@ def test_closed_form_trial_matches_moved_point(p, extra, m, log_t, log_scale, se
     X = rng.standard_normal((N, m))
     t = 10.0**log_t
 
-    fwd = _Ray(point, direction, X, enc).at(t)
+    fwd = _Ray(point, _forward(point, X, enc), direction, X, enc).at(t)
     moved = move(point, direction, t)
     oracle = cost(moved, X)
     # The expanded cost ||X||^2 - 2 <W~^T X, G> + <G, W~^T W~ G> sums terms
@@ -238,8 +239,8 @@ def test_line_search_accepts_armijo_step(rng):
     grad = riemannian_grad(point, euclidean_grad(point, X))
     direction = -1.0 * grad
     f0 = cost(point, X)
-    t, f_t, new_point, new_grad, trials = line_search(
-        point, direction, X, grad, f0, _sq_norm(X)
+    t, f_t, new_point, _, new_grad, trials = line_search(
+        point, _forward(point, X, TANH_ID), direction, X, grad, f0, _sq_norm(X)
     )
     assert t > 0 and trials >= 1
     assert f_t <= f0 + _ARMIJO_C1 * t * inner(grad, direction)
@@ -254,7 +255,7 @@ def test_line_search_rejects_zero_gradient(rng):
     X = np.zeros((5, 4))
     zero = TangentPair(np.zeros((5, 2)), np.zeros((5, 2)))
     with pytest.raises(ValueError, match="not a descent direction"):
-        line_search(point, zero, X, zero, 0.0, 0.0)
+        line_search(point, _forward(point, X, TANH_ID), zero, X, zero, 0.0, 0.0)
 
 
 def test_line_search_rejects_ascent_direction(rng):
@@ -263,7 +264,7 @@ def test_line_search_rejects_ascent_direction(rng):
     X = rng.standard_normal((N, m))
     grad = riemannian_grad(point, euclidean_grad(point, X))
     with pytest.raises(ValueError, match="not a descent direction"):
-        line_search(point, grad, X, grad, cost(point, X), _sq_norm(X))
+        line_search(point, _forward(point, X, TANH_ID), grad, X, grad, cost(point, X), _sq_norm(X))
 
 
 def test_line_search_rejects_start_outside_the_step_set(rng):
@@ -273,24 +274,29 @@ def test_line_search_rejects_start_outside_the_step_set(rng):
     grad = riemannian_grad(point, euclidean_grad(point, X))
     for start in (0.3, 2.0 * _INITIAL_STEP, _STEPS[-1] * _BACKTRACK):
         with pytest.raises(ValueError, match="start must be"):
-            line_search(point, -1.0 * grad, X, grad, cost(point, X), _sq_norm(X), start=start)
+            line_search(
+                point, _forward(point, X, TANH_ID), -1.0 * grad, X, grad, cost(point, X),
+                _sq_norm(X), start=start,
+            )
 
 
 def _backtrack_from_one(
-    point, direction, X, grad, f0, x_sq, encoder=TANH_ID, start=_INITIAL_STEP
+    point, fwd, direction, X, grad, f0, x_sq, encoder=TANH_ID, start=_INITIAL_STEP
 ):
     """Reference search: backtrack from _INITIAL_STEP whatever ``start`` says,
     so it returns the largest accepted step of the set."""
     slope = inner(grad, direction)
-    ray = _Ray(point, direction, X, encoder)
+    ray = _Ray(point, fwd, direction, X, encoder)
     t = _INITIAL_STEP
     for trials in range(1, _MAX_BACKTRACKS + 2):
-        fwd = ray.at(t)
-        f_t = fwd.cost(x_sq)
+        new_fwd = ray.at(t)
+        f_t = new_fwd.cost(x_sq)
         if f_t <= f0 + _ARMIJO_C1 * t * slope:
-            new_point = move(point, direction, t)
-            eucl = _grad(fwd, X, new_point.w_tilde.matrix, encoder)
-            return t, f_t, new_point, riemannian_grad(new_point, eucl), trials
+            R = ray.factor(t)[1]
+            w_tilde = StiefelPoint((point.w_tilde.matrix + t * direction.dh) @ R)
+            new_point = ProductPoint(point.w + t * direction.dw, w_tilde)
+            eucl = _grad(new_fwd, X, new_point.w_tilde.matrix, encoder)
+            return t, f_t, new_point, new_fwd, riemannian_grad(new_point, eucl), trials
         t *= _BACKTRACK
     raise LineSearchError("no Armijo step", trials)
 
@@ -314,23 +320,26 @@ def test_warm_started_search_climbs_to_the_top_of_its_run(p, extra, m, log_scale
     if not inner(grad, direction) < 0:
         return  # stationary start
     slope = inner(grad, direction)
-    ray = _Ray(point, direction, X, TANH_ID)
+    fwd = _forward(point, X, TANH_ID)
+    ray = _Ray(point, fwd, direction, X, TANH_ID)
     accepted = [
         k for k, t in enumerate(_STEPS) if ray.at(t).cost(x_sq) <= f0 + _ARMIJO_C1 * t * slope
     ]
     if not accepted:
         with pytest.raises(LineSearchError):
-            line_search(point, direction, X, grad, f0, x_sq, start=_STEPS[k0])
+            line_search(point, fwd, direction, X, grad, f0, x_sq, start=_STEPS[k0])
         return
-    t, f_t, new_point, _, trials = line_search(
-        point, direction, X, grad, f0, x_sq, start=_STEPS[k0]
+    t, f_t, new_point, _, _, trials = line_search(
+        point, fwd, direction, X, grad, f0, x_sq, start=_STEPS[k0]
     )
     k = _STEPS.index(t)  # t is a step, so at most _INITIAL_STEP
     assert k in accepted
     assert k == 0 or k - 1 not in accepted
     assert 1 <= trials <= len(_STEPS)
     if accepted == list(range(accepted[0], accepted[-1] + 1)):
-        ref_t, ref_f, ref_point, _, _ = _backtrack_from_one(point, direction, X, grad, f0, x_sq)
+        ref_t, ref_f, ref_point, _, _, _ = _backtrack_from_one(
+            point, fwd, direction, X, grad, f0, x_sq
+        )
         assert (t, f_t) == (ref_t, ref_f)
         assert np.array_equal(new_point.w, ref_point.w)
         assert np.array_equal(new_point.w_tilde.matrix, ref_point.w_tilde.matrix)
@@ -351,7 +360,10 @@ def test_failing_search_tries_every_step_from_a_warm_start(rng, monkeypatch):
     monkeypatch.setattr(_Ray, "at", recording_at)
     # the cost is a squared norm, so no step reaches below f0 = -1
     with pytest.raises(LineSearchError) as failed:
-        line_search(point, -1.0 * grad, X, grad, -1.0, _sq_norm(X), start=_STEPS[30])
+        line_search(
+            point, _forward(point, X, TANH_ID), -1.0 * grad, X, grad, -1.0, _sq_norm(X),
+            start=_STEPS[30],
+        )
     assert tried == [_STEPS[k] for k in [*range(30, len(_STEPS)), *range(30)]]
     assert failed.value.trials == len(_STEPS) == _MAX_BACKTRACKS + 1
     assert failed.value.trace is None  # only cg_optimize attaches one
@@ -377,8 +389,9 @@ def test_search_below_an_isolated_run_falls_back_to_larger_steps(rng, monkeypatc
 
     monkeypatch.setattr(_Ray, "at", recording_at)
     monkeypatch.setattr(optimizer._Forward, "cost", rigged_cost)
-    t, f_t, _, _, trials = line_search(
-        point, -1.0 * grad, X, grad, -1.0, _sq_norm(X), start=_STEPS[30]
+    t, f_t, _, _, _, trials = line_search(
+        point, _forward(point, X, TANH_ID), -1.0 * grad, X, grad, -1.0, _sq_norm(X),
+        start=_STEPS[30],
     )
     assert (t, f_t) == (_STEPS[2], -2.0)
     assert trials == (len(_STEPS) - 30) + 3
@@ -499,6 +512,37 @@ def test_cg_trace_counts_line_search_trials(rng, monkeypatch):
     assert sum(trace.trials_per_iter) == calls[0]
 
 
+def test_carried_products_and_points_stay_exact_over_a_long_run(rng, monkeypatch):
+    # Each search is seeded with the previous accepted trial's products and
+    # builds its point from the trial's polar factor; neither may drift
+    # from what the iterate itself gives, however many iterations run.
+    N, p, m = 31, 4, 120
+    X = 2.0 * rng.standard_normal((N, m))
+    real_search = optimizer.line_search
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    def checked(point, fwd, direction, X, grad, f0, x_sq, encoder, start=_INITIAL_STEP):
+        out = real_search(point, fwd, direction, X, grad, f0, x_sq, encoder, start)
+        t, _, new_point, new_fwd, _, _ = out
+        for x, carried in ((point, fwd), (new_point, new_fwd)):
+            W = x.w_tilde.matrix
+            assert rel(carried.pre, x.w.T @ X) <= 1e-12
+            assert rel(carried.wt_x, W.T @ X) <= 1e-12
+            assert rel(carried.gram, W.T @ W) <= 1e-12
+        moved = move(point, direction, t)
+        assert rel(new_point.w, moved.w) <= 1e-12
+        assert rel(new_point.w_tilde.matrix, moved.w_tilde.matrix) <= 1e-12
+        assert orthonormality_error(new_point.w_tilde.matrix) <= 1e-12
+        return out
+
+    monkeypatch.setattr(optimizer, "line_search", checked)
+    cfg = CgConfig(max_iters=250, grad_tol=0.0, cost_rel_tol=0.0)
+    _, trace = cg_optimize(init_product_point(N, p, rng), X, cfg)
+    assert trace.iterations >= 200
+
+
 def test_cg_trace_counts_the_failed_search_before_a_retry(rng, monkeypatch):
     # The first conjugate (not steepest-descent) direction gets a search that
     # cannot succeed; cg_optimize retries along -grad and that iteration's
@@ -508,11 +552,11 @@ def test_cg_trace_counts_the_failed_search_before_a_retry(rng, monkeypatch):
     real_search = optimizer.line_search
     failed = []
 
-    def failing_once(point, direction, X, grad, f0, x_sq, encoder, start=_INITIAL_STEP):
+    def failing_once(point, fwd, direction, X, grad, f0, x_sq, encoder, start=_INITIAL_STEP):
         if not failed and inner(direction + grad, direction + grad) != 0.0:
             failed.append(True)
             f0 = -1.0  # below any squared norm: every step is rejected
-        return real_search(point, direction, X, grad, f0, x_sq, encoder, start)
+        return real_search(point, fwd, direction, X, grad, f0, x_sq, encoder, start)
 
     calls = _count_trials(monkeypatch)
     monkeypatch.setattr(optimizer, "line_search", failing_once)
@@ -532,11 +576,13 @@ def test_line_search_error_carries_the_trace_so_far(rng, monkeypatch):
     real_search = optimizer.line_search
     searches = []
 
-    def failing_from_the_third(point, direction, X, grad, f0, x_sq, encoder, start=_INITIAL_STEP):
+    def failing_from_the_third(
+        point, fwd, direction, X, grad, f0, x_sq, encoder, start=_INITIAL_STEP
+    ):
         searches.append(start)
         if len(searches) > 2:
             f0 = -1.0  # below any squared norm: every step is rejected
-        return real_search(point, direction, X, grad, f0, x_sq, encoder, start)
+        return real_search(point, fwd, direction, X, grad, f0, x_sq, encoder, start)
 
     monkeypatch.setattr(optimizer, "line_search", failing_from_the_third)
     with pytest.raises(LineSearchError) as failed:
