@@ -31,6 +31,7 @@ _LR_FLOOR = 1e-16
 _FLAT_WINDOW = 10
 _LR_START = 1.0  # first gradient-descent step
 _COST_REL_TOL = 1e-9  # stop at a smaller relative drop over _FLAT_WINDOW steps
+_NORM_BLOCK_ELEMS = 2**14  # gradient entries held for one batched norm pass
 
 
 def _check_shapes(model: MonitoringStats, expected: dict[str, tuple[int, ...]]) -> None:
@@ -170,6 +171,9 @@ class AeTrace:
 
     cost_per_iter: list[float] = field(default_factory=list)
     grad_norm_per_iter: list[float] = field(default_factory=list)
+    # cost evaluations behind each accepted step (1 + the halvings it took);
+    # a final search that reached _LR_FLOOR is not listed
+    trials_per_iter: list[int] = field(default_factory=list)
     iterations: int = 0
     # why the descent stopped: "flat" (cost dropped too little over
     # _FLAT_WINDOW steps), "step_floor" (no step down to _LR_FLOOR lowered
@@ -278,18 +282,35 @@ def kpca_fit(
     )
 
 
+def _ae_views(
+    flat: np.ndarray, n: int, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(w_enc, b_enc, w_dec, b_dec) as views of one flat parameter vector."""
+    a, b, c = n * p, n * p + p, 2 * n * p + p
+    return flat[:a].reshape(n, p), flat[a:b], flat[b:c].reshape(n, p), flat[c:]
+
+
 def ae_cost_grad(
     params: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     X: np.ndarray,
     encoder: Activation = TANH,
+    out: np.ndarray | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Reconstruction cost and analytic gradients for the biased autoencoder.
 
     The decoder is linear: the reconstruction is w_dec enc(w_enc^T X + b_enc)
     + b_dec.  Biases and residual are formed in place, in the order of that
-    expression.
+    expression.  Without ``out`` the four gradients are fresh arrays.  With
+    ``out``, a flat float64 vector of the parameter length laid out as
+    (w_enc, b_enc, w_dec, b_dec), the same kernels write them into views of
+    ``out`` and those views are returned.
     """
     w_enc, b_enc, w_dec, b_dec = params
+    n, p = w_enc.shape
+    size = 2 * n * p + p + n
+    if out is not None and (out.dtype != np.float64 or out.shape != (size,)):
+        raise ValueError(f"out must be a flat float64 vector of {size} entries")
+    dests = (None,) * 4 if out is None else _ae_views(out, n, p)
     pre_codes = w_enc.T @ X
     pre_codes += b_enc[:, None]
     codes = encoder.fn(pre_codes)
@@ -298,11 +319,11 @@ def ae_cost_grad(
     err -= X
     value = float((err * err).sum())
     D = 2.0 * err
-    g_w_dec = D @ codes.T
-    g_b_dec = D.sum(axis=1)
+    g_w_dec = np.matmul(D, codes.T, out=dests[2])
+    g_b_dec = np.add.reduce(D, axis=1, out=dests[3])
     dcodes = (w_dec.T @ D) * encoder.deriv(codes)
-    g_w_enc = X @ dcodes.T
-    g_b_enc = dcodes.sum(axis=1)
+    g_w_enc = np.matmul(X, dcodes.T, out=dests[0])
+    g_b_enc = np.add.reduce(dcodes, axis=1, out=dests[1])
     return value, (g_w_enc, g_b_enc, g_w_dec, g_b_dec)
 
 
@@ -315,35 +336,45 @@ def _gradient_descent(
 ) -> tuple[tuple[np.ndarray, ...], AeTrace]:
     """Monotone gradient descent: halve the step until the cost does not rise.
 
-    theta = (w_enc, b_enc, w_dec, b_dec) lives in one flat vector, so a
-    trial step is one ``theta - lr * g``; the parameters handed to
-    ``ae_cost_grad`` and returned are views of it.
+    theta = (w_enc, b_enc, w_dec, b_dec) lives in one flat vector.  The
+    current and the candidate theta are two preallocated buffers whose
+    parameter views are built once: a trial writes ``theta - lr * g`` into
+    the candidate (the same two roundings), and an accepted trial swaps the
+    two.  ``ae_cost_grad`` writes each trial's gradient into the next row of
+    one block of at most max(_NORM_BLOCK_ELEMS, 2 P) entries for P
+    parameters, two rows at least; an accepted gradient keeps its row.  The
+    norms of a full block, and of the rows left when the descent stops, are
+    taken in one pass with the same per-parameter-block sums, added in block
+    order, as a norm taken per step, so ``grad_norm_per_iter`` is unchanged
+    bit for bit.
     """
     n = X.shape[0]
-    shapes = ((n, p), (p,), (n, p), (n,))
-    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
-    blocks = [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-
-    def unpack(flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple([flat[b].reshape(s) for b, s in zip(blocks, shapes)])
-
-    def grad_norm(g: np.ndarray) -> float:
-        # per-block sums added in block order, as over the separate arrays
-        gg = g * g
-        return math.sqrt(sum([np.add.reduce(gg[b]) for b in blocks]))
-
     theta = np.concatenate([
         rng.standard_normal((n, p)) / np.sqrt(n),
         np.zeros(p),
         rng.standard_normal((n, p)) / np.sqrt(n),
         np.zeros(n),
     ], axis=None)
-    f, grads = ae_cost_grad(unpack(theta), X, encoder)
+    cand = np.empty_like(theta)
+    params, cand_params = _ae_views(theta, n, p), _ae_views(cand, n, p)
+    size = theta.size
+    ends = [0, n * p, n * p + p, 2 * n * p + p, size]
+    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    rows = np.empty((max(2, _NORM_BLOCK_ELEMS // size), size))
+    filled = 1  # rows[:filled] hold gradients whose norm is still owed
+
+    f, _ = ae_cost_grad(params, X, encoder, out=rows[0])
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
-    g = np.concatenate(grads, axis=None)
-    trace = AeTrace(cost_per_iter=[f], grad_norm_per_iter=[grad_norm(g)])
+    g = rows[0]
+    trace = AeTrace(cost_per_iter=[f])
     costs = trace.cost_per_iter
+
+    def flush() -> None:
+        gg = rows[:filled] * rows[:filled]
+        sq = sum([np.add.reduce(gg[:, b], axis=1) for b in blocks])
+        trace.grad_norm_per_iter.extend(np.sqrt(sq).tolist())
+
     lr = _LR_START
     for _ in range(max_iters):
         if len(costs) > _FLAT_WINDOW:
@@ -351,25 +382,35 @@ def _gradient_descent(
             if drop <= _COST_REL_TOL * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
                 trace.stop_reason = "flat"
                 break
+        if filled == rows.shape[0]:
+            flush()  # g sits in the last row; the next trial writes row 0
+            filled = 0
+        trials = 0
         while lr >= _LR_FLOOR:
-            candidate = theta - lr * g
+            np.multiply(g, lr, out=cand)
+            np.subtract(theta, cand, out=cand)
+            trials += 1
             try:
-                f_new, grads_new = ae_cost_grad(unpack(candidate), X, encoder)
+                f_new, _ = ae_cost_grad(cand_params, X, encoder, out=rows[filled])
             except FloatingPointError:
                 f_new = np.inf
             if math.isfinite(f_new) and f_new <= f:
-                theta, f, g = candidate, f_new, np.concatenate(grads_new, axis=None)
+                theta, cand = cand, theta
+                params, cand_params = cand_params, params
+                f, g = f_new, rows[filled]
+                filled += 1
                 break
             lr *= 0.5  # halve on cost increase, keep the reduced step
         else:
             trace.stop_reason = "step_floor"
             break
         costs.append(f)
-        trace.grad_norm_per_iter.append(grad_norm(g))
+        trace.trials_per_iter.append(trials)
         trace.iterations += 1
     else:
         trace.stop_reason = "max_iters"
-    return unpack(theta), trace
+    flush()
+    return params, trace
 
 
 def ae_train(

@@ -10,6 +10,7 @@ from scafd.baselines import (
     _FLAT_WINDOW,
     _LR_FLOOR,
     _LR_START,
+    _NORM_BLOCK_ELEMS,
     AeModel,
     AeTrace,
     KpcaModel,
@@ -278,6 +279,59 @@ def test_ae_grad_matches_finite_differences(seed):
         assert np.all(np.abs(g - fd) <= 1e-5 * np.maximum(1.0, np.abs(g)))
 
 
+def _random_ae_params(rng, n, p):
+    return (
+        rng.standard_normal((n, p)),
+        rng.standard_normal(p),
+        rng.standard_normal((n, p)),
+        rng.standard_normal(n),
+    )
+
+
+@pytest.mark.parametrize("encoder", [TANH_ID, IDENTITY], ids=lambda e: e.name)
+def test_ae_cost_grad_out_matches_fresh_arrays_bit_for_bit(encoder):
+    rng = np.random.default_rng(3)
+    n, p = 5, 3
+    X = rng.standard_normal((n, 11))
+    params = _random_ae_params(rng, n, p)
+    value, grads = ae_cost_grad(params, X, encoder)
+    buf = np.full(2 * n * p + p + n, np.nan)
+    value_out, grads_out = ae_cost_grad(params, X, encoder, out=buf)
+    assert value_out == value
+    for got, want in zip(grads_out, grads):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, buf)
+    # laid out as (w_enc, b_enc, w_dec, b_dec), the descent's theta layout
+    assert buf.tobytes() == np.concatenate(grads, axis=None).tobytes()
+
+
+def test_ae_cost_grad_without_out_returns_fresh_arrays():
+    rng = np.random.default_rng(4)
+    n, p = 4, 2
+    X = rng.standard_normal((n, 9))
+    first = ae_cost_grad(_random_ae_params(rng, n, p), X, TANH_ID)[1]
+    kept = [g.copy() for g in first]
+    second = ae_cost_grad(_random_ae_params(rng, n, p), X, TANH_ID)[1]
+    kept_second = [g.copy() for g in second]
+    ae_cost_grad(_random_ae_params(rng, n, p), X, TANH_ID, out=np.empty(2 * n * p + p + n))
+    for a, b, a_kept, b_kept in zip(first, second, kept, kept_second):
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, a_kept) and np.array_equal(b, b_kept)
+    assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty(20), np.empty(23), np.empty((1, 22)), np.empty(22, dtype=np.float32)],
+    ids=["short", "long", "2-d", "float32"],
+)
+def test_ae_cost_grad_rejects_a_mis_sized_out(out):
+    n, p = 4, 2  # 2 n p + p + n = 22 parameters
+    params = _random_ae_params(np.random.default_rng(0), n, p)
+    with pytest.raises(ValueError, match="22 entries"):
+        ae_cost_grad(params, np.ones((n, 5)), TANH_ID, out=out)
+
+
 # ---------------------------------------------------------------------------
 # ae_train
 
@@ -352,7 +406,7 @@ def _old_ae_cost_grad(params, X, encoder=TANH_ID):
     return value, (g_w_enc, g_b_enc, g_w_dec, g_b_dec)
 
 
-def _old_gradient_descent(X, p, rng, encoder, max_iters):
+def _old_gradient_descent(X, p, rng, encoder, max_iters, cost_grad=_old_ae_cost_grad):
     n = X.shape[0]
     params = (
         rng.standard_normal((n, p)) / np.sqrt(n),
@@ -360,7 +414,7 @@ def _old_gradient_descent(X, p, rng, encoder, max_iters):
         rng.standard_normal((n, p)) / np.sqrt(n),
         np.zeros(n),
     )
-    f, grads = _old_ae_cost_grad(params, X, encoder)
+    f, grads = cost_grad(params, X, encoder)
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
     gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
@@ -376,7 +430,7 @@ def _old_gradient_descent(X, p, rng, encoder, max_iters):
         while lr >= _LR_FLOOR:
             candidate = tuple(p_ - lr * g_ for p_, g_ in zip(params, grads))
             try:
-                f_new, grads_new = _old_ae_cost_grad(candidate, X, encoder)
+                f_new, grads_new = cost_grad(candidate, X, encoder)
             except FloatingPointError:
                 f_new = np.inf
             if np.isfinite(f_new) and f_new <= f:
@@ -410,9 +464,9 @@ def toy_fits(tmp_path_factory):
         for expand in (False, True):
             calls = []
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 calls.append(1)
-                return original(*args)
+                return original(*args, **kwargs)
 
             baselines.ae_cost_grad = counted
             try:
@@ -424,18 +478,126 @@ def toy_fits(tmp_path_factory):
     return fits
 
 
+def _assert_same_descent(params, trace, ref_params, ref):
+    for name, got, want in zip(("w_enc", "b_enc", "w_dec", "b_dec"), params, ref_params):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert np.array_equal(trace.cost_per_iter, ref.cost_per_iter)
+    assert np.array_equal(trace.grad_norm_per_iter, ref.grad_norm_per_iter)
+    assert trace.iterations == ref.iterations
+    assert len(trace.grad_norm_per_iter) == len(trace.cost_per_iter)
+
+
 def test_descent_is_bit_identical_to_the_separate_array_descent(toy_fits):
     for toy_seed, mat, model, trace, _ in toy_fits:
         rng = np.random.default_rng(toy_seed)
         params, old = _old_gradient_descent(mat, 2, rng, TANH_ID, 2000)
-        for name, ref in zip(("w_enc", "b_enc", "w_dec", "b_dec"), params):
-            assert np.array_equal(getattr(model, name), ref), name
-        assert np.array_equal(trace.cost_per_iter, old.cost_per_iter)
-        assert np.array_equal(trace.grad_norm_per_iter, old.grad_norm_per_iter)
-        assert trace.iterations == old.iterations
+        got = (model.w_enc, model.b_enc, model.w_dec, model.b_dec)
+        _assert_same_descent(got, trace, params, old)
     # one call at the start and one per trial: a fit with more trials than
     # accepted steps halved its step, so the halving path is covered too
     assert any(calls - 1 > trace.iterations for *_, trace, calls in toy_fits)
+
+
+def test_identity_descent_is_bit_identical_to_the_separate_array_descent(toy_fits):
+    for toy_seed, mat, *_ in toy_fits:
+        got = _gradient_descent(mat, 2, np.random.default_rng(toy_seed), IDENTITY, 2000)
+        ref = _old_gradient_descent(mat, 2, np.random.default_rng(toy_seed), IDENTITY, 2000)
+        _assert_same_descent(*got, *ref)
+
+
+def test_trials_per_iter_counts_every_cost_evaluation(toy_fits):
+    for *_, trace, calls in toy_fits:
+        assert len(trace.trials_per_iter) == trace.iterations
+        assert min(trace.trials_per_iter) >= 1
+        # a max_iters stop leaves no failed search: 1 initial call + trials
+        assert sum(trace.trials_per_iter) == calls - 1
+    # some step was halved, so some entry counts more than one trial
+    assert max(max(trace.trials_per_iter) for *_, trace, _ in toy_fits) > 1
+
+
+def _rigged(cost_grad, limit):
+    """cost_grad whose evaluations after the first ``limit`` return inf."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        value, grads = cost_grad(*args, **kwargs)
+        return (value if len(calls) <= limit else np.inf), grads
+
+    return wrapped
+
+
+def _descent_pair(X, p, max_iters, monkeypatch, limit=None):
+    from scafd import baselines
+
+    oracle_cost_grad = _old_ae_cost_grad
+    if limit is not None:
+        monkeypatch.setattr(baselines, "ae_cost_grad", _rigged(baselines.ae_cost_grad, limit))
+        oracle_cost_grad = _rigged(_old_ae_cost_grad, limit)
+    got = _gradient_descent(X, p, np.random.default_rng(5), TANH_ID, max_iters)
+    ref = _old_gradient_descent(
+        X, p, np.random.default_rng(5), TANH_ID, max_iters, oracle_cost_grad
+    )
+    return got, ref
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_batched_norms_cross_block_boundaries_bit_for_bit(rows, monkeypatch):
+    from scafd import baselines
+
+    n, p = 3, 2
+    size = 2 * n * p + p + n
+    monkeypatch.setattr(baselines, "_NORM_BLOCK_ELEMS", rows * size)
+    X = np.random.default_rng(9).standard_normal((n, 40))
+    # max_iters: 1 + max_iters norms end on every offset inside a block
+    for max_iters in (rows - 1, rows, rows + 1, 4 * rows + 1):
+        (params, trace), ref = _descent_pair(X, p, max_iters, monkeypatch)
+        assert trace.stop_reason == "max_iters"
+        _assert_same_descent(params, trace, *ref)
+    # flat: zero data keeps the cost at 0, _FLAT_WINDOW steps then stop
+    (params, trace), ref = _descent_pair(np.zeros((n, 20)), p, 100, monkeypatch)
+    assert trace.stop_reason == "flat"
+    _assert_same_descent(params, trace, *ref)
+    # step_floor: every evaluation after the limit is rejected
+    offsets = set()
+    for limit in range(1, 30):
+        with monkeypatch.context() as patch:
+            (params, trace), ref = _descent_pair(X, p, 100, patch, limit=limit)
+        assert trace.stop_reason == "step_floor"
+        _assert_same_descent(params, trace, *ref)
+        offsets.add(len(trace.grad_norm_per_iter) % rows)
+    assert len(offsets) == rows  # the stop fell at every row of a block
+
+
+def test_norm_block_is_bounded_and_allocated_once(monkeypatch):
+    from scafd import baselines
+
+    original = baselines.ae_cost_grad
+    blocks = []
+
+    def spy(*args, out=None, **kwargs):
+        blocks.append(out.base)
+        return original(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(baselines, "ae_cost_grad", spy)
+    rng = np.random.default_rng(2)
+    # n=3, p=2: 17 parameters, so many rows; n=861 (a 40-variable second-order
+    # expansion), p=25: 43936 parameters, so the block is two gradients
+    for X, p, max_iters in (
+        (rng.standard_normal((3, 60)), 2, 3000),
+        (rng.standard_normal((861, 30)), 25, 300),
+    ):
+        n = X.shape[0]
+        size = 2 * n * p + p + n
+        blocks.clear()
+        _, trace = _gradient_descent(X, p, np.random.default_rng(0), TANH_ID, max_iters)
+        block = blocks[0]
+        assert all(b is block for b in blocks)  # one block for the whole fit
+        assert block.shape[1] == size and block.shape[0] >= 2
+        assert block.size <= max(_NORM_BLOCK_ELEMS, 2 * size)
+        # the fit outlasted the block several times over
+        assert trace.iterations == max_iters > 2 * block.shape[0]
+        assert len(trace.grad_norm_per_iter) == trace.iterations + 1
 
 
 def test_toy_fits_stop_at_max_iters(toy_fits):
@@ -459,8 +621,8 @@ def test_descent_stops_at_step_floor_when_no_step_lowers_the_cost(rng, monkeypat
     original = baselines.ae_cost_grad
     costs = []
 
-    def rising(params, X, encoder):
-        value, grads = original(params, X, encoder)
+    def rising(params, X, encoder, out=None):
+        value, grads = original(params, X, encoder, out=out)
         costs.append(value)
         return (value if len(costs) == 1 else costs[0] + 1.0), grads
 
@@ -468,6 +630,8 @@ def test_descent_stops_at_step_floor_when_no_step_lowers_the_cost(rng, monkeypat
     _, trace = ae_train(DataMatrix(rng.standard_normal((3, 40))), 2, seed=0)
     assert trace.stop_reason == "step_floor"
     assert trace.iterations == 0
+    assert trace.trials_per_iter == []  # the failed search is not a step
+    assert len(trace.grad_norm_per_iter) == 1
     # trials at 1, 1/2, ..., down to the 1e-16 floor
     assert len(costs) - 1 == int(np.floor(np.log2(1.0 / _LR_FLOOR))) + 1
 
