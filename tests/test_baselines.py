@@ -493,16 +493,12 @@ def test_descent_is_bit_identical_to_the_separate_array_descent(toy_fits):
         params, old = _old_gradient_descent(mat, 2, rng, TANH_ID, 2000)
         got = (model.w_enc, model.b_enc, model.w_dec, model.b_dec)
         _assert_same_descent(got, trace, params, old)
-    # one call at the start and one per trial: a fit with more trials than
-    # accepted steps halved its step, so the halving path is covered too
-    assert any(calls - 1 > trace.iterations for *_, trace, calls in toy_fits)
-
-
-def test_identity_descent_is_bit_identical_to_the_separate_array_descent(toy_fits):
-    for toy_seed, mat, *_ in toy_fits:
         got = _gradient_descent(mat, 2, np.random.default_rng(toy_seed), IDENTITY, 2000)
         ref = _old_gradient_descent(mat, 2, np.random.default_rng(toy_seed), IDENTITY, 2000)
         _assert_same_descent(*got, *ref)
+    # one call at the start and one per trial: a fit with more trials than
+    # accepted steps halved its step, so the halving path is covered too
+    assert any(calls - 1 > trace.iterations for *_, trace, calls in toy_fits)
 
 
 def test_trials_per_iter_counts_every_cost_evaluation(toy_fits):
