@@ -3,7 +3,9 @@ CLI reads (samples as rows, header x1..xN).
 
 The public distribution stores the training block d00.dat as variables x
 samples while every test block is samples x variables; --orientation auto
-assumes 52 process variables and transposes whichever axis matches.
+assumes 52 process variables and transposes whichever axis matches.  The
+plant benchmark is this conversion followed by ``scafd bench`` (see the
+README's Experiments section).
 
 Example:
     python3 scripts/convert_tep_dat.py /data/tep/d00.dat /tmp/tep_train.csv
@@ -13,6 +15,8 @@ import argparse
 from pathlib import Path
 
 import numpy as np
+
+from scafd.data import write_samples_csv
 
 
 def convert(in_path: Path, out_path: Path, orientation: str,
@@ -31,10 +35,7 @@ def convert(in_path: Path, out_path: Path, orientation: str,
                 "pass --orientation explicitly"
             )
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(raw.shape[1])) + "\n")
-        for row in raw:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_samples_csv(out_path, raw.T)
     return raw.shape
 
 

@@ -49,7 +49,6 @@ from .sca import (
     MonitoringStats,
     ScaModel,
     control_limit,
-    kde_pdf,
     monitor,
     score,
     silverman_bandwidth,
@@ -84,7 +83,6 @@ __all__ = [
     "fit_scaler",
     "get_activation",
     "inner",
-    "kde_pdf",
     "kpca_fit",
     "load_csv",
     "load_model",

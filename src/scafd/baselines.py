@@ -34,14 +34,6 @@ _COST_REL_TOL = 1e-9  # stop at a smaller relative drop over _FLAT_WINDOW steps
 _NORM_BLOCK_ELEMS = 2**14  # gradient entries held for one batched norm pass
 
 
-def _check_shapes(model: MonitoringStats, expected: dict[str, tuple[int, ...]]) -> None:
-    """Reject feature-map arrays that would only broadcast against each other."""
-    for name, shape in expected.items():
-        actual = getattr(model, name).shape
-        if actual != shape:
-            raise ValueError(f"{name} has shape {actual}, expected {shape}")
-
-
 @dataclass(kw_only=True)
 class PcaModel(MonitoringStats):
     """Linear monitor: top-p eigenvectors of the scaled sample covariance."""
@@ -52,10 +44,8 @@ class PcaModel(MonitoringStats):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.loading = np.asarray(self.loading, dtype=float)
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float).ravel()
         n, p = self.scaler.n_variables, self.g_mean.shape[0]
-        _check_shapes(self, {"loading": (n, p), "eigenvalues": (n,)})
+        self._check_shapes({"loading": (n, p), "eigenvalues": (n,)})
         err = np.linalg.norm(self.loading.T @ self.loading - np.eye(p))
         if err > 1e-10:
             raise ValueError(f"loading columns not orthonormal: {err:.3e}")
@@ -86,12 +76,9 @@ class KpcaModel(MonitoringStats):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("train_scaled", "alphas", "gram_col_means"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float).ravel()
         n, p = self.scaler.n_variables, self.g_mean.shape[0]
         m = self.train_scaled.shape[-1]
-        _check_shapes(self, {
+        self._check_shapes({
             "train_scaled": (n, m),
             "alphas": (m, p),
             "eigenvalues": (p,),
@@ -109,12 +96,7 @@ class KpcaModel(MonitoringStats):
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         scaled = apply_scaler(self.scaler, X).values
         # Kernel rows against the training block, then double centering.
-        sq = (
-            np.sum(scaled**2, axis=0)[:, None]
-            + np.sum(self.train_scaled**2, axis=0)[None, :]
-            - 2.0 * scaled.T @ self.train_scaled
-        )
-        k = np.exp(-np.maximum(sq, 0.0) / self.kernel_width)
+        k = _gaussian_kernel(scaled, self.train_scaled, self.kernel_width)
         k_centered = (
             k
             - k.mean(axis=1, keepdims=True)
@@ -139,16 +121,11 @@ class AeModel(MonitoringStats):
     def __post_init__(self) -> None:
         super().__post_init__()
         get_activation(self.encoder_activation)
-        for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            setattr(self, name, arr)
         n, p = self.scaler.n_variables, self.g_mean.shape[0]
         if self.expand_inputs:
             n = expanded_dim(n)
-        _check_shapes(
-            self, {"w_enc": (n, p), "b_enc": (p,), "w_dec": (n, p), "b_dec": (n,)}
+        self._check_shapes(
+            {"w_enc": (n, p), "b_enc": (p,), "w_dec": (n, p), "b_dec": (n,)}
         )
 
     @property
@@ -221,11 +198,19 @@ def pca_fit(
     return PcaModel(scaler=scaler, loading=loading, eigenvalues=vals, **vars(stats))
 
 
+def _gaussian_kernel(A: np.ndarray, B: np.ndarray, width: float) -> np.ndarray:
+    """exp(-||a_i - b_j||^2 / width) between the columns of A and of B."""
+    dist = (
+        np.sum(A**2, axis=0)[:, None]
+        + np.sum(B**2, axis=0)[None, :]
+        - 2.0 * A.T @ B
+    )
+    return np.exp(-np.maximum(dist, 0.0) / width)
+
+
 def gaussian_gram(X: np.ndarray, width: float) -> np.ndarray:
     """Gram matrix exp(-||x_i - x_j||^2 / width) over the columns of X."""
-    sq = np.sum(X**2, axis=0)
-    dist = sq[:, None] + sq[None, :] - 2.0 * X.T @ X
-    return np.exp(-np.maximum(dist, 0.0) / width)
+    return _gaussian_kernel(X, X, width)
 
 
 def center_gram(K: np.ndarray) -> np.ndarray:

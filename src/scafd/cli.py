@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, persistence, sca
-from .data import DataMatrix, load_csv
+from .data import DataMatrix, load_csv, write_samples_csv
 from .optimizer import CgConfig
 
 METHODS = ("pca", "kpca", "ae", "sae", "sca")
@@ -84,16 +84,9 @@ def gen_toy(
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path = out_dir / "train.csv"
     test_path = out_dir / "test.csv"
-    _write_samples_csv(train_path, train)
-    _write_samples_csv(test_path, np.concatenate([normal, fault], axis=1))
+    write_samples_csv(train_path, train)
+    write_samples_csv(test_path, np.concatenate([normal, fault], axis=1))
     return train_path, test_path
-
-
-def _write_samples_csv(path: Path, values: np.ndarray) -> None:
-    with path.open("w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(values.shape[0])) + "\n")
-        for col in values.T:
-            fh.write(",".join(repr(float(v)) for v in col) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,11 @@ class Scaler:
         self.std = np.asarray(self.std, dtype=float).ravel()
         if self.mean.shape != self.std.shape:
             raise ValueError("mean and std must have the same length")
-        if not np.all(self.std > 0):
-            raise ValueError("scaler std entries must be strictly positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("scaler mean entries must be finite")
+        # an infinite std would scale every sample to 0
+        if not np.all((self.std > 0) & np.isfinite(self.std)):
+            raise ValueError("scaler std entries must be finite and strictly positive")
 
     @property
     def n_variables(self) -> int:
@@ -232,3 +235,15 @@ def load_csv(
     if samples == "rows":
         return DataMatrix(values=arr.T, variable_names=names)
     return DataMatrix(values=arr, variable_names=None)
+
+
+def write_samples_csv(path: str | Path, values: np.ndarray) -> None:
+    """Write an n x m block as CSV: header x1..xn, then one row per sample.
+
+    This is the layout ``load_csv(path, samples="rows", header=True)`` reads.
+    Values are written with ``repr``, so they read back exactly.
+    """
+    with Path(path).open("w") as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(values.shape[0])) + "\n")
+        for col in values.T:
+            fh.write(",".join(repr(float(v)) for v in col) + "\n")

@@ -33,7 +33,7 @@ class StiefelPoint:
         if self.matrix.ndim != 2:
             raise ValueError("Stiefel point must be a 2-D matrix")
         err = orthonormality_error(self.matrix)
-        if err > ORTHO_TOL:
+        if not err <= ORTHO_TOL:  # a non-finite matrix has a NaN or inf error
             raise ValueError(
                 f"columns are not orthonormal: ||W^T W - I||_F = {err:.3e}"
             )

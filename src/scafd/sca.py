@@ -16,6 +16,7 @@ expanding, compute its T2, and alarm when it exceeds the control limit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,6 @@ from .optimizer import CgConfig, CgTrace, cg_optimize, init_product_point
 
 DEFAULT_ZETA = 0.01
 _RIDGE_SCALE = 1e-8
-_KDE_CHUNK = 1 << 18  # cap on query*sample products evaluated at once (2 MB)
 # numpy has no erfc, and the runtime depends on numpy alone
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 # samples scaled, encoded and scored at once; bounds the n x chunk scaled
@@ -72,6 +72,9 @@ class MonitoringStats:
 
     Every monitor subclasses it and adds its feature map: the fields and the
     ``encode_batch`` method that turns raw samples into a p x m feature block.
+    Every field annotated ``np.ndarray``, here or in a subclass, is stored as
+    float64, and it and every ``float`` field must be finite: a NaN weight
+    would make every T2 NaN, and NaN never exceeds the limit.
     """
 
     sigma_g_inv: np.ndarray
@@ -82,9 +85,18 @@ class MonitoringStats:
     zeta: float = DEFAULT_ZETA
 
     def __post_init__(self) -> None:
-        self.sigma_g_inv = np.asarray(self.sigma_g_inv, dtype=float)
-        self.g_mean = np.asarray(self.g_mean, dtype=float).ravel()
-        self.t2_train = np.asarray(self.t2_train, dtype=float).ravel()
+        # field types are strings: this module postpones annotations
+        for f in dataclasses.fields(self):
+            if f.type not in ("np.ndarray", "float"):
+                continue
+            value = getattr(self, f.name)
+            if f.type == "np.ndarray":
+                value = np.asarray(value, dtype=float)
+                setattr(self, f.name, value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} contains non-finite entries")
+        self.g_mean = self.g_mean.ravel()
+        self.t2_train = self.t2_train.ravel()
         p = self.g_mean.shape[0]
         if self.sigma_g_inv.shape != (p, p):
             raise ValueError(
@@ -99,6 +111,13 @@ class MonitoringStats:
             raise ValueError("KDE bandwidth must be positive")
         _check_zeta(self.zeta)
 
+    def _check_shapes(self, expected: dict[str, tuple[int, ...]]) -> None:
+        """Reject feature-map arrays that would only broadcast against each other."""
+        for name, shape in expected.items():
+            actual = getattr(self, name).shape
+            if actual != shape:
+                raise ValueError(f"{name} has shape {actual}, expected {shape}")
+
 
 @dataclass(kw_only=True)
 class ScaModel(MonitoringStats):
@@ -111,7 +130,6 @@ class ScaModel(MonitoringStats):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.w = np.asarray(self.w, dtype=float)
         if self.w.shape != self.w_tilde.shape:
             raise ValueError("encoder and decoder shapes differ")
         if self.g_mean.shape[0] != self.w.shape[1]:
@@ -141,25 +159,6 @@ def t2_batch(G: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
     """T2 of every column of a p x m feature matrix."""
     G = np.asarray(G, dtype=float)
     return np.einsum("pm,pm->m", G, sigma_inv @ G)
-
-
-def kde_pdf(
-    t2_samples: np.ndarray, h: float, query: float | np.ndarray
-) -> float | np.ndarray:
-    """Gaussian kernel density of the T2 sample at the query point(s)."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    samples = np.asarray(t2_samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
-    q = np.atleast_1d(np.asarray(query, dtype=float))
-    scale = 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
-    out = np.empty_like(q)
-    step = max(1, _KDE_CHUNK // samples.size)
-    for lo in range(0, q.size, step):
-        d = q[lo : lo + step, None] - samples
-        out[lo : lo + step] = scale * np.exp(-(d * d) / (2.0 * h * h)).sum(axis=1)
-    return float(out[0]) if np.isscalar(query) or np.ndim(query) == 0 else out
 
 
 def _finite_samples(t2_samples: np.ndarray) -> np.ndarray:

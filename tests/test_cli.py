@@ -1,6 +1,7 @@
 """CLI surface: toy generator, Bayes demo, benchmark runner, train/detect."""
 
 import csv
+import importlib.util
 import json
 import os
 import stat
@@ -448,8 +449,11 @@ def test_cli_detect_reports_malformed_format_2_array(toy_paths, tmp_path, capsys
         (lambda doc: {**doc, "activations": 5}, "entry 'activations' must be a list"),
         (lambda doc: {**doc, "activations": "xy"}, "entry 'activations' must be a list"),
         (lambda doc: {**doc, "scaler": [0.0]}, "entry 'scaler' must be an object"),
+        # an infinite limit used to load, and then no sample ever alarmed
+        (lambda doc: {**doc, "control_limit": float("inf")},
+         "control_limit contains non-finite entries"),
     ],
-    ids=["array", "activations-int", "activations-str", "scaler-list"],
+    ids=["array", "activations-int", "activations-str", "scaler-list", "limit-inf"],
 )
 def test_cli_detect_reports_malformed_model_structure(toy_paths, tmp_path, capsys, edit, match):
     golden = Path(__file__).parent / "data" / "v2" / "sca.json"
@@ -544,3 +548,56 @@ def test_script_help_exits_zero(script):
     )
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_plant_data_converts_and_benches_end_to_end(tmp_path):
+    # the public layout: d00.dat holds variables as rows, dNN_te.dat samples
+    # as rows with the normal samples first
+    convert = _load_script("convert_tep_dat").convert
+    rng = np.random.default_rng(3)
+    n, normal = 52, 16
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    np.savetxt(raw / "d00.dat", rng.standard_normal((n, 60)))
+    tests = {}
+    for fault in (1, 2):
+        block = rng.standard_normal((40, n))
+        block[normal:, fault] += 6.0
+        np.savetxt(raw / f"d{fault:02d}_te.dat", block)
+        tests[fault] = block
+    csv_dir = tmp_path / "csv"
+    assert tuple(convert(raw / "d00.dat", csv_dir / "train.csv", "auto")) == (60, n)
+    for fault in tests:
+        convert(raw / f"d{fault:02d}_te.dat", csv_dir / f"d{fault:02d}.csv", "auto")
+    loaded = load_csv(csv_dir / "d01.csv", samples="rows", header=True)
+    assert np.array_equal(loaded.values, np.loadtxt(raw / "d01_te.dat").T)
+
+    # p = 53 exceeds PCA's 52 variables; kpca and sca still report
+    out = tmp_path / "bench"
+    rc = main(["bench", "--train", str(csv_dir / "train.csv"), "--header",
+               "--methods", "pca,kpca,sca", "--p", "53", "--max-iters", "10",
+               "--out-dir", str(out)]
+              + [f"--test={csv_dir / f'd{f:02d}.csv'}:{normal}:{f}" for f in tests])
+    assert rc == 0
+    with (out / "metrics.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["fault_id"], r["method"]) for r in rows] == [
+        (f, m) for f in ("1", "2") for m in ("pca", "kpca", "sca")
+    ]
+    for row in rows:
+        if row["method"] == "pca":
+            assert (row["mdr"], row["far"]) == ("NA", "NA")
+        else:
+            assert 0.0 <= float(row["mdr"]) <= 100.0
+            assert 0.0 <= float(row["far"]) <= 100.0
+    failures = json.loads((out / "run_metadata.json").read_text())["failures"]
+    assert failures == [{"method": "pca", "stage": "train",
+                         "error": "p=53 out of range for 52 variables"}]

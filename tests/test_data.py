@@ -20,6 +20,7 @@ from scafd.data import (
     fit_scaler,
     load_csv,
     second_order_kernel,
+    write_samples_csv,
 )
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -61,6 +62,16 @@ def test_data_matrix_rejects_non_finite():
 def test_scaler_rejects_non_positive_std():
     with pytest.raises(ValueError, match="strictly positive"):
         Scaler(mean=np.zeros(2), std=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["mean", "std"])
+def test_scaler_rejects_non_finite_entries(name, bad):
+    # an infinite std would scale every sample to 0 and never alarm
+    values = {"mean": np.zeros(2), "std": np.ones(2)}
+    values[name][1] = bad
+    with pytest.raises(ValueError, match=f"scaler {name} entries must be finite"):
+        Scaler(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +286,13 @@ def test_load_csv_rejects_unknown_layout(tmp_path):
     path.write_text("1\n")
     with pytest.raises(ValueError, match="samples must be"):
         load_csv(path, samples="diagonal")
+
+
+def test_write_samples_csv_reads_back_exactly(tmp_path, rng):
+    values = rng.standard_normal((3, 7)) * np.array([[1e-300], [1.0], [1e300]])
+    path = tmp_path / "m.csv"
+    write_samples_csv(path, values)
+    assert path.read_text().splitlines()[0] == "x1,x2,x3"
+    dm = load_csv(path, samples="rows", header=True)
+    assert np.array_equal(dm.values, values)
+    assert dm.variable_names == ["x1", "x2", "x3"]

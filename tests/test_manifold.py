@@ -47,6 +47,17 @@ def test_stiefel_point_rejects_skewed_columns():
         StiefelPoint(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stiefel_point_rejects_non_finite_entries(bad):
+    # a NaN orthonormality error compares False against any tolerance
+    with pytest.raises(ValueError, match="not orthonormal"):
+        StiefelPoint(np.full((4, 2), bad))
+    one_bad = np.eye(4)[:, :2]
+    one_bad[3, 1] = bad
+    with pytest.raises(ValueError, match="not orthonormal"):
+        StiefelPoint(one_bad)
+
+
 def test_tangent_pair_shape_mismatch():
     with pytest.raises(ValueError, match="factor shapes differ"):
         TangentPair(np.zeros((3, 2)), np.zeros((3, 1)))

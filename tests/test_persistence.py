@@ -304,3 +304,46 @@ def test_load_rejects_inconsistent_feature_map_shapes(tag, key, cut, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"{key} has shape"):
         load_model(path)
+
+
+# One non-finite entry used to load, and then every T2 was NaN and no sample
+# ever alarmed.  The scaler and the Stiefel decoder check their own values.
+_OWN_CHECKS = {
+    "w_tilde": "columns are not orthonormal",
+    "scaler.std": "scaler std entries must be finite",
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "tag, key",
+    [
+        ("sca", "g_mean"),
+        ("sca", "sigma_g_inv"),
+        ("sca", "w"),
+        ("sca", "w_tilde"),
+        ("sca", "control_limit"),
+        ("pca", "loading"),
+        ("pca", "scaler.std"),
+        ("kpca", "alphas"),
+        ("kpca", "kernel_width"),
+        ("kpca", "gram_mean"),
+        ("ae", "w_dec"),
+        ("sae", "b_enc"),
+    ],
+)
+def test_load_rejects_non_finite_entries(tag, key, bad, tmp_path):
+    match = _OWN_CHECKS.get(key, f"{key} contains non-finite entries")
+    path = shutil.copy(_GOLDEN_V2 / f"{tag}.json", tmp_path / f"{tag}.json")
+    doc = json.loads(path.read_text())
+    entry, _, part = key.partition(".")
+    target, key = (doc[entry], part) if part else (doc, key)
+    if isinstance(target[key], dict):
+        array = _v2_array(target[key]).copy()
+        array.flat[array.size // 2] = bad
+        target[key] = _v2_entry(array)
+    else:
+        target[key] = bad  # json writes NaN and Infinity, and reads them back
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_model(path)

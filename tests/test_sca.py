@@ -29,7 +29,6 @@ from scafd.sca import (
     ScaModel,
     control_limit,
     fit_monitoring_stats,
-    kde_pdf,
     monitor,
     score,
     silverman_bandwidth,
@@ -37,7 +36,6 @@ from scafd.sca import (
     train,
 )
 
-INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _tiny_model(**overrides):
@@ -108,73 +106,6 @@ def test_t2_batch_matches_per_column(rng):
         batch = t2_batch(G, sigma_inv)
         singles = np.array([G[:, j] @ sigma_inv @ G[:, j] for j in range(m)])
         assert np.all(np.abs(batch - singles) <= 1e-12 * np.maximum(1.0, singles))
-
-
-# ---------------------------------------------------------------------------
-# kde_pdf
-
-
-def test_kde_single_sample_peak():
-    assert kde_pdf(np.array([2.0]), 1.0, 2.0) == pytest.approx(
-        INV_SQRT_2PI, rel=1e-12
-    )
-
-
-def test_kde_vanishes_far_away():
-    assert kde_pdf(np.array([2.0]), 1.0, 60.0) == 0.0
-    assert kde_pdf(np.array([2.0]), 1.0, -60.0) == 0.0
-
-
-def test_kde_keeps_subnormal_terms():
-    # exp(-714.1) is subnormal, and the density is the plain expression
-    s = np.array([0.0])
-    plain = INV_SQRT_2PI * np.exp(-(37.79**2) / 2.0)
-    assert 0.0 < plain < np.finfo(float).tiny
-    assert kde_pdf(s, 1.0, 37.79) == plain
-
-
-def test_kde_integrates_to_one(rng):
-    samples = rng.normal(5.0, 1.0, size=200)
-    h = silverman_bandwidth(samples)
-    grid = np.linspace(-20.0, 30.0, 20001)
-    dens = kde_pdf(samples, h, grid)
-    assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_kde_vector_query_matches_scalars(rng):
-    samples = rng.exponential(size=30)
-    q = np.array([0.1, 1.0, 2.5])
-    vec = kde_pdf(samples, 0.7, q)
-    assert isinstance(vec, np.ndarray)
-    for j, val in enumerate(vec):
-        scalar = kde_pdf(samples, 0.7, q[j])
-        assert isinstance(scalar, float)
-        assert scalar == val
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 22])
-def test_kde_chunking_is_bit_identical(rng, monkeypatch, chunk):
-    # Chunks split query rows only, so each density sums its samples in the
-    # same order whatever the chunk size; 1 << 22 was the earlier default.
-    import scafd.sca
-
-    samples = rng.exponential(size=500)
-    grid = np.linspace(0.0, samples.max() + 2.0, 4096)
-    h = 0.3
-    block = grid[:, None] - samples[None, :]
-    plain = np.exp(-(block * block) / (2.0 * h * h)).sum(axis=1)
-    plain *= 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
-    default = kde_pdf(samples, h, grid)
-    assert np.array_equal(default, plain)
-    monkeypatch.setattr(scafd.sca, "_KDE_CHUNK", chunk)
-    assert np.array_equal(kde_pdf(samples, h, grid), plain)
-
-
-def test_kde_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="bandwidth"):
-        kde_pdf(np.array([1.0]), 0.0, 1.0)
-    with pytest.raises(ValueError, match="at least one sample"):
-        kde_pdf(np.array([]), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +197,6 @@ def test_control_limit_is_the_exact_truncated_kde_quantile(seed):
         for zeta in (0.01, 0.05, 0.5):
             exact = _exact_limit(samples, zeta)
             assert control_limit(samples, zeta) == pytest.approx(exact, rel=1e-12)
-
-
-def test_kde_keeps_the_plain_result_for_infinite_and_nan_exponents():
-    # h so small that 2 h^2 underflows: (q - s)^2 / -0.0 is -inf where q != s
-    # (exp gives 0) and NaN where q == s
-    samples, h = np.array([1.0, 2.0, 3.0]), 1e-170
-    for query in (np.array([0.5, 4.0]), np.array([1.0, 4.0])):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = query[:, None] - samples
-            plain = np.exp(-(d * d) / (2.0 * h * h)).sum(axis=1)
-            plain *= 1.0 / (np.sqrt(2.0 * np.pi) * h * samples.size)
-            assert np.array_equal(kde_pdf(samples, h, query), plain, equal_nan=True)
 
 
 def test_control_limit_validation():
