@@ -567,15 +567,14 @@ def test_plant_data_converts_and_benches_end_to_end(tmp_path):
     raw = tmp_path / "raw"
     raw.mkdir()
     np.savetxt(raw / "d00.dat", rng.standard_normal((n, 60)))
-    tests = {}
-    for fault in (1, 2):
+    faults = (1, 2)
+    for fault in faults:
         block = rng.standard_normal((40, n))
         block[normal:, fault] += 6.0
         np.savetxt(raw / f"d{fault:02d}_te.dat", block)
-        tests[fault] = block
     csv_dir = tmp_path / "csv"
     assert tuple(convert(raw / "d00.dat", csv_dir / "train.csv", "auto")) == (60, n)
-    for fault in tests:
+    for fault in faults:
         convert(raw / f"d{fault:02d}_te.dat", csv_dir / f"d{fault:02d}.csv", "auto")
     loaded = load_csv(csv_dir / "d01.csv", samples="rows", header=True)
     assert np.array_equal(loaded.values, np.loadtxt(raw / "d01_te.dat").T)
@@ -585,7 +584,7 @@ def test_plant_data_converts_and_benches_end_to_end(tmp_path):
     rc = main(["bench", "--train", str(csv_dir / "train.csv"), "--header",
                "--methods", "pca,kpca,sca", "--p", "53", "--max-iters", "10",
                "--out-dir", str(out)]
-              + [f"--test={csv_dir / f'd{f:02d}.csv'}:{normal}:{f}" for f in tests])
+              + [f"--test={csv_dir / f'd{f:02d}.csv'}:{normal}:{f}" for f in faults])
     assert rc == 0
     with (out / "metrics.csv").open() as fh:
         rows = list(csv.DictReader(fh))
