@@ -1,10 +1,10 @@
 """PCA, kernel PCA, and plain/second-order autoencoder monitors.
 
-All four share the T2/KDE machinery from :mod:`scafd.sca`; each model type
-only supplies its own feature map.  The autoencoder deliberately has no
-orthogonality constraint and trains by full-batch gradient descent, so the
-constraint stays the experimental variable when comparing against the
-manifold-trained model.
+All four are :class:`scafd.sca.MonitoringStats`, which holds the scaler,
+the sizes and the T2/KDE machinery; each model type only supplies its own
+feature map.  The autoencoder deliberately has no orthogonality constraint
+and trains by full-batch gradient descent, so the constraint stays the
+experimental variable when comparing against the manifold-trained model.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .activations import TANH, Activation, get_activation
 from .data import (
     DataMatrix,
-    Scaler,
     apply_scaler,
     expand_second_order,
     expanded_dim,
@@ -38,13 +37,12 @@ _NORM_BLOCK_ELEMS = 2**14  # gradient entries held for one batched norm pass
 class PcaModel(MonitoringStats):
     """Linear monitor: top-p eigenvectors of the scaled sample covariance."""
 
-    scaler: Scaler
     loading: np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        n, p = self.scaler.n_variables, self.g_mean.shape[0]
+        n, p = self.n_variables, self.n_components
         self._check_shapes({"loading": (n, p), "eigenvalues": (n,)})
         err = np.linalg.norm(self.loading.T @ self.loading - np.eye(p))
         if err > 1e-10:
@@ -52,10 +50,6 @@ class PcaModel(MonitoringStats):
         top = self.eigenvalues[:p]
         if np.any(np.diff(top) > 1e-12):
             raise ValueError("retained eigenvalues must be descending")
-
-    @property
-    def n_components(self) -> int:
-        return self.loading.shape[1]
 
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         scaled = apply_scaler(self.scaler, X)
@@ -66,7 +60,6 @@ class PcaModel(MonitoringStats):
 class KpcaModel(MonitoringStats):
     """Gaussian-kernel PCA monitor with a double-centered Gram matrix."""
 
-    scaler: Scaler
     train_scaled: np.ndarray       # n x m scaled training samples
     alphas: np.ndarray             # m x p projection coefficients (whitened)
     eigenvalues: np.ndarray        # top-p Gram eigenvalues, descending
@@ -76,7 +69,7 @@ class KpcaModel(MonitoringStats):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        n, p = self.scaler.n_variables, self.g_mean.shape[0]
+        n, p = self.n_variables, self.n_components
         m = self.train_scaled.shape[-1]
         self._check_shapes({
             "train_scaled": (n, m),
@@ -88,10 +81,6 @@ class KpcaModel(MonitoringStats):
             raise ValueError("retained Gram eigenvalues must be positive")
         if np.any(np.diff(self.eigenvalues) > 1e-12):
             raise ValueError("retained Gram eigenvalues must be descending")
-
-    @property
-    def n_components(self) -> int:
-        return self.alphas.shape[1]
 
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         scaled = apply_scaler(self.scaler, X).values
@@ -110,7 +99,6 @@ class KpcaModel(MonitoringStats):
 class AeModel(MonitoringStats):
     """Unconstrained autoencoder monitor (optionally on expanded inputs)."""
 
-    scaler: Scaler
     w_enc: np.ndarray
     b_enc: np.ndarray
     w_dec: np.ndarray
@@ -121,16 +109,12 @@ class AeModel(MonitoringStats):
     def __post_init__(self) -> None:
         super().__post_init__()
         get_activation(self.encoder_activation)
-        n, p = self.scaler.n_variables, self.g_mean.shape[0]
+        n, p = self.n_variables, self.n_components
         if self.expand_inputs:
             n = expanded_dim(n)
         self._check_shapes(
             {"w_enc": (n, p), "b_enc": (p,), "w_dec": (n, p), "b_dec": (n,)}
         )
-
-    @property
-    def n_components(self) -> int:
-        return self.w_enc.shape[1]
 
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         inputs = apply_scaler(self.scaler, X)
@@ -167,8 +151,6 @@ def pca_fit(
     """Fit the PCA monitor; pick p explicitly or by cumulative eigenvalue energy."""
     if (n_components is None) == (energy is None):
         raise ValueError("specify exactly one of n_components or energy")
-    if X.n_samples < 2:
-        raise ValueError("need at least 2 samples")
     scaler = fit_scaler(X)
     scaled = apply_scaler(scaler, X).values
     cov = np.atleast_2d(np.cov(scaled, ddof=1))
@@ -194,8 +176,8 @@ def pca_fit(
 
     loading = vecs[:, :p]
     scores = loading.T @ scaled
-    stats = fit_monitoring_stats(scores, zeta)
-    return PcaModel(scaler=scaler, loading=loading, eigenvalues=vals, **vars(stats))
+    stats = fit_monitoring_stats(scores, scaler, zeta)
+    return PcaModel(loading=loading, eigenvalues=vals, **vars(stats))
 
 
 def _gaussian_kernel(A: np.ndarray, B: np.ndarray, width: float) -> np.ndarray:
@@ -254,9 +236,8 @@ def kpca_fit(
     alphas = top_vecs * (np.sqrt(m - 1.0) / top_vals)[None, :]
 
     features = (Kc @ alphas).T
-    stats = fit_monitoring_stats(features, zeta)
+    stats = fit_monitoring_stats(features, scaler, zeta)
     return KpcaModel(
-        scaler=scaler,
         train_scaled=scaled,
         alphas=alphas,
         eigenvalues=top_vals,
@@ -408,8 +389,6 @@ def ae_train(
     expand_inputs: bool = False,
 ) -> tuple[AeModel, AeTrace]:
     """Train the unconstrained autoencoder monitor by monotone gradient descent."""
-    if X.n_samples < 2:
-        raise ValueError("need at least 2 samples")
     if p < 1:
         raise ValueError("p must be at least 1")
     scaler = fit_scaler(X)
@@ -420,9 +399,8 @@ def ae_train(
     params, trace = _gradient_descent(mat, p, rng, encoder, max_iters)
     w_enc, b_enc, w_dec, b_dec = params
     codes = encoder.fn(w_enc.T @ mat + b_enc[:, None])
-    stats = fit_monitoring_stats(codes, zeta)
+    stats = fit_monitoring_stats(codes, scaler, zeta)
     model = AeModel(
-        scaler=scaler,
         w_enc=w_enc,
         b_enc=b_enc,
         w_dec=w_dec,

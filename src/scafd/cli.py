@@ -1,7 +1,7 @@
 """Command-line front-end: dataset generation, demos, training, benchmarks.
 
 Subcommands: ``gen-toy``, ``bayes-demo``, ``train``, ``detect``, ``bench``.
-Every subcommand also accepts ``--config FILE`` pointing at a flat
+Every subcommand also accepts one ``--config FILE`` pointing at a flat
 ``key=value`` file whose keys mirror the long flag names (one ``test=...``
 line per benchmark case; boolean flags take true/false).  Explicit flags
 override config values.
@@ -151,7 +151,7 @@ class BenchSpec:
     svg: bool = False
     samples: str = "rows"
     header: bool = True
-    max_iters: int = 500
+    max_iters: int = CgConfig.max_iters
 
     def __post_init__(self) -> None:
         self.train_path = Path(self.train_path)
@@ -191,7 +191,7 @@ def train_method(
     p: int,
     zeta: float,
     seed: int,
-    max_iters: int = 500,
+    max_iters: int = CgConfig.max_iters,
 ):
     """Fit one monitoring method; returns (model, trace-or-None)."""
     if method == "pca":
@@ -431,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eigenvalue-energy fraction for choosing p")
     p_train.add_argument("--zeta", type=float, default=sca.DEFAULT_ZETA)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--max-iters", type=int, default=500, help=_MAX_ITERS_HELP)
+    p_train.add_argument("--max-iters", type=int, default=CgConfig.max_iters,
+                         help=_MAX_ITERS_HELP)
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--trace", default=None, help="optional trace CSV path")
     _add_layout_flags(p_train)
@@ -455,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--energy", type=float, default=None)
     p_bench.add_argument("--zeta", type=float, default=sca.DEFAULT_ZETA)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--max-iters", type=int, default=500, help=_MAX_ITERS_HELP)
+    p_bench.add_argument("--max-iters", type=int, default=CgConfig.max_iters,
+                         help=_MAX_ITERS_HELP)
     p_bench.add_argument("--out-dir", required=True)
     p_bench.add_argument("--svg", action="store_true",
                          help="also write an SVG chart per cell")
@@ -566,6 +568,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = _expand_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
+        # argparse stores a second --config, --config=FILE or --conf unread
+        if args.config is not None:
+            raise ValueError("give --config FILE once, as two tokens, flag name in full")
         return args.func(args)
     except (ValueError, OSError, FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

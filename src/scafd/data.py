@@ -93,8 +93,7 @@ def apply_scaler(scaler: Scaler, X: DataMatrix) -> DataMatrix:
     """Z-score X with the scaler's training statistics."""
     if X.n_variables != scaler.n_variables:
         raise ValueError(
-            f"scaler was fit on {scaler.n_variables} variables, "
-            f"data has {X.n_variables}"
+            f"model expects {scaler.n_variables} variables, data has {X.n_variables}"
         )
     scaled = (X.values - scaler.mean[:, None]) / scaler.std[:, None]
     return DataMatrix(values=scaled, variable_names=X.variable_names)

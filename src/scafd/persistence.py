@@ -51,7 +51,7 @@ def method_tag(model) -> str:
 
 
 def _sizes(model) -> dict:
-    return {"n_variables": model.scaler.n_variables, "n_components": model.n_components}
+    return {"n_variables": model.n_variables, "n_components": model.n_components}
 
 
 def _array_entry(array: np.ndarray) -> dict:

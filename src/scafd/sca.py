@@ -12,6 +12,9 @@ and never forms the N x m expansion.
 
 Online: scale and encode a new sample, W^T expand(z) computed without
 expanding, compute its T2, and alarm when it exceeds the control limit.
+
+Every monitor, this one and the baselines, is a ``MonitoringStats`` (the
+scaler, the sizes and the T2 machinery) plus its own ``encode_batch``.
 """
 
 from __future__ import annotations
@@ -68,13 +71,16 @@ class DetectionReport:
 
 @dataclass(kw_only=True)
 class MonitoringStats:
-    """T2 machinery fitted on training features.
+    """Training scaler, sizes and T2 machinery shared by every monitor.
 
     Every monitor subclasses it and adds its feature map: the fields and the
-    ``encode_batch`` method that turns raw samples into a p x m feature block.
-    Every field annotated ``np.ndarray``, here or in a subclass, is stored as
-    float64, and it and every ``float`` field must be finite: a NaN weight
-    would make every T2 NaN, and NaN never exceeds the limit.
+    ``encode_batch`` method that turns raw samples into a p x m feature block,
+    with shapes checked against ``n_variables`` (the scaler's) and
+    ``n_components`` (the feature mean's length).  Field order is the key
+    order of a saved model, so ``scaler`` comes last, before a subclass's
+    own fields.  Every field annotated ``np.ndarray``, here or in a subclass,
+    is stored as float64, and it and every ``float`` field must be finite: a
+    NaN weight would make every T2 NaN, and NaN never exceeds the limit.
     """
 
     sigma_g_inv: np.ndarray
@@ -83,6 +89,7 @@ class MonitoringStats:
     kde_bandwidth: float
     control_limit: float
     zeta: float = DEFAULT_ZETA
+    scaler: Scaler
 
     def __post_init__(self) -> None:
         # field types are strings: this module postpones annotations
@@ -111,6 +118,14 @@ class MonitoringStats:
             raise ValueError("KDE bandwidth must be positive")
         _check_zeta(self.zeta)
 
+    @property
+    def n_variables(self) -> int:
+        return self.scaler.n_variables
+
+    @property
+    def n_components(self) -> int:
+        return self.g_mean.shape[0]
+
     def _check_shapes(self, expected: dict[str, tuple[int, ...]]) -> None:
         """Reject feature-map arrays that would only broadcast against each other."""
         for name, shape in expected.items():
@@ -121,36 +136,20 @@ class MonitoringStats:
 
 @dataclass(kw_only=True)
 class ScaModel(MonitoringStats):
-    """Everything needed to score new samples: weights, scaler, T2 limit."""
+    """Second-order monitor: encoder W and orthonormal decoder W~, N x p each."""
 
-    scaler: Scaler
     w: np.ndarray
     w_tilde: StiefelPoint
     encoder_activation: str = "tanh"
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.w.shape != self.w_tilde.shape:
-            raise ValueError("encoder and decoder shapes differ")
-        if self.g_mean.shape[0] != self.w.shape[1]:
-            raise ValueError("feature mean length must equal p")
+        shape = (expanded_dim(self.n_variables), self.n_components)
+        self._check_shapes({"w": shape, "w_tilde": shape})
         get_activation(self.encoder_activation)
-
-    @property
-    def n_variables(self) -> int:
-        return self.scaler.n_variables
-
-    @property
-    def n_components(self) -> int:
-        return self.w.shape[1]
 
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         """Features (p x m) of raw process samples: enc(W^T expand(scale(X)))."""
-        if X.n_variables != self.n_variables:
-            raise ValueError(
-                f"model expects {self.n_variables} variables, data has "
-                f"{X.n_variables}"
-            )
         pre = expanded_t_dot(apply_scaler(self.scaler, X), self.w)
         return get_activation(self.encoder_activation).fn(pre.T)
 
@@ -221,9 +220,13 @@ def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -
     return mid
 
 
-def fit_monitoring_stats(G: np.ndarray, zeta: float = DEFAULT_ZETA) -> MonitoringStats:
+def fit_monitoring_stats(
+    G: np.ndarray, scaler: Scaler, zeta: float = DEFAULT_ZETA
+) -> MonitoringStats:
     """Fit the T2 machinery on a p x m block of training features.
 
+    The result also holds ``scaler``, the scaling the features were computed
+    under, so a trainer builds its model from it and its feature-map fields.
     The feature covariance (sample covariance, m-1 divisor) gets a ridge of
     1e-8 * trace / p before inversion.  T2 is the Mahalanobis-style quadratic
     form of the deviation from the training feature mean; without the
@@ -258,6 +261,7 @@ def fit_monitoring_stats(G: np.ndarray, zeta: float = DEFAULT_ZETA) -> Monitorin
         kde_bandwidth=h,
         control_limit=tau,
         zeta=zeta,
+        scaler=scaler,
     )
 
 
@@ -358,7 +362,7 @@ def train(
     for _ in range(_RESTARTS):
         point, trace, codes = fit(init_product_point(N, p, rng))
         try:
-            stats = fit_monitoring_stats(codes, zeta)
+            stats = fit_monitoring_stats(codes, scaler, zeta)
             break
         except ValueError as err:
             last_err = err
@@ -367,7 +371,6 @@ def train(
             f"all {_RESTARTS} starts produced degenerate features"
         ) from last_err
     model = ScaModel(
-        scaler=scaler,
         w=point.w,
         w_tilde=point.w_tilde,
         encoder_activation=encoder.name,

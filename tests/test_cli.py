@@ -341,6 +341,25 @@ def test_cli_gen_toy_and_config_precedence(tmp_path, capsys):
     assert len(lines) == 10  # header + 9 samples: explicit flag beat the config
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [["--config", "{first}", "--config", "{cfg}"], ["--config={cfg}"], ["--conf", "{cfg}"]],
+    ids=["repeated", "equals", "abbreviated"],
+)
+def test_cli_rejects_a_config_it_would_not_read(flag, tmp_path, capsys):
+    # argparse accepted each form and no code read the file: gen-toy wrote the
+    # default 500 training samples instead of 40 and exited 0
+    first, cfg = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("normal-m=2\nfault-m=2\n")
+    cfg.write_text("train-m=40\n")
+    out = tmp_path / "data"
+    tokens = [t.format(first=first, cfg=cfg) for t in flag]
+    rc = main(["gen-toy", "--out-dir", str(out), *tokens])
+    assert rc == 2
+    assert "give --config FILE once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bayes_demo_writes_curve(tmp_path, capsys):
     out = tmp_path / "bayes.csv"
     rc = main(["bayes-demo", "--mu1", "0", "--sd1", "1", "--out", str(out),

@@ -92,7 +92,7 @@ def test_apply_scaler_identity():
 
 def test_apply_scaler_dimension_mismatch():
     s = Scaler(mean=np.zeros(2), std=np.ones(2))
-    with pytest.raises(ValueError, match="fit on 2 variables"):
+    with pytest.raises(ValueError, match="model expects 2 variables, data has 3"):
         apply_scaler(s, DataMatrix(np.ones((3, 4))))
 
 

@@ -285,8 +285,14 @@ def _v2_entry(array):
     return {"dtype": "<f8", "shape": list(array.shape), "data": data}
 
 
+def _pad_row(array):
+    return np.vstack([array, np.zeros((1, array.shape[1]))])
+
+
 # Each cut array still broadcasts against the rest of its model, so without
-# the shape checks the file would load and score wrong T2.
+# the shape checks the file would load and score wrong T2.  The SCA case pads
+# both weights with a zero row: 14 x 2 matrices whose columns stay orthonormal,
+# while n = 3 needs 13 rows; it loaded, and then scoring failed in a reshape.
 @pytest.mark.parametrize(
     "tag, key, cut",
     [
@@ -295,14 +301,18 @@ def _v2_entry(array):
         ("kpca", "gram_col_means", np.s_[:1]),
         ("ae", "b_enc", np.s_[:1]),
         ("sae", "b_enc", np.s_[:1]),
+        ("sca", "w,w_tilde", _pad_row),
     ],
 )
 def test_load_rejects_inconsistent_feature_map_shapes(tag, key, cut, tmp_path):
     path = shutil.copy(_GOLDEN_V2 / f"{tag}.json", tmp_path / f"{tag}.json")
     doc = json.loads(path.read_text())
-    doc[key] = _v2_entry(_v2_array(doc[key])[cut])
+    keys = key.split(",")
+    for k in keys:
+        array = _v2_array(doc[k])
+        doc[k] = _v2_entry(cut(array) if callable(cut) else array[cut])
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"{key} has shape"):
+    with pytest.raises(ValueError, match=f"{keys[0]} has shape"):
         load_model(path)
 
 

@@ -221,10 +221,13 @@ def test_control_limit_rejects_non_finite_samples(bad):
 # ---------------------------------------------------------------------------
 # fit_monitoring_stats
 
+# the scaler only rides along with the statistics
+_UNIT_SCALER = Scaler(mean=np.zeros(1), std=np.ones(1))
+
 
 def test_fit_stats_inverts_ridged_covariance(rng):
     G = rng.standard_normal((3, 300))
-    stats = fit_monitoring_stats(G)
+    stats = fit_monitoring_stats(G, _UNIT_SCALER)
     sigma = np.cov(G, ddof=1)
     sigma += 1e-8 * np.trace(sigma) / 3 * np.eye(3)
     assert np.allclose(stats.sigma_g_inv @ sigma, np.eye(3), atol=1e-8)
@@ -235,7 +238,7 @@ def test_fit_stats_inverts_ridged_covariance(rng):
 
 def test_fit_stats_t2_centers_on_feature_mean(rng):
     G = 5.0 + rng.standard_normal((2, 200))
-    stats = fit_monitoring_stats(G)
+    stats = fit_monitoring_stats(G, _UNIT_SCALER)
     j = 17
     dev = G[:, j] - stats.g_mean
     assert stats.t2_train[j] == pytest.approx(dev @ stats.sigma_g_inv @ dev, rel=1e-12)
@@ -244,22 +247,22 @@ def test_fit_stats_t2_centers_on_feature_mean(rng):
 def test_fit_stats_rejects_constant_features():
     G = np.ones((2, 50))
     with pytest.raises(ValueError, match="singular"):
-        fit_monitoring_stats(G)
+        fit_monitoring_stats(G, _UNIT_SCALER)
 
 
 def test_fit_stats_rejects_tiny_or_flat_input():
     with pytest.raises(ValueError, match="at least 2"):
-        fit_monitoring_stats(np.ones((2, 1)))
+        fit_monitoring_stats(np.ones((2, 1)), _UNIT_SCALER)
     with pytest.raises(ValueError, match="p x m"):
-        fit_monitoring_stats(np.ones(5))
+        fit_monitoring_stats(np.ones(5), _UNIT_SCALER)
 
 
 def test_t2_invariant_under_feature_rotation(rng):
     # consistent orthogonal change of feature basis leaves T2 unchanged
     G = rng.standard_normal((3, 300)) * np.array([[2.0], [1.0], [0.5]])
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    a = fit_monitoring_stats(G).t2_train
-    b = fit_monitoring_stats(Q @ G).t2_train
+    a = fit_monitoring_stats(G, _UNIT_SCALER).t2_train
+    b = fit_monitoring_stats(Q @ G, _UNIT_SCALER).t2_train
     assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(a)))
 
 
@@ -435,21 +438,27 @@ def test_detect_is_deterministic(toy_sca_model, toy_test):
     assert np.array_equal(a.flags, b.flags)
 
 
-def test_detect_dimension_mismatch(toy_sca_model, rng):
-    model, _ = toy_sca_model
-    with pytest.raises(ValueError, match="expects 3 variables"):
-        monitor(model, DataMatrix(rng.standard_normal((4, 5))))
-
-
-@pytest.mark.parametrize("method", ["sca", "pca", "kpca", "ae"])
-def test_monitor_scores_in_chunks(method, toy_sca_model, toy_train, toy_test, monkeypatch):
+def _toy_monitor(method, toy_sca_model, toy_train):
+    """A monitor of the given type fitted on the toy training block."""
     fits = {
         "sca": lambda: toy_sca_model[0],
         "pca": lambda: pca_fit(toy_train, n_components=2),
         "kpca": lambda: kpca_fit(toy_train, p=2),
         "ae": lambda: ae_train(toy_train, p=2, max_iters=30)[0],
     }
-    model = fits[method]()
+    return fits[method]()
+
+
+@pytest.mark.parametrize("method", ["sca", "pca", "kpca", "ae"])
+def test_detect_dimension_mismatch(method, toy_sca_model, toy_train, rng):
+    model = _toy_monitor(method, toy_sca_model, toy_train)
+    with pytest.raises(ValueError, match="model expects 3 variables, data has 4"):
+        monitor(model, DataMatrix(rng.standard_normal((4, 5))))
+
+
+@pytest.mark.parametrize("method", ["sca", "pca", "kpca", "ae"])
+def test_monitor_scores_in_chunks(method, toy_sca_model, toy_train, toy_test, monkeypatch):
+    model = _toy_monitor(method, toy_sca_model, toy_train)
     block = DataMatrix(toy_test.values[:, 75:125])  # normal head, faulty tail
     whole = monitor(model, block)
     monkeypatch.setattr("scafd.sca._SCORE_CHUNK", 7)
@@ -542,7 +551,7 @@ def test_sca_model_validation():
         _tiny_model(kde_bandwidth=0.0)
     with pytest.raises(ValueError, match="feature mean"):
         _tiny_model(g_mean=np.zeros(2))
-    with pytest.raises(ValueError, match="shapes differ"):
+    with pytest.raises(ValueError, match=r"w has shape \(4, 1\), expected \(3, 1\)"):
         _tiny_model(w=np.zeros((4, 1)))
 
 
