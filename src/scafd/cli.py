@@ -5,6 +5,11 @@ Every subcommand also accepts one ``--config FILE`` pointing at a flat
 ``key=value`` file whose keys mirror the long flag names (one ``test=...``
 line per benchmark case; boolean flags take true/false).  Explicit flags
 override config values.
+
+A bench runs in two steps that write no files: ``_fit_methods`` fits every
+requested method once on the training block, and ``_score_case`` scores one
+test block with every fitted model.  ``run_bench`` writes their results as
+CSV files and run metadata.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,7 +30,7 @@ from .data import DataMatrix, load_csv, write_samples_csv
 from .optimizer import CgConfig
 
 METHODS = ("pca", "kpca", "ae", "sae", "sca")
-_BOOL_KEYS = {"noise-as-sd", "svg", "header"}
+_BOOL_KEYS = {"header"}
 _MAX_ITERS_HELP = "caps sca's conjugate gradient only; ae and sae run up to 2000 steps"
 
 
@@ -64,21 +70,19 @@ def gen_toy(
     fault_m: int = 400,
     train_noise: float = 0.1,
     test_noise: float = 0.5,
-    noise_as_sd: bool = False,
 ) -> tuple[Path, Path]:
     """Write toy train/test CSVs (samples as rows, header x1,x2,x3).
 
     The test file holds ``normal_m`` normal samples followed by ``fault_m``
-    faulty ones (every variable shifted by +1).  Noise parameters are read
-    as variances unless ``noise_as_sd`` is set.
+    faulty ones (every variable shifted by +1).  The noise parameters are
+    variances.
     """
     if min(train_m, normal_m, fault_m) < 1:
         raise ValueError("sample counts must be positive")
-    scale = (lambda v: v) if noise_as_sd else (lambda v: float(np.sqrt(v)))
     rng = np.random.default_rng(seed)
-    train = toy_samples(rng, train_m, scale(train_noise))
-    normal = toy_samples(rng, normal_m, scale(test_noise))
-    fault = toy_samples(rng, fault_m, scale(test_noise)) + 1.0
+    train = toy_samples(rng, train_m, float(np.sqrt(train_noise)))
+    normal = toy_samples(rng, normal_m, float(np.sqrt(test_noise)))
+    fault = toy_samples(rng, fault_m, float(np.sqrt(test_noise))) + 1.0
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -130,6 +134,11 @@ class BenchCase:
         self.test_path = Path(self.test_path)
         if self.normal_count < 1:
             raise ValueError("normal_count must be at least 1")
+        # the fault id becomes part of the chart file names
+        if not self.fault_id or {os.sep, "/"} & set(self.fault_id):
+            raise ValueError(
+                f"fault_id {self.fault_id!r} must be non-empty and hold no path separator"
+            )
 
 
 def _check_size(p: int | None, energy: float | None) -> None:
@@ -148,7 +157,6 @@ class BenchSpec:
     zeta: float = sca.DEFAULT_ZETA
     seed: int = 0
     out_dir: Path = Path("bench_out")
-    svg: bool = False
     samples: str = "rows"
     header: bool = True
     max_iters: int = CgConfig.max_iters
@@ -156,9 +164,16 @@ class BenchSpec:
     def __post_init__(self) -> None:
         self.train_path = Path(self.train_path)
         self.out_dir = Path(self.out_dir)
+        if not self.methods:
+            raise ValueError("at least one method is required")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        # a repeat would overwrite the other's chart and trace files
+        fault_ids = [c.fault_id for c in self.cases]
+        for label, values in (("method", self.methods), ("fault id", fault_ids)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"repeated {label} in {values}")
         _check_size(self.p, self.energy)
 
 
@@ -214,82 +229,86 @@ def train_method(
 _FIT_ERRORS = (ValueError, FloatingPointError, RuntimeError)
 
 
+def _fit_methods(spec: BenchSpec, train_dm: DataMatrix, p: int) -> tuple[dict, dict, dict]:
+    """Fit each method of ``spec`` once; writes no files.
+
+    Returns the models and the traces by method, and a record of each fit's
+    wall time, seed and failure.  A fit that raises one of ``_FIT_ERRORS`` is
+    recorded as a failure and leaves its method without a model.
+    """
+    models, traces = {}, {}
+    record: dict = {"wall_times": {}, "method_seeds": {}, "failures": []}
+    for method in spec.methods:
+        seed = record["method_seeds"][method] = derive_seed(spec.seed, method)
+        t0 = time.perf_counter()
+        try:
+            model, trace = train_method(
+                method, train_dm, p, spec.zeta, seed, max_iters=spec.max_iters
+            )
+        except _FIT_ERRORS as exc:  # record and move on
+            record["failures"].append({"method": method, "stage": "train",
+                                       "error": str(exc)})
+            continue
+        record["wall_times"][method] = time.perf_counter() - t0
+        models[method] = model
+        if trace is not None:
+            traces[method] = trace
+    return models, traces, record
+
+
+def _score_case(
+    case: BenchCase, test_dm: DataMatrix, methods: list[str], models: dict[str, object]
+) -> tuple[list[dict], dict[str, sca.DetectionReport], list[dict]]:
+    """Score one test block with every fitted model; writes no files.
+
+    Returns one row per method, the report of each method that scored, and
+    the failures.  A method without a model, or whose scoring raises one of
+    ``_FIT_ERRORS``, gets an NA row and no report.
+    """
+    rows, reports, failures = [], {}, []
+    for method in methods:
+        row = {"fault_id": case.fault_id, "method": method, "mdr": None, "far": None}
+        model = models.get(method)
+        if model is not None:
+            try:
+                report = sca.monitor(model, test_dm)
+                row["mdr"], row["far"] = sca.score(report.flags, case.normal_count)
+                reports[method] = report
+            except _FIT_ERRORS as exc:
+                failures.append({"method": method, "stage": f"fault {case.fault_id}",
+                                 "error": str(exc)})
+        rows.append(row)
+    return rows, reports, failures
+
+
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Train every requested method once and score every fault case.
 
-    Writes metrics.csv (fault_id, method, mdr, far), one chart CSV per cell,
-    convergence traces for the iterative methods, run metadata, and optional
-    SVG charts.  A method or case that fails with one of ``_FIT_ERRORS`` is
-    recorded as NA and skipped, not fatal; any other exception propagates.
+    Fits with ``_fit_methods`` and scores each case with ``_score_case``,
+    then writes metrics.csv (fault_id, method, mdr, far), one chart CSV per
+    case and method, a trace CSV per iterative method (sca, ae, sae) and
+    run_metadata.json.  A method or case that fails with one of
+    ``_FIT_ERRORS`` is recorded as NA and skipped, not fatal; any other
+    exception propagates.
     """
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
     result = BenchResult()
-    metadata: dict = {
-        "seed": spec.seed,
-        "zeta": spec.zeta,
-        "methods": spec.methods,
-        "train_path": str(spec.train_path),
-        "cases": [
-            {"test_path": str(c.test_path), "normal_count": c.normal_count,
-             "fault_id": c.fault_id}
-            for c in spec.cases
-        ],
-        "wall_times": {},
-        "method_seeds": {},
-        "failures": [],
-    }
-
-    p = resolve_p(train_dm, spec.p, spec.energy)
-    result.resolved_p = p
-    metadata["p"] = p
-    metadata["energy"] = spec.energy
-
-    models: dict[str, object] = {}
-    for method in spec.methods:
-        m_seed = derive_seed(spec.seed, method)
-        metadata["method_seeds"][method] = m_seed
-        t0 = time.perf_counter()
-        try:
-            model, trace = train_method(
-                method, train_dm, p, spec.zeta, m_seed, max_iters=spec.max_iters
-            )
-        except _FIT_ERRORS as exc:  # record and move on
-            metadata["failures"].append({"method": method, "stage": "train",
-                                         "error": str(exc)})
-            continue
-        metadata["wall_times"][method] = time.perf_counter() - t0
-        models[method] = model
-        if trace is not None:
-            _write_trace_csv(spec.out_dir / f"trace_{method}.csv", trace)
+    p = result.resolved_p = resolve_p(train_dm, spec.p, spec.energy)
+    models, traces, record = _fit_methods(spec, train_dm, p)
+    for method, trace in traces.items():
+        _write_trace_csv(spec.out_dir / f"trace_{method}.csv", trace)
 
     for case in spec.cases:
         test_dm = load_csv(case.test_path, samples=spec.samples, header=spec.header)
-        for method in spec.methods:
-            row = {"fault_id": case.fault_id, "method": method,
-                   "mdr": None, "far": None}
-            model = models.get(method)
-            if model is not None:
-                try:
-                    report = sca.monitor(model, test_dm)
-                    mdr, far = sca.score(report.flags, case.normal_count)
-                    row["mdr"], row["far"] = mdr, far
-                    _write_chart_csv(
-                        spec.out_dir / f"chart_fault{case.fault_id}_{method}.csv",
-                        report, model.control_limit, case.normal_count,
-                    )
-                    if spec.svg:
-                        _write_svg_chart(
-                            spec.out_dir / f"chart_fault{case.fault_id}_{method}.svg",
-                            report.t2, model.control_limit, case.normal_count,
-                            f"fault {case.fault_id} / {method}",
-                        )
-                except _FIT_ERRORS as exc:
-                    metadata["failures"].append(
-                        {"method": method, "stage": f"fault {case.fault_id}",
-                         "error": str(exc)}
-                    )
-            result.rows.append(row)
+        rows, reports, failures = _score_case(case, test_dm, spec.methods, models)
+        for method, report in reports.items():
+            _write_chart_csv(
+                spec.out_dir / f"chart_fault{case.fault_id}_{method}.csv",
+                report, models[method].control_limit, case.normal_count,
+            )
+        result.rows.extend(rows)
+        record["failures"].extend(failures)
 
     metrics_path = spec.out_dir / "metrics.csv"
     with metrics_path.open("w") as fh:
@@ -299,6 +318,20 @@ def run_bench(spec: BenchSpec) -> BenchResult:
             far = "NA" if row["far"] is None else f"{row['far']:.2f}"
             fh.write(f"{row['fault_id']},{row['method']},{mdr},{far}\n")
     result.metrics_path = metrics_path
+    metadata = {
+        "seed": spec.seed,
+        "zeta": spec.zeta,
+        "methods": spec.methods,
+        "train_path": str(spec.train_path),
+        "cases": [
+            {"test_path": str(c.test_path), "normal_count": c.normal_count,
+             "fault_id": c.fault_id}
+            for c in spec.cases
+        ],
+        **record,
+        "p": p,
+        "energy": spec.energy,
+    }
     (spec.out_dir / "run_metadata.json").write_text(json.dumps(metadata, indent=2))
     return result
 
@@ -319,36 +352,6 @@ def _write_chart_csv(
         for i, (value, flag) in enumerate(zip(report.t2, report.flags)):
             label = "" if normal_count is None else int(i >= normal_count)
             fh.write(f"{i},{float(value)!r},{float(tau)!r},{label},{int(flag)}\n")
-
-
-def _write_svg_chart(
-    path: Path, t2: np.ndarray, tau: float, normal_count: int, title: str
-) -> None:
-    """Minimal line chart: T2 dots (normal blue, fault red) and the limit."""
-    width, height, pad = 900, 320, 45
-    m = len(t2)
-    y_max = max(float(np.quantile(t2, 0.98)), 3.0 * tau, 1e-12)
-    xs = pad + (width - 2 * pad) * np.arange(m) / max(m - 1, 1)
-    ys = height - pad - (height - 2 * pad) * np.minimum(t2, y_max) / y_max
-    tau_y = height - pad - (height - 2 * pad) * min(tau, y_max) / y_max
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{pad}" y="20" font-size="14">{title}</text>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-        f'y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
-        f'stroke="black"/>',
-        f'<line x1="{pad}" y1="{tau_y:.2f}" x2="{width - pad}" y2="{tau_y:.2f}" '
-        f'stroke="black" stroke-dasharray="6,4"/>',
-        f'<text x="{width - pad + 4}" y="{tau_y:.2f}" font-size="11">limit</text>',
-        f'<text x="2" y="{pad}" font-size="11">{y_max:.3g}</text>',
-        f'<text x="2" y="{height - pad}" font-size="11">0</text>',
-    ]
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        color = "#1f77b4" if i < normal_count else "#d62728"
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.8" fill="{color}"/>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--train-m", type=int, default=500)
     p_gen.add_argument("--normal-m", type=int, default=100)
     p_gen.add_argument("--fault-m", type=int, default=400)
-    p_gen.add_argument("--train-noise", type=float, default=0.1)
-    p_gen.add_argument("--test-noise", type=float, default=0.5)
-    p_gen.add_argument("--noise-as-sd", action="store_true",
-                       help="read the noise parameters as std, not variance")
+    p_gen.add_argument("--train-noise", type=float, default=0.1, help="variance")
+    p_gen.add_argument("--test-noise", type=float, default=0.5, help="variance")
     p_gen.add_argument("--config", help="key=value file mirroring the flags")
     p_gen.set_defaults(func=_cmd_gen_toy)
 
@@ -459,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-iters", type=int, default=CgConfig.max_iters,
                          help=_MAX_ITERS_HELP)
     p_bench.add_argument("--out-dir", required=True)
-    p_bench.add_argument("--svg", action="store_true",
-                         help="also write an SVG chart per cell")
     _add_layout_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -472,7 +471,6 @@ def _cmd_gen_toy(args) -> int:
         args.out_dir, seed=args.seed, train_m=args.train_m,
         normal_m=args.normal_m, fault_m=args.fault_m,
         train_noise=args.train_noise, test_noise=args.test_noise,
-        noise_as_sd=args.noise_as_sd,
     )
     print(f"wrote {train_path}")
     print(f"wrote {test_path} (first {args.normal_m} samples normal)")
@@ -546,7 +544,6 @@ def _cmd_bench(args) -> int:
         zeta=args.zeta,
         seed=args.seed,
         out_dir=Path(args.out_dir),
-        svg=args.svg,
         samples=args.samples,
         header=args.header,
         max_iters=args.max_iters,

@@ -33,7 +33,7 @@ class StiefelPoint:
         if self.matrix.ndim != 2:
             raise ValueError("Stiefel point must be a 2-D matrix")
         err = orthonormality_error(self.matrix)
-        if not err <= ORTHO_TOL:  # a non-finite matrix has a NaN or inf error
+        if not err <= ORTHO_TOL:
             raise ValueError(
                 f"columns are not orthonormal: ||W^T W - I||_F = {err:.3e}"
             )
@@ -91,7 +91,9 @@ class TangentPair:
 
 
 def orthonormality_error(matrix: np.ndarray) -> float:
-    """Frobenius distance of W^T W from the identity."""
+    """Frobenius distance of W^T W from the identity; inf for a non-finite W."""
+    if not np.isfinite(matrix).all():  # before the product, which would warn
+        return float("inf")
     p = matrix.shape[1]
     return float(np.linalg.norm(matrix.T @ matrix - np.eye(p)))
 

@@ -1,5 +1,6 @@
 """CLI surface: toy generator, Bayes demo, benchmark runner, train/detect."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -16,7 +17,9 @@ import scafd
 from scafd.cli import (
     BenchCase,
     BenchSpec,
+    _BOOL_KEYS,
     bayes_posterior,
+    build_parser,
     derive_seed,
     gen_toy,
     main,
@@ -76,13 +79,15 @@ def test_gen_toy_seed_reproducible(tmp_path):
 
 
 def test_gen_toy_noise_parameter_is_a_variance(tmp_path):
-    # variance 0.25 and std 0.5 must describe the same process
-    a = gen_toy(tmp_path / "var", seed=2, train_m=10, normal_m=2, fault_m=2,
-                train_noise=0.25, test_noise=0.25)
-    b = gen_toy(tmp_path / "sd", seed=2, train_m=10, normal_m=2, fault_m=2,
-                train_noise=0.5, test_noise=0.5, noise_as_sd=True)
-    assert a[0].read_bytes() == b[0].read_bytes()
-    assert a[1].read_bytes() == b[1].read_bytes()
+    # variance 0.25 is the noise std 0.5 that toy_samples takes
+    train_path, test_path = gen_toy(tmp_path, seed=2, train_m=10, normal_m=2,
+                                    fault_m=2, train_noise=0.25, test_noise=0.25)
+    rng = np.random.default_rng(2)
+    train, normal, fault = (toy_samples(rng, m, 0.5) for m in (10, 2, 2))
+    read = [load_csv(path, samples="rows", header=True).values
+            for path in (train_path, test_path)]
+    assert np.array_equal(read[0], train)
+    assert np.array_equal(read[1], np.concatenate([normal, fault + 1.0], axis=1))
 
 
 def test_gen_toy_rejects_empty_blocks(tmp_path):
@@ -155,6 +160,44 @@ def test_bench_spec_validation(tmp_path):
         BenchSpec(tmp_path / "train.csv", [case], ["pca"])
     with pytest.raises(ValueError, match="normal_count"):
         BenchCase(tmp_path / "t.csv", 0, "f1")
+    # a repeated method or fault id would overwrite another cell's files
+    with pytest.raises(ValueError, match="at least one method"):
+        BenchSpec(tmp_path / "train.csv", [case], [], p=2)
+    with pytest.raises(ValueError, match="repeated method"):
+        BenchSpec(tmp_path / "train.csv", [case], ["pca", "sca", "pca"], p=2)
+    with pytest.raises(ValueError, match="repeated fault id"):
+        BenchSpec(tmp_path / "train.csv", [case, BenchCase(tmp_path / "u.csv", 5, "f1")],
+                  ["pca"], p=2)
+    for fault_id in ("", "a/b", f"a{os.sep}b"):
+        with pytest.raises(ValueError, match="no path separator"):
+            BenchCase(tmp_path / "t.csv", 10, fault_id)
+
+
+def test_cli_bench_rejects_a_bad_spec_before_any_fit(toy_paths, tmp_path, capsys):
+    train_path, test_path = toy_paths
+    out = tmp_path / "bench"
+    rc = main(["bench", "--train", str(train_path), "--header", "--methods", "pca",
+               "--test", f"{test_path}:100:3", "--test", f"{test_path}:100:3",
+               "--p", "2", "--out-dir", str(out)])
+    assert rc == 2
+    assert "error: repeated fault id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_bool_keys_are_the_store_true_flags():
+    # a boolean flag missing from _BOOL_KEYS turns a config line key=true
+    # into "--key true", which argparse rejects
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        option[2:]
+        for command in sub.choices.values()
+        for action in command._actions
+        if isinstance(action, argparse._StoreTrueAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert flags == _BOOL_KEYS
 
 
 def test_resolve_p_explicit_and_energy(toy_train):
@@ -284,6 +327,31 @@ def test_bench_rerun_is_byte_identical(toy_paths, tmp_path):
             ]
         )
     assert outputs[0] == outputs[1]
+
+
+def test_bench_and_train_detect_write_the_same_chart(toy_paths, tmp_path):
+    # one seed derivation and one chart writer, with the model in memory in
+    # the bench and reloaded from its file by detect
+    train_path, test_path = toy_paths
+    spec = BenchSpec(
+        train_path=train_path,
+        cases=[BenchCase(test_path, 100, "toy")],
+        methods=["pca", "sca"],
+        p=2,
+        seed=3,
+        out_dir=tmp_path / "bench",
+        max_iters=40,
+    )
+    run_bench(spec)
+    for method in spec.methods:
+        model_path, chart = tmp_path / f"{method}.json", tmp_path / f"{method}.csv"
+        assert main(["train", "--train", str(train_path), "--method", method,
+                     "--seed", "3", "--p", "2", "--max-iters", "40", "--header",
+                     "--out", str(model_path)]) == 0
+        assert main(["detect", "--model", str(model_path), "--data", str(test_path),
+                     "--header", "--normal-count", "100", "--out", str(chart)]) == 0
+        bench_chart = spec.out_dir / f"chart_faulttoy_{method}.csv"
+        assert chart.read_bytes() == bench_chart.read_bytes()
 
 
 def _bench_with_failing_fit(toy_paths, tmp_path, monkeypatch, error):
