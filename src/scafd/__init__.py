@@ -12,13 +12,11 @@ autoencoders on raw or lifted inputs) share the same monitoring machinery.
 from .activations import Activation, get_activation
 from .baselines import (
     AeModel,
-    AeTrace,
     KpcaModel,
     PcaModel,
     ae_train,
     kpca_fit,
     pca_fit,
-    sae_train,
 )
 from .data import (
     DataMatrix,
@@ -42,7 +40,7 @@ from .manifold import (
     riemannian_grad,
     transport,
 )
-from .optimizer import CgConfig, CgTrace, LineSearchError, cg_optimize
+from .optimizer import CgConfig, FitTrace, LineSearchError, cg_optimize
 from .persistence import load_model, save_model
 from .sca import (
     DetectionReport,
@@ -60,11 +58,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation",
     "AeModel",
-    "AeTrace",
     "CgConfig",
-    "CgTrace",
     "DataMatrix",
     "DetectionReport",
+    "FitTrace",
     "KpcaModel",
     "LineSearchError",
     "MonitoringStats",
@@ -94,7 +91,6 @@ __all__ = [
     "random_tangent",
     "retract",
     "riemannian_grad",
-    "sae_train",
     "save_model",
     "score",
     "silverman_bandwidth",

@@ -2,15 +2,18 @@
 
 All four are :class:`scafd.sca.MonitoringStats`, which holds the scaler,
 the sizes and the T2/KDE machinery; each model type only supplies its own
-feature map.  The autoencoder deliberately has no orthogonality constraint
-and trains by full-batch gradient descent, so the constraint stays the
-experimental variable when comparing against the manifold-trained model.
+feature map.  The autoencoder (second-order with ``expand_inputs=True``)
+deliberately has no orthogonality constraint and trains by full-batch
+gradient descent, so the constraint stays the experimental variable when
+comparing against the manifold-trained model; the descent fills the same
+``scafd.optimizer.FitTrace`` as the conjugate gradient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .data import (
     expanded_t_dot,
     fit_scaler,
 )
+from .optimizer import FitTrace, _is_flat
 from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
 
 _EIG_RANK_TOL = 1e-10
@@ -124,22 +128,6 @@ class AeModel(MonitoringStats):
             pre = self.w_enc.T @ inputs.values
         enc = get_activation(self.encoder_activation)
         return enc.fn(pre + self.b_enc[:, None])
-
-
-@dataclass
-class AeTrace:
-    """Cost/gradient-norm history of the autoencoder gradient descent."""
-
-    cost_per_iter: list[float] = field(default_factory=list)
-    grad_norm_per_iter: list[float] = field(default_factory=list)
-    # cost evaluations behind each accepted step (1 + the halvings it took);
-    # a final search that reached _LR_FLOOR is not listed
-    trials_per_iter: list[int] = field(default_factory=list)
-    iterations: int = 0
-    # why the descent stopped: "flat" (cost dropped too little over
-    # _FLAT_WINDOW steps), "step_floor" (no step down to _LR_FLOOR lowered
-    # the cost) or "max_iters"
-    stop_reason: str = ""
 
 
 def pca_fit(
@@ -299,7 +287,7 @@ def _gradient_descent(
     rng: np.random.Generator,
     encoder: Activation,
     max_iters: int,
-) -> tuple[tuple[np.ndarray, ...], AeTrace]:
+) -> tuple[tuple[np.ndarray, ...], FitTrace]:
     """Monotone gradient descent: halve the step until the cost does not rise.
 
     theta = (w_enc, b_enc, w_dec, b_dec) lives in one flat vector.  The
@@ -312,8 +300,9 @@ def _gradient_descent(
     norms of a full block, and of the rows left when the descent stops, are
     taken in one pass with the same per-parameter-block sums, added in block
     order, as a norm taken per step, so ``grad_norm_per_iter`` is unchanged
-    bit for bit.
+    bit for bit.  Each accepted step goes to ``step_per_iter``.
     """
+    began = time.perf_counter()
     n = X.shape[0]
     theta = np.concatenate([
         rng.standard_normal((n, p)) / np.sqrt(n),
@@ -333,8 +322,7 @@ def _gradient_descent(
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
     g = rows[0]
-    trace = AeTrace(cost_per_iter=[f])
-    costs = trace.cost_per_iter
+    trace = FitTrace(cost_per_iter=[f])
 
     def flush() -> None:
         gg = rows[:filled] * rows[:filled]
@@ -343,11 +331,9 @@ def _gradient_descent(
 
     lr = _LR_START
     for _ in range(max_iters):
-        if len(costs) > _FLAT_WINDOW:
-            drop = costs[-1 - _FLAT_WINDOW] - costs[-1]
-            if drop <= _COST_REL_TOL * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
-                trace.stop_reason = "flat"
-                break
+        if _is_flat(trace.cost_per_iter, _FLAT_WINDOW, _COST_REL_TOL):
+            trace.stop_reason = "flat"
+            break
         if filled == rows.shape[0]:
             flush()  # g sits in the last row; the next trial writes row 0
             filled = 0
@@ -370,12 +356,14 @@ def _gradient_descent(
         else:
             trace.stop_reason = "step_floor"
             break
-        costs.append(f)
+        trace.cost_per_iter.append(f)
+        trace.step_per_iter.append(lr)
         trace.trials_per_iter.append(trials)
         trace.iterations += 1
     else:
         trace.stop_reason = "max_iters"
     flush()
+    trace.wall_time = time.perf_counter() - began
     return params, trace
 
 
@@ -387,8 +375,11 @@ def ae_train(
     zeta: float = DEFAULT_ZETA,
     encoder: Activation = TANH,
     expand_inputs: bool = False,
-) -> tuple[AeModel, AeTrace]:
-    """Train the unconstrained autoencoder monitor by monotone gradient descent."""
+) -> tuple[AeModel, FitTrace]:
+    """Train the unconstrained autoencoder monitor by monotone gradient descent.
+
+    ``expand_inputs`` trains on the second-order expansion (method ``sae``).
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
     scaler = fit_scaler(X)
@@ -411,22 +402,3 @@ def ae_train(
     )
     return model, trace
 
-
-def sae_train(
-    X: DataMatrix,
-    p: int,
-    max_iters: int = 2000,
-    seed: int = 0,
-    zeta: float = DEFAULT_ZETA,
-    encoder: Activation = TANH,
-) -> tuple[AeModel, AeTrace]:
-    """Autoencoder over second-order expanded inputs, still unconstrained."""
-    return ae_train(
-        X,
-        p,
-        max_iters=max_iters,
-        seed=seed,
-        zeta=zeta,
-        encoder=encoder,
-        expand_inputs=True,
-    )

@@ -79,6 +79,8 @@ def gen_toy(
     """
     if min(train_m, normal_m, fault_m) < 1:
         raise ValueError("sample counts must be positive")
+    if not all(0.0 <= v < np.inf for v in (train_noise, test_noise)):
+        raise ValueError("noise variances must be finite and non-negative")
     rng = np.random.default_rng(seed)
     train = toy_samples(rng, train_m, float(np.sqrt(train_noise)))
     normal = toy_samples(rng, normal_m, float(np.sqrt(test_noise)))
@@ -105,6 +107,8 @@ def bayes_posterior(
     With unequal class sds the log-odds is quadratic in x, so a purely
     linear score cannot represent the posterior boundary.
     """
+    if not np.all(np.isfinite([mu0, mu1, sd0, sd1])):
+        raise ValueError("class means and standard deviations must be finite")
     if sd0 <= 0 or sd1 <= 0:
         raise ValueError("class standard deviations must be positive")
     x = np.asarray(grid, dtype=float)
@@ -213,10 +217,10 @@ def train_method(
         return baselines.pca_fit(train_dm, n_components=p, zeta=zeta), None
     if method == "kpca":
         return baselines.kpca_fit(train_dm, p, zeta=zeta), None
-    if method == "ae":
-        return baselines.ae_train(train_dm, p, seed=seed, zeta=zeta)
-    if method == "sae":
-        return baselines.sae_train(train_dm, p, seed=seed, zeta=zeta)
+    if method in ("ae", "sae"):
+        return baselines.ae_train(
+            train_dm, p, seed=seed, zeta=zeta, expand_inputs=method == "sae"
+        )
     if method == "sca":
         cfg = CgConfig(seed=seed, max_iters=max_iters)
         return sca.train(train_dm, p, cfg=cfg, zeta=zeta)

@@ -182,11 +182,7 @@ def expanded_dot(X: DataMatrix, c: np.ndarray) -> np.ndarray:
     return np.concatenate([c.sum(axis=0, keepdims=True), Z @ c, products])
 
 
-def load_csv(
-    path: str | Path,
-    samples: str = "cols",
-    header: bool = False,
-) -> DataMatrix:
+def load_csv(path: str | Path, *, samples: str, header: bool) -> DataMatrix:
     """Read a comma-separated matrix of process data.
 
     ``samples`` declares the layout: "cols" means each CSV column holds one

@@ -24,6 +24,8 @@ Newton-Schulz sweep maps W~ to (W~ + tH) R with a p x p factor R.  A line
 search forms only [dw, H]^T X per direction, each Armijo trial costs p x p
 and p x m work instead of two N x m x p products, and the accepted trial's
 products and R give the new point's forward pass, gradient and decoder.
+
+``FitTrace`` also records the autoencoder descent of ``scafd.baselines``.
 """
 
 from __future__ import annotations
@@ -62,22 +64,22 @@ class LineSearchError(RuntimeError):
 
     ``trials`` is the number of steps the failed search evaluated.  When
     ``cg_optimize`` gives up (its steepest-descent search failed too),
-    ``trace`` is the run's ``CgTrace`` up to the last completed iteration,
+    ``trace`` is the run's ``FitTrace`` up to the last completed iteration,
     with stop_reason "line_search"; otherwise it is None.
     """
 
     def __init__(self, message: str, trials: int) -> None:
         super().__init__(message)
         self.trials = trials
-        self.trace: CgTrace | None = None
+        self.trace: FitTrace | None = None
 
 
 @dataclass
 class CgConfig:
     """Stopping rule and seed of the manifold conjugate gradient.
 
-    The line search is fixed (``_INITIAL_STEP``, ``_BACKTRACK``, ``_ARMIJO_C1``)
-    and so is the restart count of ``sca.train`` (``sca._RESTARTS``).
+    ``cost_rel_tol`` is the ``_is_flat`` tolerance over ``_FLAT_WINDOW`` steps;
+    the line search (``_STEPS``, ``_ARMIJO_C1``) and ``sca._RESTARTS`` are fixed.
     """
 
     max_iters: int = 500
@@ -91,21 +93,21 @@ class CgConfig:
 
 
 @dataclass
-class CgTrace:
-    """Per-iteration record of the optimization run."""
+class FitTrace:
+    """Per-iteration record of ``cg_optimize`` and of the autoencoder descent."""
 
     cost_per_iter: list[float] = field(default_factory=list)
     grad_norm_per_iter: list[float] = field(default_factory=list)
-    # accepted Armijo step of each iteration, one of _STEPS
+    # accepted step of each iteration, a power of two (CG: one of _STEPS)
     step_per_iter: list[float] = field(default_factory=list)
-    # closed-form trials each iteration's line search evaluated, a failed
-    # search before the steepest-descent retry included
+    # cost evaluations behind each step, with CG's failed search before a
+    # steepest-descent retry; a descent's final failed search is not listed
     trials_per_iter: list[int] = field(default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
-    # why the run ended: "grad_tol", "flat" (cost_rel_tol over the last
-    # iterations), "max_iters", or "line_search" on the trace a
-    # LineSearchError carries; empty until cg_optimize returns
+    # why the run ended: "grad_tol" (CG), "flat" (``_is_flat``), "max_iters",
+    # "line_search" (CG, on the trace a LineSearchError carries) or
+    # "step_floor" (descent: no step lowered the cost); "" until it returns
     stop_reason: str = ""
 
 
@@ -335,15 +337,20 @@ def init_product_point(
     return ProductPoint(w=w_tilde.matrix.copy(), w_tilde=w_tilde)
 
 
-def _stop_reason(trace: CgTrace, gnorm: float, cfg: CgConfig) -> str:
+def _is_flat(costs: list[float], window: int, rel_tol: float) -> bool:
+    """The flat-cost stop of both trainers: a relative drop <= rel_tol over window."""
+    if len(costs) <= window:
+        return False
+    drop = costs[-1 - window] - costs[-1]
+    return drop <= rel_tol * max(1.0, abs(costs[-1 - window]))
+
+
+def _stop_reason(trace: FitTrace, gnorm: float, cfg: CgConfig) -> str:
     """Why the run stops before the next iteration; "" to go on."""
     if gnorm <= cfg.grad_tol:
         return "grad_tol"
-    costs = trace.cost_per_iter
-    if len(costs) > _FLAT_WINDOW:
-        drop = costs[-1 - _FLAT_WINDOW] - costs[-1]
-        if drop <= cfg.cost_rel_tol * max(1.0, abs(costs[-1 - _FLAT_WINDOW])):
-            return "flat"
+    if _is_flat(trace.cost_per_iter, _FLAT_WINDOW, cfg.cost_rel_tol):
+        return "flat"
     if trace.iterations >= cfg.max_iters:
         return "max_iters"
     return ""
@@ -354,7 +361,7 @@ def cg_optimize(
     X: np.ndarray,
     cfg: CgConfig,
     encoder: Activation = TANH,
-) -> tuple[ProductPoint, CgTrace]:
+) -> tuple[ProductPoint, FitTrace]:
     """Minimize the reconstruction cost by conjugate gradient on the manifold.
 
     Stops when the Riemannian gradient norm falls below grad_tol, when the
@@ -382,7 +389,7 @@ def cg_optimize(
         raise FloatingPointError("non-finite reconstruction cost")
     grad = riemannian_grad(point, _grad(fwd, X, point.w_tilde.matrix, encoder))
     gnorm = norm(grad)
-    trace = CgTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
+    trace = FitTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
     direction = -grad
 
     try:

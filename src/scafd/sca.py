@@ -38,7 +38,7 @@ from .data import (
     second_order_kernel,
 )
 from .manifold import ProductPoint, StiefelPoint
-from .optimizer import CgConfig, CgTrace, cg_optimize, init_product_point
+from .optimizer import CgConfig, FitTrace, cg_optimize, init_product_point
 
 DEFAULT_ZETA = 0.01
 _RIDGE_SCALE = 1e-8
@@ -287,7 +287,7 @@ def _fit_in_span(
     init: ProductPoint,
     cfg: CgConfig,
     encoder: Activation,
-) -> tuple[ProductPoint, CgTrace, np.ndarray]:
+) -> tuple[ProductPoint, FitTrace, np.ndarray]:
     """``cg_optimize`` from ``init`` on X = expand(Z), run in a d-dim subspace.
 
     Every iterate stays in range(X) + span(W~_0): the gradients are X- and
@@ -323,7 +323,7 @@ def train(
     cfg: CgConfig | None = None,
     zeta: float = DEFAULT_ZETA,
     encoder: Activation = TANH,
-) -> tuple[ScaModel, CgTrace]:
+) -> tuple[ScaModel, FitTrace]:
     """Fit a second-order component analysis monitor on normal training data."""
     if cfg is None:
         cfg = CgConfig()
@@ -344,13 +344,13 @@ def train(
     if m + p < N:
         coef, coords = _kernel_basis(scaled)
 
-        def fit(init: ProductPoint) -> tuple[ProductPoint, CgTrace, np.ndarray]:
+        def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
             return _fit_in_span(scaled, coef, coords, init, cfg, encoder)
 
     else:
         expanded = expand_second_order(scaled)
 
-        def fit(init: ProductPoint) -> tuple[ProductPoint, CgTrace, np.ndarray]:
+        def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
             point, trace = cg_optimize(init, expanded, cfg, encoder)
             return point, trace, encoder.fn(point.w.T @ expanded)
 

@@ -12,7 +12,6 @@ from scafd.baselines import (
     _LR_START,
     _NORM_BLOCK_ELEMS,
     AeModel,
-    AeTrace,
     KpcaModel,
     PcaModel,
     _gradient_descent,
@@ -22,7 +21,6 @@ from scafd.baselines import (
     gaussian_gram,
     kpca_fit,
     pca_fit,
-    sae_train,
 )
 from scafd.cli import gen_toy
 from scafd.data import (
@@ -33,6 +31,7 @@ from scafd.data import (
     fit_scaler,
     load_csv,
 )
+from scafd.optimizer import FitTrace
 from scafd.sca import monitor
 
 IDENTITY = get_activation("identity")
@@ -418,7 +417,7 @@ def _old_gradient_descent(X, p, rng, encoder, max_iters, cost_grad=_old_ae_cost_
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
     gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
-    trace = AeTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
+    trace = FitTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
     lr = _LR_START
     for _ in range(max_iters):
         costs = trace.cost_per_iter
@@ -509,6 +508,21 @@ def test_trials_per_iter_counts_every_cost_evaluation(toy_fits):
         assert sum(trace.trials_per_iter) == calls - 1
     # some step was halved, so some entry counts more than one trial
     assert max(max(trace.trials_per_iter) for *_, trace, _ in toy_fits) > 1
+
+
+def test_descent_fills_the_fit_trace(toy_fits):
+    for *_, trace, _ in toy_fits:
+        assert isinstance(trace, FitTrace)
+        assert len(trace.step_per_iter) == trace.iterations
+        # the step starts at 1 and only halves, down to the first power of
+        # two at or above the 1e-16 floor
+        steps = np.array(trace.step_per_iter)
+        assert np.all((steps >= 2.0**-53) & (steps <= 1.0))
+        assert np.all(np.frexp(steps)[0] == 0.5)
+        assert np.all(np.diff(steps) <= 0)
+        assert trace.wall_time > 0
+    # some fit halved its step
+    assert min(min(trace.step_per_iter) for *_, trace, _ in toy_fits) < 1.0
 
 
 def _rigged(cost_grad, limit):
@@ -633,11 +647,11 @@ def test_descent_stops_at_step_floor_when_no_step_lowers_the_cost(rng, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# sae_train
+# second-order autoencoder (expand_inputs=True)
 
 
 def test_sae_expands_input_dimension(toy_train):
-    model, _ = sae_train(toy_train, p=2, max_iters=30)
+    model, _ = ae_train(toy_train, p=2, max_iters=30, expand_inputs=True)
     assert model.w_enc.shape == (13, 2)  # 1 + 3 + 9 expanded rows
     assert model.expand_inputs
     assert expanded_dim(52) == 2757
@@ -661,7 +675,7 @@ def test_sae_zero_data_has_bias_only_exact_solution():
 def test_sae_zero_data_training_reports_degenerate_features():
     # constant features carry no monitoring information; the fit refuses them
     with pytest.raises(ValueError, match="singular"):
-        sae_train(DataMatrix(np.zeros((2, 20))), p=2, max_iters=20)
+        ae_train(DataMatrix(np.zeros((2, 20))), p=2, max_iters=20, expand_inputs=True)
 
 
 # ---------------------------------------------------------------------------

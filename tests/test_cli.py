@@ -31,7 +31,7 @@ from scafd.cli import (
     _write_trace_csv,
 )
 from scafd.data import load_csv
-from scafd.optimizer import CgTrace
+from scafd.optimizer import FitTrace
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,15 @@ def test_gen_toy_noise_parameter_is_a_variance(tmp_path):
 def test_gen_toy_rejects_empty_blocks(tmp_path):
     with pytest.raises(ValueError, match="positive"):
         gen_toy(tmp_path, train_m=0)
+    # a negative or non-finite variance would write NaN samples
+    for key in ("train_noise", "test_noise"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            out = tmp_path / f"{key}{bad}"
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                gen_toy(out, **{key: bad})
+            flag = "--" + key.replace("_", "-")
+            assert main(["gen-toy", "--out-dir", str(out), flag, str(bad)]) == 2
+            assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +135,20 @@ def test_bayes_unequal_sds_have_quadratic_log_odds():
     assert np.max(np.abs(second - 2.0 * quad_coeff * dx**2)) <= 1e-8
 
 
-def test_bayes_rejects_bad_sds():
+def test_bayes_rejects_bad_sds(tmp_path):
     with pytest.raises(ValueError, match="positive"):
         bayes_posterior(0.0, 1.0, 0.0, 1.0, np.zeros(3))
+    with pytest.raises(ValueError, match="positive"):
+        bayes_posterior(0.0, 1.0, 1.0, -2.0, np.zeros(3))
+    nan, inf = float("nan"), float("inf")
+    for args in ((0.0, 1.0, nan, 1.0), (0.0, 1.0, 1.0, inf), (nan, 1.0, 1.0, 1.0),
+                 (0.0, -inf, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            bayes_posterior(*args, np.zeros(3))
+    out = tmp_path / "posterior.csv"
+    for flag, bad in (("--sd0", "nan"), ("--sd1", "-1"), ("--mu0", "inf")):
+        assert main(["bayes-demo", "--out", str(out), flag, bad]) == 2
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +293,7 @@ def test_bench_writes_trace_and_metadata(bench_run):
 
 
 def test_write_trace_csv_aligns_iteration_cost_grad(tmp_path):
-    trace = CgTrace(cost_per_iter=[3.0, 0.1 + 0.2], grad_norm_per_iter=[1.0, 0.5])
+    trace = FitTrace(cost_per_iter=[3.0, 0.1 + 0.2], grad_norm_per_iter=[1.0, 0.5])
     path = tmp_path / "trace.csv"
     _write_trace_csv(path, trace)
     assert path.read_text().splitlines() == [

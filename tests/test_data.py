@@ -239,7 +239,7 @@ def test_structured_products_memory_stays_near_the_slice_cap():
 def test_load_csv_samples_as_columns(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5,6\n")
-    dm = load_csv(path, samples="cols")
+    dm = load_csv(path, samples="cols", header=False)
     assert (dm.n_variables, dm.n_samples) == (2, 3)
     assert np.array_equal(dm.values, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
@@ -247,7 +247,7 @@ def test_load_csv_samples_as_columns(tmp_path):
 def test_load_csv_samples_as_rows(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5,6\n")
-    dm = load_csv(path, samples="rows")
+    dm = load_csv(path, samples="rows", header=False)
     assert (dm.n_variables, dm.n_samples) == (3, 2)
     assert np.array_equal(dm.values, np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]))
 
@@ -256,21 +256,21 @@ def test_load_csv_nan_cell_names_location(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,NaN\n")
     with pytest.raises(ValueError, match=r"row 1, column 1"):
-        load_csv(path, samples="cols")
+        load_csv(path, samples="cols", header=False)
 
 
 def test_load_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,banana\n")
     with pytest.raises(ValueError, match=r"non-numeric cell at row 0, column 1"):
-        load_csv(path, samples="cols")
+        load_csv(path, samples="cols", header=False)
 
 
 def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5\n")
     with pytest.raises(ValueError, match="ragged row 1"):
-        load_csv(path, samples="cols")
+        load_csv(path, samples="cols", header=False)
 
 
 def test_load_csv_header_becomes_variable_names(tmp_path):
@@ -285,7 +285,19 @@ def test_load_csv_rejects_unknown_layout(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1\n")
     with pytest.raises(ValueError, match="samples must be"):
-        load_csv(path, samples="diagonal")
+        load_csv(path, samples="diagonal", header=False)
+
+
+def test_load_csv_requires_the_layout(tmp_path):
+    # gen_toy writes samples as rows with a header; no default may guess
+    path = tmp_path / "m.csv"
+    path.write_text("x1,x2\n1,2\n")
+    with pytest.raises(TypeError):
+        load_csv(path)
+    with pytest.raises(TypeError):
+        load_csv(path, samples="rows")
+    with pytest.raises(TypeError):
+        load_csv(path, "rows", True)
 
 
 def test_write_samples_csv_reads_back_exactly(tmp_path, rng):

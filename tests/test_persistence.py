@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scafd.baselines import ae_train, kpca_fit, pca_fit, sae_train
+from scafd.baselines import ae_train, kpca_fit, pca_fit
 from scafd.data import DataMatrix, Scaler
 from scafd.manifold import random_stiefel
 from scafd.persistence import FORMAT_VERSION, load_model, method_tag, save_model
@@ -100,7 +100,7 @@ def test_ae_round_trip_exact(small_block, tmp_path):
 
 
 def test_sae_round_trip_exact(small_block, tmp_path):
-    model, _ = sae_train(small_block, p=2, max_iters=60, seed=3)
+    model, _ = ae_train(small_block, p=2, max_iters=60, seed=3, expand_inputs=True)
     loaded = _assert_exact_round_trip(model, "sae", tmp_path)
     assert loaded.expand_inputs
 

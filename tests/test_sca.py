@@ -23,7 +23,7 @@ from scafd.data import (
     second_order_kernel,
 )
 from scafd.manifold import StiefelPoint, orthonormality_error
-from scafd.optimizer import CgConfig, cg_optimize, init_product_point
+from scafd.optimizer import CgConfig, FitTrace, cg_optimize, init_product_point
 from scafd.sca import (
     DetectionReport,
     ScaModel,
@@ -295,6 +295,51 @@ def test_train_is_deterministic(toy_train):
     assert np.array_equal(a.sigma_g_inv, b.sigma_g_inv)
     assert np.array_equal(a.t2_train, b.t2_train)
     assert a.control_limit == b.control_limit
+
+
+def _degenerate_stats(monkeypatch, failures):
+    """Make sca's fit_monitoring_stats raise on its first ``failures`` calls."""
+    calls = []
+
+    def stats(*args, **kwargs):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise ValueError(f"degenerate start {len(calls)}")
+        return fit_monitoring_stats(*args, **kwargs)
+
+    monkeypatch.setattr(scafd.sca, "fit_monitoring_stats", stats)
+    return calls
+
+
+def test_train_restarts_from_the_next_draw_of_the_seed_stream(toy_train, monkeypatch):
+    cfg = CgConfig(seed=3, max_iters=30)
+    first, _ = train(toy_train, p=2, cfg=cfg)
+    restarted = []
+    for _ in range(2):
+        calls = _degenerate_stats(monkeypatch, failures=1)
+        model, trace = train(toy_train, p=2, cfg=cfg)
+        assert len(calls) == 2
+        assert isinstance(trace, FitTrace)
+        restarted.append(model)
+    a, b = restarted
+    assert np.array_equal(a.w, b.w) and a.control_limit == b.control_limit
+    assert not np.array_equal(a.w, first.w)
+    # the fit that was kept started from the second draw of default_rng(seed)
+    scaled = apply_scaler(fit_scaler(toy_train), toy_train)
+    rng = np.random.default_rng(cfg.seed)
+    init_product_point(13, 2, rng)
+    point, _ = cg_optimize(
+        init_product_point(13, 2, rng), expand_second_order(scaled), cfg
+    )
+    assert np.array_equal(a.w, point.w)
+
+
+def test_train_gives_up_after_every_start_degenerates(toy_train, monkeypatch):
+    calls = _degenerate_stats(monkeypatch, failures=99)
+    with pytest.raises(ValueError, match="all 3 starts produced degenerate features") as info:
+        train(toy_train, p=2, cfg=CgConfig(seed=3, max_iters=30))
+    assert len(calls) == 3
+    assert str(info.value.__cause__) == "degenerate start 3"
 
 
 def test_train_rejects_small_sample(rng):
