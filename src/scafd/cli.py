@@ -237,11 +237,12 @@ def _fit_methods(spec: BenchSpec, train_dm: DataMatrix, p: int) -> tuple[dict, d
     """Fit each method of ``spec`` once; writes no files.
 
     Returns the models and the traces by method, and a record of each fit's
-    wall time, seed and failure.  A fit that raises one of ``_FIT_ERRORS`` is
+    wall time, seed and failure, and of why each iterative fit stopped ("fits":
+    stop reason and iterations).  A fit that raises one of ``_FIT_ERRORS`` is
     recorded as a failure and leaves its method without a model.
     """
     models, traces = {}, {}
-    record: dict = {"wall_times": {}, "method_seeds": {}, "failures": []}
+    record: dict = {"wall_times": {}, "method_seeds": {}, "fits": {}, "failures": []}
     for method in spec.methods:
         seed = record["method_seeds"][method] = derive_seed(spec.seed, method)
         t0 = time.perf_counter()
@@ -257,6 +258,8 @@ def _fit_methods(spec: BenchSpec, train_dm: DataMatrix, p: int) -> tuple[dict, d
         models[method] = model
         if trace is not None:
             traces[method] = trace
+            record["fits"][method] = {"stop_reason": trace.stop_reason,
+                                      "iterations": trace.iterations}
     return models, traces, record
 
 
@@ -494,6 +497,8 @@ def _cmd_bayes_demo(args) -> int:
 
 def _cmd_train(args) -> int:
     _check_size(args.p, args.energy)
+    if args.trace and args.method in ("pca", "kpca"):
+        raise ValueError("--trace needs an iterative method (sca, ae, sae)")
     train_dm = load_csv(args.train, samples=args.samples, header=args.header)
     p = resolve_p(train_dm, args.p, args.energy)
     seed = derive_seed(args.seed, args.method)
@@ -501,10 +506,13 @@ def _cmd_train(args) -> int:
         args.method, train_dm, p, args.zeta, seed, max_iters=args.max_iters
     )
     persistence.save_model(model, args.out)
-    if args.trace and trace is not None:
-        _write_trace_csv(Path(args.trace), trace)
-    print(f"trained {args.method} (p={model.n_components}, "
-          f"limit={model.control_limit:.4g}); wrote {args.out}")
+    summary = (f"trained {args.method} (p={model.n_components}, "
+               f"limit={model.control_limit:.4g}); wrote {args.out}")
+    if trace is not None:
+        if args.trace:
+            _write_trace_csv(Path(args.trace), trace)
+        summary += f"; stopped: {trace.stop_reason} after {trace.iterations} iterations"
+    print(summary)
     return 0
 
 

@@ -5,11 +5,15 @@ variables and m samples is an n x m array.  The second-order expansion maps
 each sample x to [1, x_1..x_n, x_1*x_1, x_1*x_2, ..., x_n*x_n], so the
 expanded dimension is N = 1 + n + n**2 (the full product block is kept,
 including both x_j*x_k and x_k*x_j).
+
+``load_csv`` parses CSV files with numpy, leaves the value checks to
+``DataMatrix`` and names the file in every error it raises.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,49 +191,30 @@ def load_csv(path: str | Path, *, samples: str, header: bool) -> DataMatrix:
 
     ``samples`` declares the layout: "cols" means each CSV column holds one
     sample (variables are rows), "rows" means each CSV row is one sample.
-    ``header`` skips one leading line; with samples-as-rows the header cells
-    become variable names.
+    With ``header`` the first kept line is a header, whose cells (quoted or
+    not) name the variables when samples are rows.  Lines of only commas and
+    blanks are skipped; numpy parses the rest (``#`` is a bad cell, not a
+    comment), ``DataMatrix`` checks the values, and every error names the file.
     """
     if samples not in ("rows", "cols"):
         raise ValueError(f"samples must be 'rows' or 'cols', got {samples!r}")
     path = Path(path)
-    rows: list[list[float]] = []
-    names: list[str] | None = None
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, record in enumerate(reader):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            if header and not rows and names is None:
-                names = [cell.strip() for cell in record]
-                continue
-            parsed = []
-            for col_no, cell in enumerate(record):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell at row {line_no}, "
-                        f"column {col_no}: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise ValueError(
-                        f"{path}: non-finite value at row {line_no}, "
-                        f"column {col_no}: {cell!r}"
-                    )
-                parsed.append(value)
-            if rows and len(parsed) != len(rows[0]):
-                raise ValueError(
-                    f"{path}: ragged row {line_no}: expected {len(rows[0])} "
-                    f"cells, got {len(parsed)}"
-                )
-            rows.append(parsed)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.array(rows, dtype=float)
-    if samples == "rows":
-        return DataMatrix(values=arr.T, variable_names=names)
-    return DataMatrix(values=arr, variable_names=None)
+    try:
+        with path.open(newline="") as fh:
+            lines = (line for line in fh if line.strip(", \t\r\n\f\v"))
+            names = None
+            if header:
+                names = [cell.strip() for cell in next(csv.reader(lines), [])]
+            first = next(lines, None)
+            if first is None:
+                raise ValueError("no data rows")
+            arr = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                             comments=None, quotechar='"', ndmin=2)
+        if samples == "rows":
+            return DataMatrix(values=arr.T, variable_names=names)
+        return DataMatrix(values=arr)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_samples_csv(path: str | Path, values: np.ndarray) -> None:

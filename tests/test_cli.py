@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from scafd.cli import (
     run_bench,
     toy_response,
     toy_samples,
+    _fit_methods,
     _parse_case,
     _write_trace_csv,
 )
@@ -290,6 +292,15 @@ def test_bench_writes_trace_and_metadata(bench_run):
     assert set(meta["method_seeds"]) == {"pca", "sca"}
     assert meta["failures"] == []
     assert "sca" in meta["wall_times"]
+    # why each iterative fit stopped, as the fit's own trace says
+    train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
+    _, traces, record = _fit_methods(spec, train_dm, 2)
+    assert set(meta["fits"]) == set(traces) == {"sca"}
+    assert meta["fits"]["sca"] == record["fits"]["sca"] == {
+        "stop_reason": traces["sca"].stop_reason,
+        "iterations": traces["sca"].iterations,
+    }
+    assert traces["sca"].stop_reason and traces["sca"].iterations >= 1
 
 
 def test_write_trace_csv_aligns_iteration_cost_grad(tmp_path):
@@ -469,6 +480,8 @@ def test_cli_train_then_detect_round_trip(toy_paths, tmp_path, capsys):
     assert rc == 0
     assert model_path.exists()
     assert "trained sca (p=2" in out
+    assert re.search(r"; stopped: (grad_tol|flat|max_iters) after \d+ iterations$",
+                     out.strip())
 
     chart = tmp_path / "chart.csv"
     rc = main(["detect", "--model", str(model_path), "--data", str(test_path),
@@ -484,6 +497,38 @@ def test_cli_train_then_detect_round_trip(toy_paths, tmp_path, capsys):
     assert len(rows) == 500
     for row in rows[:20]:
         assert int(row["flag"]) == int(float(row["t2"]) > float(row["tau"]))
+
+
+@pytest.mark.parametrize("method", ["ae", "sae"])
+def test_cli_train_says_why_the_descent_stopped(toy_paths, tmp_path, capsys, method):
+    train_path, _ = toy_paths
+    model_path, trace_path = tmp_path / "m.json", tmp_path / "trace.csv"
+    rc = main(["train", "--train", str(train_path), "--method", method, "--p", "2",
+               "--header", "--trace", str(trace_path), "--out", str(model_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    found = re.search(r"; stopped: (\w+) after (\d+) iterations$", out.strip())
+    assert found and found[1] in ("flat", "max_iters", "step_floor")
+    # one trace row per accepted step, plus the starting cost
+    assert len(trace_path.read_text().splitlines()) == int(found[2]) + 2
+
+
+@pytest.mark.parametrize("method", ["pca", "kpca"])
+def test_cli_train_trace_needs_an_iterative_method(toy_paths, tmp_path, capsys, method):
+    train_path, _ = toy_paths
+    model_path, trace_path = tmp_path / "m.json", tmp_path / "t.csv"
+    rc = main(["train", "--train", str(train_path), "--method", method, "--p", "2",
+               "--header", "--trace", str(trace_path), "--out", str(model_path)])
+    assert rc == 2
+    assert "error: --trace needs an iterative method (sca, ae, sae)" in (
+        capsys.readouterr().err
+    )
+    assert not model_path.exists() and not trace_path.exists()
+    # the check comes before any data is read
+    assert main(["train", "--train", str(tmp_path / "missing.csv"), "--method", method,
+                 "--p", "2", "--trace", str(trace_path),
+                 "--out", str(model_path)]) == 2
+    assert "--trace needs an iterative method" in capsys.readouterr().err
 
 
 def test_cli_train_requires_a_size_argument(toy_paths, tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Scaling and second-order expansion: exact layouts, guards, round trips."""
 
+import re
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -255,21 +259,29 @@ def test_load_csv_samples_as_rows(tmp_path):
 def test_load_csv_nan_cell_names_location(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,NaN\n")
-    with pytest.raises(ValueError, match=r"row 1, column 1"):
+    # DataMatrix's check: variables are CSV rows here, samples are columns
+    with pytest.raises(
+        ValueError, match=r"m\.csv: non-finite entry at variable 1, sample 1"
+    ):
         load_csv(path, samples="cols", header=False)
 
 
 def test_load_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,banana\n")
-    with pytest.raises(ValueError, match=r"non-numeric cell at row 0, column 1"):
+    # numpy's wording: rows count from 0, columns from 1
+    with pytest.raises(
+        ValueError, match=r"m\.csv: could not convert string 'banana' .*row 0, column 2"
+    ):
         load_csv(path, samples="cols", header=False)
 
 
 def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5\n")
-    with pytest.raises(ValueError, match="ragged row 1"):
+    with pytest.raises(
+        ValueError, match=r"m\.csv: the number of columns changed from 3 to 2 at row 2"
+    ):
         load_csv(path, samples="cols", header=False)
 
 
@@ -300,11 +312,101 @@ def test_load_csv_requires_the_layout(tmp_path):
         load_csv(path, "rows", True)
 
 
+@pytest.mark.parametrize(
+    "text, samples, header, values, names",
+    [
+        (b"1,2\n\n3,4\n\n", "cols", False, [[1, 2], [3, 4]], None),
+        (b"1,2\n,,\n , \n\t\n3,4\n", "cols", False, [[1, 2], [3, 4]], None),
+        (b"\n,\nx1,x2\n\n1,2\n", "rows", True, [[1], [2]], ["x1", "x2"]),
+        (b"x1,x2\r\n1,2\r\n3,4\r\n", "rows", True, [[1, 3], [2, 4]], ["x1", "x2"]),
+        (b'"1.5","-2e3"\n 3 ,4\n', "cols", False, [[1.5, -2000], [3, 4]], None),
+        (b'"a,b", c \n1,2\n', "rows", True, [[1], [2]], ["a,b", "c"]),
+        (b"1\n2\n3", "cols", False, [[1], [2], [3]], None),
+        (b"1\n2\n3\n", "rows", False, [[1, 2, 3]], None),
+        (b"1,2,3\n", "cols", False, [[1, 2, 3]], None),
+        (b"x1,x2,x3\n1,2,3\n", "rows", True, [[1], [2], [3]], ["x1", "x2", "x3"]),
+        (b"a,b\n1,2\n", "cols", True, [[1, 2]], None),
+    ],
+    ids=["blank-lines", "empty-cells", "blank-before-header", "crlf", "quoted",
+         "quoted-header", "one-column", "one-column-rows", "one-row-cols",
+         "one-row-rows", "header-cols"],
+)
+def test_load_csv_accepts(tmp_path, text, samples, header, values, names):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    dm = load_csv(path, samples=samples, header=header)
+    assert dm.values.shape == np.shape(values)
+    assert np.array_equal(dm.values, np.array(values, dtype=float))
+    assert dm.variable_names == names
+
+
+@pytest.mark.parametrize(
+    "text, header",
+    [(b"", False), (b"", True), (b"\n \n,,\n", False), (b"x1,x2\n", True),
+     (b"x1,x2\n\n , \n", True)],
+    ids=["empty", "empty-header", "blank-only", "header-only", "header-then-blank"],
+)
+def test_load_csv_without_data_rows_raises_without_warning(tmp_path, text, header):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    # numpy would warn on empty input; the check runs before it is called
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        match = rf"^{re.escape(str(path))}: no data rows$"
+        with pytest.raises(ValueError, match=match):
+            load_csv(path, samples="rows", header=header)
+
+
+@pytest.mark.parametrize("text", ["1,#\n", "# comment\n1,2\n", "1,2 # c\n"],
+                         ids=["cell", "line", "trailing"])
+def test_load_csv_hash_is_a_cell_not_a_comment(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_csv(path, samples="cols", header=False)
+
+
+@given(
+    st.lists(
+        # below the largest double, so that "{:.3e}" cannot round up to inf
+        st.lists(st.floats(-1e308, 1e308), min_size=3, max_size=3),
+        min_size=1, max_size=6,
+    ),
+    st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", " {!r}\t", '"{!r}"']),
+)
+@example(rows=[[5e-324, -5e-324, 2.2250738585072014e-308]], fmt="{!r}")
+@example(rows=[[1.7976931348623157e308, -0.0, 1e-310]], fmt="{!r}")
+def test_load_csv_parses_each_cell_like_python_float(rows, fmt):
+    # the reference is the per-cell float() of the parser numpy replaced
+    text = "".join(",".join(fmt.format(v) for v in row) + "\n" for row in rows)
+    want = [[float(cell.strip('"')) for cell in line.split(",")]
+            for line in text.splitlines()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text(text)
+        got = load_csv(path, samples="cols", header=False).values
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_load_csv_header_width_mismatch_names_the_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("x1,x2,x3\n1,2\n3,4\n")
+    with pytest.raises(
+        ValueError, match=rf"^{re.escape(str(path))}: got 3 variable names for 2"
+    ):
+        load_csv(path, samples="rows", header=True)
+
+
 def test_write_samples_csv_reads_back_exactly(tmp_path, rng):
-    values = rng.standard_normal((3, 7)) * np.array([[1e-300], [1.0], [1e300]])
+    # the last row is subnormal: below 2.2e-308, down to the smallest, 5e-324
+    values = rng.standard_normal((4, 7)) * np.array(
+        [[1e-300], [1.0], [1e300], [1e-310]]
+    )
+    values[3, :2] = [5e-324, -5e-324]
+    assert np.all((values[3] != 0) & (np.abs(values[3]) < 2.2e-308))
     path = tmp_path / "m.csv"
     write_samples_csv(path, values)
-    assert path.read_text().splitlines()[0] == "x1,x2,x3"
+    assert path.read_text().splitlines()[0] == "x1,x2,x3,x4"
     dm = load_csv(path, samples="rows", header=True)
     assert np.array_equal(dm.values, values)
-    assert dm.variable_names == ["x1", "x2", "x3"]
+    assert dm.variable_names == ["x1", "x2", "x3", "x4"]
