@@ -327,6 +327,7 @@ def train(
     """Fit a second-order component analysis monitor on normal training data."""
     if cfg is None:
         cfg = CgConfig()
+    _check_zeta(zeta)  # the restart loop would report it as degenerate features
     if p < 1:
         raise ValueError("p must be at least 1")
     if X_train.n_samples < p + 2:

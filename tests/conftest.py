@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 
 import numpy as np
@@ -43,6 +44,13 @@ def toy_sca_model(toy_train):
 
     model, trace = train(toy_train, p=2, cfg=CgConfig(seed=7, max_iters=150))
     return model, trace
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_outlives_the_suite():
+    """Fail the run if a bench, or anything else, leaves a worker running."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture()

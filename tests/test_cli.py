@@ -4,6 +4,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import multiprocessing
 import os
 import re
 import stat
@@ -16,6 +17,7 @@ import pytest
 
 import scafd
 from scafd.cli import (
+    METHODS,
     BenchCase,
     BenchSpec,
     _BOOL_KEYS,
@@ -28,6 +30,7 @@ from scafd.cli import (
     run_bench,
     toy_response,
     toy_samples,
+    train_method,
     _fit_methods,
     _parse_case,
     _write_trace_csv,
@@ -193,17 +196,32 @@ def test_bench_spec_validation(tmp_path):
     for fault_id in ("", "a/b", f"a{os.sep}b"):
         with pytest.raises(ValueError, match="no path separator"):
             BenchCase(tmp_path / "t.csv", 10, fault_id)
+    for zeta in (0.0, -0.1, 0.7):
+        with pytest.raises(ValueError, match=r"zeta must lie in \(0, 0.5\]"):
+            BenchSpec(tmp_path / "train.csv", [case], ["pca"], p=2, zeta=zeta)
+    for max_iters in (0, -3):
+        with pytest.raises(ValueError, match="max_iters must be positive"):
+            BenchSpec(tmp_path / "train.csv", [case], ["pca"], p=2, max_iters=max_iters)
 
 
-def test_cli_bench_rejects_a_bad_spec_before_any_fit(toy_paths, tmp_path, capsys):
+def test_cli_bench_rejects_a_bad_spec_before_any_fit(toy_paths, tmp_path, capsys,
+                                                    monkeypatch):
+    import scafd.cli
+
+    monkeypatch.setattr(scafd.cli, "train_method", None)  # any fit would fail
     train_path, test_path = toy_paths
     out = tmp_path / "bench"
-    rc = main(["bench", "--train", str(train_path), "--header", "--methods", "pca",
-               "--test", f"{test_path}:100:3", "--test", f"{test_path}:100:3",
-               "--p", "2", "--out-dir", str(out)])
-    assert rc == 2
-    assert "error: repeated fault id" in capsys.readouterr().err
-    assert not out.exists()
+    case = ["--test", f"{test_path}:100:3"]
+    for flags, error in [
+        (case + case, "repeated fault id"),
+        (case + ["--zeta", "0.7"], "zeta must lie in (0, 0.5], got 0.7"),
+        (case + ["--max-iters", "0"], "max_iters must be positive"),
+    ]:
+        rc = main(["bench", "--train", str(train_path), "--header", "--methods", "pca,sca",
+                   *flags, "--p", "2", "--out-dir", str(out)])
+        assert rc == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_bool_keys_are_the_store_true_flags():
@@ -292,6 +310,8 @@ def test_bench_writes_trace_and_metadata(bench_run):
     assert set(meta["method_seeds"]) == {"pca", "sca"}
     assert meta["failures"] == []
     assert "sca" in meta["wall_times"]
+    # two methods fit in as many processes as there are usable CPUs, up to two
+    assert meta["fit_workers"] == min(2, len(os.sched_getaffinity(0)))
     # why each iterative fit stopped, as the fit's own trace says
     train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
     _, traces, record = _fit_methods(spec, train_dm, 2)
@@ -388,15 +408,18 @@ def test_bench_and_train_detect_write_the_same_chart(toy_paths, tmp_path):
 def _bench_with_failing_fit(toy_paths, tmp_path, monkeypatch, error):
     import scafd.cli
 
-    def failing_fit(*args, **kwargs):
-        raise error
+    # forked fit workers inherit the patched train_method
+    def failing_fit(method, *args, **kwargs):
+        if method == "pca":
+            raise error
+        return train_method(method, *args, **kwargs)
 
     monkeypatch.setattr(scafd.cli, "train_method", failing_fit)
     train_path, test_path = toy_paths
     spec = BenchSpec(
         train_path=train_path,
         cases=[BenchCase(test_path, 100, "toy")],
-        methods=["pca"],
+        methods=["pca", "kpca"],
         p=2,
         out_dir=tmp_path / "out",
     )
@@ -407,7 +430,9 @@ def test_bench_records_na_for_failing_fit(toy_paths, tmp_path, monkeypatch):
     result = _bench_with_failing_fit(
         toy_paths, tmp_path, monkeypatch, ValueError("degenerate features")
     )
-    assert result.rows == [{"fault_id": "toy", "method": "pca", "mdr": None, "far": None}]
+    assert multiprocessing.active_children() == []
+    assert result.rows[0] == {"fault_id": "toy", "method": "pca", "mdr": None, "far": None}
+    assert result.rows[1]["mdr"] is not None
     assert result.metrics_path.read_text().splitlines()[1] == "toy,pca,NA,NA"
 
     import json
@@ -416,6 +441,7 @@ def test_bench_records_na_for_failing_fit(toy_paths, tmp_path, monkeypatch):
     assert meta["failures"] == [
         {"method": "pca", "stage": "train", "error": "degenerate features"}
     ]
+    assert list(meta["wall_times"]) == ["kpca"]
 
 
 def test_bench_propagates_programming_errors(toy_paths, tmp_path, monkeypatch):
@@ -423,6 +449,36 @@ def test_bench_propagates_programming_errors(toy_paths, tmp_path, monkeypatch):
         _bench_with_failing_fit(
             toy_paths, tmp_path, monkeypatch, TypeError("not a fit failure")
         )
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_bench_files_are_the_same_in_process_and_in_workers(toy_paths, tmp_path,
+                                                           monkeypatch):
+    train_path, test_path = toy_paths
+
+    def bench(name):
+        out = tmp_path / name
+        run_bench(BenchSpec(train_path=train_path,
+                            cases=[BenchCase(test_path, 100, "toy")],
+                            methods=list(METHODS), p=2, seed=5,
+                            out_dir=out, max_iters=20))
+        meta = json.loads((out / "run_metadata.json").read_text())
+        files = {f.name: f.read_bytes() for f in out.iterdir()
+                 if f.name != "run_metadata.json"}
+        return files, meta
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        files_in_process, meta_in_process = bench("in_process")
+    files_in_workers, meta_in_workers = bench("in_workers")
+    assert meta_in_process.pop("fit_workers") == 1
+    assert meta_in_workers.pop("fit_workers") == min(5, len(os.sched_getaffinity(0)))
+    for meta in (meta_in_process, meta_in_workers):
+        assert list(meta.pop("wall_times")) == list(METHODS)
+    assert meta_in_process == meta_in_workers
+    assert len(files_in_process) == 1 + 5 + 3  # metrics, charts, traces
+    assert files_in_process == files_in_workers
 
 
 # ---------------------------------------------------------------------------

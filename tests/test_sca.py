@@ -342,6 +342,13 @@ def test_train_gives_up_after_every_start_degenerates(toy_train, monkeypatch):
     assert str(info.value.__cause__) == "degenerate start 3"
 
 
+@pytest.mark.parametrize("zeta", [0.0, 0.7])
+def test_train_rejects_bad_zeta_before_any_start(toy_train, monkeypatch, zeta):
+    monkeypatch.setattr(scafd.sca, "init_product_point", None)  # any start would fail
+    with pytest.raises(ValueError, match=f"zeta must lie in \\(0, 0.5\\], got {zeta}"):
+        train(toy_train, p=2, cfg=CgConfig(max_iters=5), zeta=zeta)
+
+
 def test_train_rejects_small_sample(rng):
     X = DataMatrix(rng.standard_normal((2, 3)))
     with pytest.raises(ValueError, match=r"p\+2"):
