@@ -19,19 +19,21 @@ import numpy as np
 from scafd.data import write_samples_csv
 
 
-def convert(in_path: Path, out_path: Path, orientation: str,
-            n_variables: int = 52) -> tuple[int, int]:
+N_VARIABLES = 52  # process variables of the public plant-data layout
+
+
+def convert(in_path: Path, out_path: Path, orientation: str) -> tuple[int, int]:
     raw = np.loadtxt(in_path)
     if raw.ndim == 1:
         raw = raw[None, :]
     if orientation == "variables-rows":
         raw = raw.T
     elif orientation == "auto":
-        if raw.shape[0] == n_variables and raw.shape[1] != n_variables:
+        if raw.shape[0] == N_VARIABLES and raw.shape[1] != N_VARIABLES:
             raw = raw.T
-        elif raw.shape[1] != n_variables:
+        elif raw.shape[1] != N_VARIABLES:
             raise ValueError(
-                f"neither axis of {raw.shape} matches {n_variables} variables; "
+                f"neither axis of {raw.shape} matches {N_VARIABLES} variables; "
                 "pass --orientation explicitly"
             )
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -45,11 +47,8 @@ def main() -> None:
     parser.add_argument("out_path", type=Path)
     parser.add_argument("--orientation", default="auto",
                         choices=["auto", "samples-rows", "variables-rows"])
-    parser.add_argument("--n-variables", type=int, default=52,
-                        help="expected variable count for auto orientation")
     args = parser.parse_args()
-    rows, cols = convert(args.in_path, args.out_path, args.orientation,
-                         args.n_variables)
+    rows, cols = convert(args.in_path, args.out_path, args.orientation)
     print(f"wrote {args.out_path} ({rows} samples x {cols} variables)")
 
 

@@ -26,6 +26,7 @@ from .data import (
     expanded_t_dot,
     fit_scaler,
 )
+from .manifold import orthonormality_error
 from .optimizer import FitTrace, _is_flat
 from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
 
@@ -48,7 +49,7 @@ class PcaModel(MonitoringStats):
         super().__post_init__()
         n, p = self.n_variables, self.n_components
         self._check_shapes({"loading": (n, p), "eigenvalues": (n,)})
-        err = np.linalg.norm(self.loading.T @ self.loading - np.eye(p))
+        err = orthonormality_error(self.loading)
         if err > 1e-10:
             raise ValueError(f"loading columns not orthonormal: {err:.3e}")
         top = self.eigenvalues[:p]
@@ -89,7 +90,7 @@ class KpcaModel(MonitoringStats):
     def encode_batch(self, X: DataMatrix) -> np.ndarray:
         scaled = apply_scaler(self.scaler, X).values
         # Kernel rows against the training block, then double centering.
-        k = _gaussian_kernel(scaled, self.train_scaled, self.kernel_width)
+        k = gaussian_kernel(scaled, self.train_scaled, self.kernel_width)
         k_centered = (
             k
             - k.mean(axis=1, keepdims=True)
@@ -168,7 +169,7 @@ def pca_fit(
     return PcaModel(loading=loading, eigenvalues=vals, **vars(stats))
 
 
-def _gaussian_kernel(A: np.ndarray, B: np.ndarray, width: float) -> np.ndarray:
+def gaussian_kernel(A: np.ndarray, B: np.ndarray, width: float) -> np.ndarray:
     """exp(-||a_i - b_j||^2 / width) between the columns of A and of B."""
     dist = (
         np.sum(A**2, axis=0)[:, None]
@@ -176,11 +177,6 @@ def _gaussian_kernel(A: np.ndarray, B: np.ndarray, width: float) -> np.ndarray:
         - 2.0 * A.T @ B
     )
     return np.exp(-np.maximum(dist, 0.0) / width)
-
-
-def gaussian_gram(X: np.ndarray, width: float) -> np.ndarray:
-    """Gram matrix exp(-||x_i - x_j||^2 / width) over the columns of X."""
-    return _gaussian_kernel(X, X, width)
 
 
 def center_gram(K: np.ndarray) -> np.ndarray:
@@ -207,7 +203,7 @@ def kpca_fit(
     delta_bar = float(scaled.std(axis=1, ddof=1).mean())
     width = 10.0 * n * delta_bar
 
-    K = gaussian_gram(scaled, width)
+    K = gaussian_kernel(scaled, scaled, width)
     Kc = center_gram(K)
     vals, vecs = np.linalg.eigh(0.5 * (Kc + Kc.T))
     order = np.argsort(vals)[::-1]
@@ -373,10 +369,9 @@ def ae_train(
     max_iters: int = 2000,
     seed: int = 0,
     zeta: float = DEFAULT_ZETA,
-    encoder: Activation = TANH,
     expand_inputs: bool = False,
 ) -> tuple[AeModel, FitTrace]:
-    """Train the unconstrained autoencoder monitor by monotone gradient descent.
+    """Train the unconstrained tanh autoencoder monitor by monotone gradient descent.
 
     ``expand_inputs`` trains on the second-order expansion (method ``sae``).
     """
@@ -387,16 +382,15 @@ def ae_train(
     mat = expand_second_order(inputs) if expand_inputs else inputs.values
 
     rng = np.random.default_rng(seed)
-    params, trace = _gradient_descent(mat, p, rng, encoder, max_iters)
+    params, trace = _gradient_descent(mat, p, rng, TANH, max_iters)
     w_enc, b_enc, w_dec, b_dec = params
-    codes = encoder.fn(w_enc.T @ mat + b_enc[:, None])
+    codes = TANH.fn(w_enc.T @ mat + b_enc[:, None])
     stats = fit_monitoring_stats(codes, scaler, zeta)
     model = AeModel(
         w_enc=w_enc,
         b_enc=b_enc,
         w_dec=w_dec,
         b_dec=b_dec,
-        encoder_activation=encoder.name,
         expand_inputs=expand_inputs,
         **vars(stats),
     )

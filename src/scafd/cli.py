@@ -31,7 +31,6 @@ from .optimizer import CgConfig
 
 METHODS = ("pca", "kpca", "ae", "sae", "sca")
 _BOOL_KEYS = {"header"}
-_MAX_ITERS_HELP = "caps sca's conjugate gradient only; ae and sae run up to 2000 steps"
 
 
 # ---------------------------------------------------------------------------
@@ -428,22 +427,31 @@ def _expand_config(argv: list[str]) -> list[str]:
     return rest[:1] + tokens + rest[1:]
 
 
-def _add_layout_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", choices=("rows", "cols"), default="rows",
-                   help="CSV layout: samples as rows or columns")
-    p.add_argument("--header", action="store_true",
-                   help="skip one header line in input CSVs")
-    p.add_argument("--config", help="key=value file mirroring the flags")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scafd",
         description="Second-order component analysis fault detection toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value file mirroring the flags")
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument("--samples", choices=("rows", "cols"), default="rows",
+                        help="CSV layout: samples as rows or columns")
+    layout.add_argument("--header", action="store_true",
+                        help="skip one header line in input CSVs")
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--p", type=int, default=None)
+    fit.add_argument("--energy", type=float, default=None,
+                     help="eigenvalue-energy fraction for choosing p")
+    fit.add_argument("--zeta", type=float, default=sca.DEFAULT_ZETA)
+    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--max-iters", type=int, default=CgConfig.max_iters,
+                     help="caps sca's conjugate gradient only; ae and sae run "
+                          "up to 2000 steps")
 
-    p_gen = sub.add_parser("gen-toy", help="generate the toy heteroscedastic dataset")
+    p_gen = sub.add_parser("gen-toy", parents=[config],
+                           help="generate the toy heteroscedastic dataset")
     p_gen.add_argument("--out-dir", required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--train-m", type=int, default=500)
@@ -451,10 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--fault-m", type=int, default=400)
     p_gen.add_argument("--train-noise", type=float, default=0.1, help="variance")
     p_gen.add_argument("--test-noise", type=float, default=0.5, help="variance")
-    p_gen.add_argument("--config", help="key=value file mirroring the flags")
     p_gen.set_defaults(func=_cmd_gen_toy)
 
-    p_bayes = sub.add_parser("bayes-demo",
+    p_bayes = sub.add_parser("bayes-demo", parents=[config],
                              help="posterior of two Gaussian classes on a grid")
     p_bayes.add_argument("--mu0", type=float, default=0.0)
     p_bayes.add_argument("--mu1", type=float, default=1.0)
@@ -464,46 +471,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_bayes.add_argument("--grid-max", type=float, default=6.0)
     p_bayes.add_argument("--grid-points", type=int, default=241)
     p_bayes.add_argument("--out", required=True)
-    p_bayes.add_argument("--config", help="key=value file mirroring the flags")
     p_bayes.set_defaults(func=_cmd_bayes_demo)
 
-    p_train = sub.add_parser("train", help="fit a monitor and save the model file")
+    p_train = sub.add_parser("train", parents=[config, layout, fit],
+                             help="fit a monitor and save the model file")
     p_train.add_argument("--train", required=True, help="training CSV (normal data)")
     p_train.add_argument("--method", choices=METHODS, default="sca")
-    p_train.add_argument("--p", type=int, default=None)
-    p_train.add_argument("--energy", type=float, default=None,
-                         help="eigenvalue-energy fraction for choosing p")
-    p_train.add_argument("--zeta", type=float, default=sca.DEFAULT_ZETA)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--max-iters", type=int, default=CgConfig.max_iters,
-                         help=_MAX_ITERS_HELP)
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--trace", default=None, help="optional trace CSV path")
-    _add_layout_flags(p_train)
     p_train.set_defaults(func=_cmd_train)
 
-    p_detect = sub.add_parser("detect", help="score a data file with a saved model")
+    p_detect = sub.add_parser("detect", parents=[config, layout],
+                              help="score a data file with a saved model")
     p_detect.add_argument("--model", required=True)
     p_detect.add_argument("--data", required=True)
     p_detect.add_argument("--normal-count", type=int, default=None)
     p_detect.add_argument("--out", default=None, help="optional chart CSV path")
-    _add_layout_flags(p_detect)
     p_detect.set_defaults(func=_cmd_detect)
 
-    p_bench = sub.add_parser("bench", help="train methods and score fault cases")
+    p_bench = sub.add_parser("bench", parents=[config, layout, fit],
+                             help="train methods and score fault cases")
     p_bench.add_argument("--train", required=True)
     p_bench.add_argument("--test", action="append", default=[],
                          help="case as path:normal_count:fault_id (repeatable)")
     p_bench.add_argument("--methods", default="pca,sca",
                          help="comma-separated subset of " + ",".join(METHODS))
-    p_bench.add_argument("--p", type=int, default=None)
-    p_bench.add_argument("--energy", type=float, default=None)
-    p_bench.add_argument("--zeta", type=float, default=sca.DEFAULT_ZETA)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--max-iters", type=int, default=CgConfig.max_iters,
-                         help=_MAX_ITERS_HELP)
     p_bench.add_argument("--out-dir", required=True)
-    _add_layout_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

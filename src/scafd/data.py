@@ -6,14 +6,15 @@ each sample x to [1, x_1..x_n, x_1*x_1, x_1*x_2, ..., x_n*x_n], so the
 expanded dimension is N = 1 + n + n**2 (the full product block is kept,
 including both x_j*x_k and x_k*x_j).
 
-``load_csv`` parses CSV files with numpy, leaves the value checks to
-``DataMatrix`` and names the file in every error it raises.
+``load_csv`` parses CSV files with numpy, gives the file's line and column
+of a bad value or row, and names the file in every error it raises.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,22 +195,46 @@ def load_csv(path: str | Path, *, samples: str, header: bool) -> DataMatrix:
     With ``header`` the first kept line is a header, whose cells (quoted or
     not) name the variables when samples are rows.  Lines of only commas and
     blanks are skipped; numpy parses the rest (``#`` is a bad cell, not a
-    comment), ``DataMatrix`` checks the values, and every error names the file.
+    comment).  A cell numpy cannot read, a row of another width and a
+    non-finite value are reported at the file's line and column, counted
+    from 1 in either layout, and every error names the file.
     """
     if samples not in ("rows", "cols"):
         raise ValueError(f"samples must be 'rows' or 'cols', got {samples!r}")
     path = Path(path)
+    numbers: list[int] = []  # file line of each data line read so far
+
+    def kept(fh):
+        for number, line in enumerate(fh, 1):
+            if line.strip(", \t\r\n\f\v"):
+                numbers.append(number)
+                yield line
+
     try:
         with path.open(newline="") as fh:
-            lines = (line for line in fh if line.strip(", \t\r\n\f\v"))
+            lines = kept(fh)
             names = None
             if header:
                 names = [cell.strip() for cell in next(csv.reader(lines), [])]
+                numbers.clear()
             first = next(lines, None)
             if first is None:
                 raise ValueError("no data rows")
-            arr = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                             comments=None, quotechar='"', ndmin=2)
+            try:
+                arr = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                 comments=None, quotechar='"', ndmin=2)
+            except ValueError as exc:
+                # numpy counts the data lines it got from 0 for a bad cell
+                # (columns from 1) and from 1 for a row of another width
+                at = re.match(r"(.*) at row (\d+)(, column \d+)?", str(exc), re.S)
+                if at is None:
+                    raise
+                line = numbers[int(at[2]) - (at[3] is None)]
+                raise ValueError(f"{at[1]} at line {line}{at[3] or ''}") from None
+        if not np.isfinite(arr).all():
+            row, column = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"non-finite value {arr[row, column]} at line "
+                             f"{numbers[row]}, column {column + 1}")
         if samples == "rows":
             return DataMatrix(values=arr.T, variable_names=names)
         return DataMatrix(values=arr)

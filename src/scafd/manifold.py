@@ -181,10 +181,6 @@ def transport(new_base: StiefelPoint, H: TangentPair) -> TangentPair:
     The free factor moves unchanged; the Stiefel factor is re-projected onto
     the new tangent space.
     """
-    if H.dh.shape != new_base.shape:
-        raise ValueError(
-            f"shape mismatch: base {new_base.shape}, tangent {H.dh.shape}"
-        )
     return TangentPair(H.dw, project_tangent(new_base, H.dh))
 
 
@@ -192,13 +188,7 @@ def riemannian_grad(
     point: ProductPoint, eucl_grad: tuple[np.ndarray, np.ndarray]
 ) -> TangentPair:
     """Convert a Euclidean gradient pair (d/dw, d/dw_tilde) to a tangent pair."""
-    gw, gwt = (np.asarray(g, dtype=float) for g in eucl_grad)
-    if gw.shape != point.shape or gwt.shape != point.shape:
-        raise ValueError(
-            f"gradient shapes {gw.shape}, {gwt.shape} do not match point "
-            f"{point.shape}"
-        )
-    return TangentPair(gw, project_tangent(point.w_tilde, gwt))
+    return transport(point.w_tilde, TangentPair(*eucl_grad))
 
 
 def random_stiefel(N: int, p: int, rng: np.random.Generator) -> StiefelPoint:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import TANH, Activation, get_activation
+from .activations import TANH, get_activation
 from .data import (
     DataMatrix,
     Scaler,
@@ -286,7 +286,6 @@ def _fit_in_span(
     coords: np.ndarray,
     init: ProductPoint,
     cfg: CgConfig,
-    encoder: Activation,
 ) -> tuple[ProductPoint, FitTrace, np.ndarray]:
     """``cg_optimize`` from ``init`` on X = expand(Z), run in a d-dim subspace.
 
@@ -304,7 +303,7 @@ def _fit_in_span(
     data = np.vstack([coords, expanded_t_dot(Z, P).T])
     start = np.vstack([c, P.T @ w0])
     point, trace = cg_optimize(
-        ProductPoint(w=start.copy(), w_tilde=StiefelPoint(start)), data, cfg, encoder
+        ProductPoint(w=start.copy(), w_tilde=StiefelPoint(start)), data, cfg, TANH
     )
     r = coef.shape[1]
 
@@ -314,7 +313,7 @@ def _fit_in_span(
     lifted = ProductPoint(
         w=lift(point.w), w_tilde=StiefelPoint(lift(point.w_tilde.matrix))
     )
-    return lifted, trace, encoder.fn(point.w.T @ data)
+    return lifted, trace, TANH.fn(point.w.T @ data)
 
 
 def train(
@@ -322,9 +321,8 @@ def train(
     p: int,
     cfg: CgConfig | None = None,
     zeta: float = DEFAULT_ZETA,
-    encoder: Activation = TANH,
 ) -> tuple[ScaModel, FitTrace]:
-    """Fit a second-order component analysis monitor on normal training data."""
+    """Fit a second-order component analysis monitor (tanh encoder) on normal data."""
     if cfg is None:
         cfg = CgConfig()
     _check_zeta(zeta)  # the restart loop would report it as degenerate features
@@ -346,14 +344,14 @@ def train(
         coef, coords = _kernel_basis(scaled)
 
         def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
-            return _fit_in_span(scaled, coef, coords, init, cfg, encoder)
+            return _fit_in_span(scaled, coef, coords, init, cfg)
 
     else:
         expanded = expand_second_order(scaled)
 
         def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
-            point, trace = cg_optimize(init, expanded, cfg, encoder)
-            return point, trace, encoder.fn(point.w.T @ expanded)
+            point, trace = cg_optimize(init, expanded, cfg, TANH)
+            return point, trace, TANH.fn(point.w.T @ expanded)
 
     rng = np.random.default_rng(cfg.seed)
     # A start can still collapse every feature onto a tanh plateau, leaving a
@@ -374,7 +372,6 @@ def train(
     model = ScaModel(
         w=point.w,
         w_tilde=point.w_tilde,
-        encoder_activation=encoder.name,
         **vars(stats),
     )
     return model, trace

@@ -240,6 +240,20 @@ def test_config_bool_keys_are_the_store_true_flags():
     assert flags == _BOOL_KEYS
 
 
+def test_train_and_bench_declare_the_fit_flags_alike():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def fit_flags(command):
+        return {action.dest: (action.option_strings, action.type, action.default,
+                              action.help)
+                for action in sub.choices[command]._actions
+                if action.dest in ("p", "energy", "zeta", "seed", "max_iters")}
+
+    assert len(fit_flags("train")) == 5
+    assert fit_flags("bench") == fit_flags("train")
+
+
 def test_resolve_p_explicit_and_energy(toy_train):
     assert resolve_p(toy_train, 2, None) == 2
     p_energy = resolve_p(toy_train, None, 0.85)

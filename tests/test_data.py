@@ -259,9 +259,8 @@ def test_load_csv_samples_as_rows(tmp_path):
 def test_load_csv_nan_cell_names_location(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,NaN\n")
-    # DataMatrix's check: variables are CSV rows here, samples are columns
     with pytest.raises(
-        ValueError, match=r"m\.csv: non-finite entry at variable 1, sample 1"
+        ValueError, match=r"m\.csv: non-finite value nan at line 2, column 2$"
     ):
         load_csv(path, samples="cols", header=False)
 
@@ -269,9 +268,8 @@ def test_load_csv_nan_cell_names_location(tmp_path):
 def test_load_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,banana\n")
-    # numpy's wording: rows count from 0, columns from 1
     with pytest.raises(
-        ValueError, match=r"m\.csv: could not convert string 'banana' .*row 0, column 2"
+        ValueError, match=r"m\.csv: could not convert string 'banana' .* line 1, column 2$"
     ):
         load_csv(path, samples="cols", header=False)
 
@@ -280,9 +278,27 @@ def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5\n")
     with pytest.raises(
-        ValueError, match=r"m\.csv: the number of columns changed from 3 to 2 at row 2"
+        ValueError, match=r"m\.csv: the number of columns changed from 3 to 2 at line 2$"
     ):
         load_csv(path, samples="cols", header=False)
+
+
+@pytest.mark.parametrize("samples", ["rows", "cols"])
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("3,banana", r"could not convert string 'banana' to float64 at line 5, column 2"),
+     ("3", r"the number of columns changed from 2 to 1 at line 5"),
+     ("3,inf", r"non-finite value inf at line 5, column 2"),
+     ("nan,4", r"non-finite value nan at line 5, column 1")],
+    ids=["bad-cell", "short-row", "inf", "nan"],
+)
+def test_load_csv_errors_give_the_file_line_and_column(tmp_path, samples, bad_line,
+                                                       message):
+    # line 1 is the header, lines 2 and 4 are skipped as blank
+    path = tmp_path / "m.csv"
+    path.write_text(f"x1,x2\n\n1,2\n , \n{bad_line}\n5,6\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+        load_csv(path, samples=samples, header=True)
 
 
 def test_load_csv_header_becomes_variable_names(tmp_path):

@@ -296,6 +296,17 @@ def test_riemannian_grad_keeps_tangent_part(rng):
     assert np.linalg.norm(out.dh - H) <= 1e-12 * max(1.0, np.linalg.norm(H))
 
 
+@pytest.mark.parametrize(
+    "gw_shape, gwt_shape",
+    [((5, 2), (5, 3)), ((6, 2), (5, 2)), ((5, 3), (5, 3))],
+    ids=["stiefel-half-off", "free-half-off", "halves-agree-point-differs"],
+)
+def test_riemannian_grad_rejects_mis_shaped_gradients(rng, gw_shape, gwt_shape):
+    point = ProductPoint(w=rng.standard_normal((5, 2)), w_tilde=random_stiefel(5, 2, rng))
+    with pytest.raises(ValueError):
+        riemannian_grad(point, (np.zeros(gw_shape), np.zeros(gwt_shape)))
+
+
 def test_riemannian_grad_directional_derivative(rng):
     # <grad f, xi> must match d/dt f(curve(t)) at t=0 for the ambient
     # quadratic f(W, Wt) = sum(A*W) + sum(B*Wt); the Stiefel factor feels
