@@ -6,10 +6,12 @@ Every subcommand also accepts one ``--config FILE`` pointing at a flat
 line per benchmark case; boolean flags take true/false).  Explicit flags
 override config values.
 
-A bench runs in two steps that write no files: ``_fit_methods`` fits every
-requested method once on the training block, in worker processes forked from
-the caller, and ``_score_case`` scores one test block with every fitted
-model.  ``run_bench`` writes their results as CSV files and run metadata.
+A bench is one cell per method: ``_bench_cell`` fits the method on the
+training block, scores every test block with that model and writes the
+method's trace and chart CSVs.  ``run_bench`` loads every block once, runs
+the cells in worker processes forked from the caller (in the caller itself
+on one CPU), and writes metrics.csv and run_metadata.json from the small
+values the cells return.
 """
 
 from __future__ import annotations
@@ -234,146 +236,135 @@ def train_method(
 _FIT_ERRORS = (ValueError, FloatingPointError, RuntimeError)
 
 
-def _fit_one(method: str, train_dm: DataMatrix, p: int, zeta: float, seed: int,
-             max_iters: int) -> tuple[object, object, float | None, str | None]:
-    """Fit one method; returns (model, trace-or-None, fit seconds, error text).
+def _bench_cell(method: str, spec: BenchSpec, train_dm: DataMatrix, p: int,
+                tests: list[DataMatrix]) -> dict:
+    """Fit one method, score every case of ``spec`` with it and write its files.
 
-    A fit that raises one of ``_FIT_ERRORS`` returns only the error's text.
+    Writes the method's trace CSV (iterative methods only) and one chart CSV
+    per case it scored.  Returns small values only: ``scores``, one (MDR,
+    FAR, error text) triple per case, and either the fit's ``error`` text
+    or its own ``seconds`` and, for an iterative method, ``fit``: why it
+    stopped and after how many iterations.  A fit or score that raises one
+    of ``_FIT_ERRORS`` leaves None in place of MDR and FAR.
     """
+    seed = derive_seed(spec.seed, method)
     t0 = time.perf_counter()
     try:
-        model, trace = train_method(method, train_dm, p, zeta, seed, max_iters=max_iters)
+        model, trace = train_method(method, train_dm, p, spec.zeta, seed,
+                                    max_iters=spec.max_iters)
     except _FIT_ERRORS as exc:
-        return None, None, None, str(exc)
-    return model, trace, time.perf_counter() - t0, None
-
-
-def _fit_methods(spec: BenchSpec, train_dm: DataMatrix, p: int) -> tuple[dict, dict, dict]:
-    """Fit each method of ``spec`` once; writes no files.
-
-    The fits run concurrently with ``_fit_one``, in at most one worker per
-    method and per usable CPU.  Workers are forked, so they inherit the
-    loaded modules and the caller's state.  With one worker, or where
-    ``fork`` is unavailable, the fits run in the calling process.
-
-    Returns the models and the traces by method, and a record, in spec
-    order, of the number of processes the fits ran in ("fit_workers", 1 for
-    the calling process), each fit's own wall time, seed and failure, and of
-    why each iterative fit stopped ("fits": stop reason and iterations).  A
-    fit that raises one of ``_FIT_ERRORS`` is recorded as a failure and
-    leaves its method without a model.
-    """
-    # imported here, as they add about 1.3 MB to every process importing cli
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    methods, n = spec.methods, len(spec.methods)
-    seeds = [derive_seed(spec.seed, method) for method in methods]
-    jobs = (methods, [train_dm] * n, [p] * n, [spec.zeta] * n, seeds, [spec.max_iters] * n)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(n, cpus)
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            fits = list(pool.map(_fit_one, *jobs))
-    else:
-        workers, fits = 1, list(map(_fit_one, *jobs))
-
-    models, traces = {}, {}
-    record: dict = {"fit_workers": workers, "wall_times": {},
-                    "method_seeds": dict(zip(methods, seeds)), "fits": {}, "failures": []}
-    for method, (model, trace, seconds, error) in zip(methods, fits):
-        if error is not None:
-            record["failures"].append({"method": method, "stage": "train", "error": error})
+        return {"error": str(exc), "scores": [(None, None, None)] * len(tests)}
+    cell: dict = {"seconds": time.perf_counter() - t0, "scores": []}
+    if trace is not None:
+        cell["fit"] = {"stop_reason": trace.stop_reason, "iterations": trace.iterations}
+        _write_trace_csv(spec.out_dir / f"trace_{method}.csv", trace)
+    for case, test_dm in zip(spec.cases, tests):
+        try:
+            report = sca.monitor(model, test_dm)
+            mdr, far = sca.score(report.flags, case.normal_count)
+        except _FIT_ERRORS as exc:
+            cell["scores"].append((None, None, str(exc)))
             continue
-        record["wall_times"][method] = seconds
-        models[method] = model
-        if trace is not None:
-            traces[method] = trace
-            record["fits"][method] = {"stop_reason": trace.stop_reason,
-                                      "iterations": trace.iterations}
-    return models, traces, record
+        _write_chart_csv(spec.out_dir / f"chart_fault{case.fault_id}_{method}.csv",
+                         report, model.control_limit, case.normal_count)
+        cell["scores"].append((mdr, far, None))
+    return cell
 
 
-def _score_case(
-    case: BenchCase, test_dm: DataMatrix, methods: list[str], models: dict[str, object]
-) -> tuple[list[dict], dict[str, sca.DetectionReport], list[dict]]:
-    """Score one test block with every fitted model; writes no files.
+# _bench_cell's arguments after the method, in a forked worker only: the
+# pool's initializer fills the worker's copy of this list, from what the
+# worker inherited from the parent, so the blocks are never pickled
+_worker_inputs: list = []
 
-    Returns one row per method, the report of each method that scored, and
-    the failures.  A method without a model, or whose scoring raises one of
-    ``_FIT_ERRORS``, gets an NA row and no report.
-    """
-    rows, reports, failures = [], {}, []
-    for method in methods:
-        row = {"fault_id": case.fault_id, "method": method, "mdr": None, "far": None}
-        model = models.get(method)
-        if model is not None:
-            try:
-                report = sca.monitor(model, test_dm)
-                row["mdr"], row["far"] = sca.score(report.flags, case.normal_count)
-                reports[method] = report
-            except _FIT_ERRORS as exc:
-                failures.append({"method": method, "stage": f"fault {case.fault_id}",
-                                 "error": str(exc)})
-        rows.append(row)
-    return rows, reports, failures
+
+def _worker_cell(method: str) -> dict:
+    return _bench_cell(method, *_worker_inputs)
 
 
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Train every requested method once and score every fault case.
 
-    Fits with ``_fit_methods`` and scores each case with ``_score_case``,
-    then writes metrics.csv (fault_id, method, mdr, far), one chart CSV per
-    case and method, a trace CSV per iterative method (sca, ae, sae) and
-    run_metadata.json.  Only run_metadata.json depends on how many workers
-    fitted: it records them as ``fit_workers``, and each fit's own seconds
-    as ``wall_times``, whose sum can exceed the fitting's elapsed time.  A
-    method or case that fails with one of ``_FIT_ERRORS`` is recorded as NA
-    and skipped, not fatal; any other exception propagates.
+    Loads the training block and every test block, then runs one
+    ``_bench_cell`` per method: concurrently, in at most one worker per
+    method and per usable CPU, forked from the caller so that they inherit
+    the loaded blocks; or in the calling process, with one worker or where
+    ``fork`` is unavailable.  The cells write one chart CSV per case and
+    method and a trace CSV per iterative method (sca, ae, sae); this
+    function then writes metrics.csv (fault_id, method, mdr, far), case by
+    case in method order, and run_metadata.json.  Only run_metadata.json
+    depends on how many workers ran the cells: it records them as
+    ``fit_workers``, and each fit's own seconds as ``wall_times``, whose sum
+    can exceed the bench's elapsed time.  A method or case that fails with
+    one of ``_FIT_ERRORS`` is recorded as NA and skipped, not fatal; any
+    other exception propagates, and may leave the files of cells that had
+    finished.
     """
+    # imported here, as they add about 1.3 MB to every process importing cli
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
+    tests = [load_csv(case.test_path, samples=spec.samples, header=spec.header)
+             for case in spec.cases]
     result = BenchResult()
     p = result.resolved_p = resolve_p(train_dm, spec.p, spec.energy)
-    models, traces, record = _fit_methods(spec, train_dm, p)
-    for method, trace in traces.items():
-        _write_trace_csv(spec.out_dir / f"trace_{method}.csv", trace)
+    inputs = (spec, train_dm, p, tests)
+    methods = spec.methods
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(methods), cpus)
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context,
+                                 initializer=_worker_inputs.extend,
+                                 initargs=(inputs,)) as pool:
+            cells = list(pool.map(_worker_cell, methods))
+    else:
+        workers, cells = 1, [_bench_cell(method, *inputs) for method in methods]
 
-    for case in spec.cases:
-        test_dm = load_csv(case.test_path, samples=spec.samples, header=spec.header)
-        rows, reports, failures = _score_case(case, test_dm, spec.methods, models)
-        for method, report in reports.items():
-            _write_chart_csv(
-                spec.out_dir / f"chart_fault{case.fault_id}_{method}.csv",
-                report, models[method].control_limit, case.normal_count,
-            )
-        result.rows.extend(rows)
-        record["failures"].extend(failures)
-
-    metrics_path = spec.out_dir / "metrics.csv"
-    with metrics_path.open("w") as fh:
-        fh.write("fault_id,method,mdr,far\n")
-        for row in result.rows:
-            mdr = "NA" if row["mdr"] is None else f"{row['mdr']:.2f}"
-            far = "NA" if row["far"] is None else f"{row['far']:.2f}"
-            fh.write(f"{row['fault_id']},{row['method']},{mdr},{far}\n")
-    result.metrics_path = metrics_path
     metadata = {
         "seed": spec.seed,
         "zeta": spec.zeta,
-        "methods": spec.methods,
+        "methods": methods,
         "train_path": str(spec.train_path),
         "cases": [
             {"test_path": str(c.test_path), "normal_count": c.normal_count,
              "fault_id": c.fault_id}
             for c in spec.cases
         ],
-        **record,
+        "fit_workers": workers,
+        "wall_times": {},
+        "method_seeds": {m: derive_seed(spec.seed, m) for m in methods},
+        "fits": {},
+        "failures": [],
         "p": p,
         "energy": spec.energy,
     }
+    failures = metadata["failures"]
+    for method, cell in zip(methods, cells):
+        if "error" in cell:
+            failures.append({"method": method, "stage": "train", "error": cell["error"]})
+            continue
+        metadata["wall_times"][method] = cell["seconds"]
+        if "fit" in cell:
+            metadata["fits"][method] = cell["fit"]
+    for i, case in enumerate(spec.cases):
+        for method, cell in zip(methods, cells):
+            mdr, far, error = cell["scores"][i]
+            result.rows.append({"fault_id": case.fault_id, "method": method,
+                                "mdr": mdr, "far": far})
+            if error is not None:
+                failures.append({"method": method, "stage": f"fault {case.fault_id}",
+                                 "error": error})
+
+    metrics_path = result.metrics_path = spec.out_dir / "metrics.csv"
+    with metrics_path.open("w") as fh:
+        fh.write("fault_id,method,mdr,far\n")
+        for row in result.rows:
+            mdr = "NA" if row["mdr"] is None else f"{row['mdr']:.2f}"
+            far = "NA" if row["far"] is None else f"{row['far']:.2f}"
+            fh.write(f"{row['fault_id']},{row['method']},{mdr},{far}\n")
     (spec.out_dir / "run_metadata.json").write_text(json.dumps(metadata, indent=2))
     return result
 
@@ -389,11 +380,12 @@ def _write_chart_csv(
     path: Path, report: sca.DetectionReport, tau: float,
     normal_count: int | None,
 ) -> None:
-    with path.open("w") as fh:
-        fh.write("index,t2,tau,label,flag\n")
-        for i, (value, flag) in enumerate(zip(report.t2, report.flags)):
-            label = "" if normal_count is None else int(i >= normal_count)
-            fh.write(f"{i},{float(value)!r},{float(tau)!r},{label},{int(flag)}\n")
+    tau_text = repr(float(tau))
+    path.write_text("index,t2,tau,label,flag\n" + "".join([
+        f"{i},{value!r},{tau_text},"
+        f"{'' if normal_count is None else int(i >= normal_count)},{int(flag)}\n"
+        for i, (value, flag) in enumerate(zip(report.t2.tolist(), report.flags.tolist()))
+    ]))
 
 
 # ---------------------------------------------------------------------------

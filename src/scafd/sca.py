@@ -42,8 +42,6 @@ from .optimizer import CgConfig, FitTrace, cg_optimize, init_product_point
 
 DEFAULT_ZETA = 0.01
 _RIDGE_SCALE = 1e-8
-# numpy has no erfc, and the runtime depends on numpy alone
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 # samples scaled, encoded and scored at once; bounds the n x chunk scaled
 # copy and the p x chunk features whatever the block size
 _SCORE_CHUNK = 1024
@@ -198,11 +196,16 @@ def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -
 
     width = h * math.sqrt(2.0)
     upper = float(samples.max()) + 5.0 * h
+
+    def erfc(x: np.ndarray) -> np.ndarray:
+        # numpy has no erfc, and the runtime depends on numpy alone
+        return np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+
     # the common factor 1/2 of Q is left out of every mass
-    beyond = _erfc((upper - samples) / width).astype(float)
+    beyond = erfc((upper - samples) / width)
 
     def mass_above(t: float) -> float:
-        return float(np.sum(_erfc((t - samples) / width).astype(float) - beyond))
+        return float(np.sum(erfc((t - samples) / width) - beyond))
 
     lo, hi = 0.0, upper
     target = zeta * mass_above(lo)

@@ -31,7 +31,6 @@ from scafd.cli import (
     toy_response,
     toy_samples,
     train_method,
-    _fit_methods,
     _parse_case,
     _write_trace_csv,
 )
@@ -326,15 +325,13 @@ def test_bench_writes_trace_and_metadata(bench_run):
     assert "sca" in meta["wall_times"]
     # two methods fit in as many processes as there are usable CPUs, up to two
     assert meta["fit_workers"] == min(2, len(os.sched_getaffinity(0)))
-    # why each iterative fit stopped, as the fit's own trace says
-    train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
-    _, traces, record = _fit_methods(spec, train_dm, 2)
-    assert set(meta["fits"]) == set(traces) == {"sca"}
-    assert meta["fits"]["sca"] == record["fits"]["sca"] == {
-        "stop_reason": traces["sca"].stop_reason,
-        "iterations": traces["sca"].iterations,
-    }
-    assert traces["sca"].stop_reason and traces["sca"].iterations >= 1
+    # why the one iterative fit stopped, and after as many iterations as its
+    # trace has rows after the starting point's
+    assert list(meta["fits"]) == ["sca"]
+    fit = meta["fits"]["sca"]
+    assert fit["iterations"] == len(trace) - 2 >= 1
+    assert fit["stop_reason"] in ("grad_tol", "flat", "max_iters", "line_search")
+    assert (fit["stop_reason"] == "max_iters") == (fit["iterations"] == spec.max_iters)
 
 
 def test_write_trace_csv_aligns_iteration_cost_grad(tmp_path):
@@ -466,33 +463,71 @@ def test_bench_propagates_programming_errors(toy_paths, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_bench_with_a_missing_test_csv_fails_before_any_fit(toy_paths, tmp_path):
+    train_path, _ = toy_paths
+    out = tmp_path / "out"
+    spec = BenchSpec(train_path=train_path,
+                     cases=[BenchCase(tmp_path / "missing.csv", 100, "toy")],
+                     methods=["pca", "sca"], p=2, out_dir=out, max_iters=5)
+    with pytest.raises(OSError, match="missing.csv"):
+        run_bench(spec)
+    assert list(out.iterdir()) == []  # no trace_sca.csv, no metrics.csv
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_bench_files_are_the_same_in_process_and_in_workers(toy_paths, tmp_path,
                                                            monkeypatch):
+    import scafd.cli
+
     train_path, test_path = toy_paths
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b,c,d\n1,2,3,4\n5,6,7,8\n")  # four variables, the models have 3
+
+    # forked workers inherit the patched train_method
+    def failing_fit(method, *args, **kwargs):
+        if method == "kpca":
+            raise ValueError("degenerate features")
+        return train_method(method, *args, **kwargs)
+
+    monkeypatch.setattr(scafd.cli, "train_method", failing_fit)
 
     def bench(name):
         out = tmp_path / name
-        run_bench(BenchSpec(train_path=train_path,
-                            cases=[BenchCase(test_path, 100, "toy")],
-                            methods=list(METHODS), p=2, seed=5,
-                            out_dir=out, max_iters=20))
+        result = run_bench(BenchSpec(train_path=train_path,
+                                     cases=[BenchCase(test_path, 100, "toy"),
+                                            BenchCase(bad, 1, "bad")],
+                                     methods=list(METHODS), p=2, seed=5,
+                                     out_dir=out, max_iters=20))
         meta = json.loads((out / "run_metadata.json").read_text())
         files = {f.name: f.read_bytes() for f in out.iterdir()
                  if f.name != "run_metadata.json"}
-        return files, meta
+        return files, meta, result.rows
 
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        files_in_process, meta_in_process = bench("in_process")
-    files_in_workers, meta_in_workers = bench("in_workers")
+        files_in_process, meta_in_process, rows_in_process = bench("in_process")
+    files_in_workers, meta_in_workers, rows_in_workers = bench("in_workers")
     assert meta_in_process.pop("fit_workers") == 1
     assert meta_in_workers.pop("fit_workers") == min(5, len(os.sched_getaffinity(0)))
+    fitted = [m for m in METHODS if m != "kpca"]
     for meta in (meta_in_process, meta_in_workers):
-        assert list(meta.pop("wall_times")) == list(METHODS)
+        assert list(meta.pop("wall_times")) == fitted
     assert meta_in_process == meta_in_workers
-    assert len(files_in_process) == 1 + 5 + 3  # metrics, charts, traces
+    # the fit failure first, then each case's failures in method order
+    assert [(f["method"], f["stage"]) for f in meta_in_process["failures"]] == (
+        [("kpca", "train")] + [(m, "fault bad") for m in fitted]
+    )
+    # case-major rows, in method order; NA for the failed fit and the bad case
+    assert rows_in_process == rows_in_workers
+    assert [(r["fault_id"], r["method"], r["mdr"] is None) for r in rows_in_process] == (
+        [("toy", m, m == "kpca") for m in METHODS] + [("bad", m, True) for m in METHODS]
+    )
+    assert len(files_in_process) == 1 + 4 + 3  # metrics, charts, traces
     assert files_in_process == files_in_workers
+    metrics = files_in_process["metrics.csv"].decode().splitlines()
+    assert [line.split(",")[:2] for line in metrics[1:]] == (
+        [["toy", m] for m in METHODS] + [["bad", m] for m in METHODS]
+    )
 
 
 # ---------------------------------------------------------------------------
