@@ -28,7 +28,7 @@ from .data import (
 )
 from .manifold import orthonormality_error
 from .optimizer import FitTrace, _is_flat
-from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
+from .sca import DEFAULT_ZETA, MonitoringStats, _check_kde_samples, fit_monitoring_stats
 
 _EIG_RANK_TOL = 1e-10
 _LR_FLOOR = 1e-16
@@ -378,6 +378,7 @@ def ae_train(
     if p < 1:
         raise ValueError("p must be at least 1")
     scaler = fit_scaler(X)
+    _check_kde_samples(X.n_samples)  # control_limit's floor, before the descent
     inputs = apply_scaler(scaler, X)
     mat = expand_second_order(inputs) if expand_inputs else inputs.values
 

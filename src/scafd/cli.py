@@ -29,7 +29,7 @@ import numpy as np
 
 from . import baselines, persistence, sca
 from .data import DataMatrix, load_csv, write_samples_csv
-from .optimizer import CgConfig
+from .optimizer import CgConfig, FitTrace
 
 METHODS = ("pca", "kpca", "ae", "sae", "sca")
 _BOOL_KEYS = {"header"}
@@ -236,16 +236,21 @@ def train_method(
 _FIT_ERRORS = (ValueError, FloatingPointError, RuntimeError)
 
 
+def _fit_record(trace: FitTrace) -> dict:
+    return {"stop_reason": trace.stop_reason, "iterations": trace.iterations}
+
+
 def _bench_cell(method: str, spec: BenchSpec, train_dm: DataMatrix, p: int,
                 tests: list[DataMatrix]) -> dict:
     """Fit one method, score every case of ``spec`` with it and write its files.
 
     Writes the method's trace CSV (iterative methods only) and one chart CSV
     per case it scored.  Returns small values only: ``scores``, one (MDR,
-    FAR, error text) triple per case, and either the fit's ``error`` text
-    or its own ``seconds`` and, for an iterative method, ``fit``: why it
-    stopped and after how many iterations.  A fit or score that raises one
-    of ``_FIT_ERRORS`` leaves None in place of MDR and FAR.
+    FAR, error text) triple per case, either the fit's ``error`` text or
+    its own ``seconds``, and ``fit``: why an iterative fit stopped and after
+    how many iterations, also for a fit whose error carries its trace (a
+    ``LineSearchError`` from ``cg_optimize``).  A fit or score that raises
+    one of ``_FIT_ERRORS`` leaves None in place of MDR and FAR.
     """
     seed = derive_seed(spec.seed, method)
     t0 = time.perf_counter()
@@ -253,10 +258,14 @@ def _bench_cell(method: str, spec: BenchSpec, train_dm: DataMatrix, p: int,
         model, trace = train_method(method, train_dm, p, spec.zeta, seed,
                                     max_iters=spec.max_iters)
     except _FIT_ERRORS as exc:
-        return {"error": str(exc), "scores": [(None, None, None)] * len(tests)}
-    cell: dict = {"seconds": time.perf_counter() - t0, "scores": []}
+        cell = {"error": str(exc), "scores": [(None, None, None)] * len(tests)}
+        trace = getattr(exc, "trace", None)
+        if trace is not None:
+            cell["fit"] = _fit_record(trace)
+        return cell
+    cell = {"seconds": time.perf_counter() - t0, "scores": []}
     if trace is not None:
-        cell["fit"] = {"stop_reason": trace.stop_reason, "iterations": trace.iterations}
+        cell["fit"] = _fit_record(trace)
         _write_trace_csv(spec.out_dir / f"trace_{method}.csv", trace)
     for case, test_dm in zip(spec.cases, tests):
         try:
@@ -343,12 +352,12 @@ def run_bench(spec: BenchSpec) -> BenchResult:
     }
     failures = metadata["failures"]
     for method, cell in zip(methods, cells):
-        if "error" in cell:
-            failures.append({"method": method, "stage": "train", "error": cell["error"]})
-            continue
-        metadata["wall_times"][method] = cell["seconds"]
         if "fit" in cell:
             metadata["fits"][method] = cell["fit"]
+        if "error" in cell:
+            failures.append({"method": method, "stage": "train", "error": cell["error"]})
+        else:
+            metadata["wall_times"][method] = cell["seconds"]
     for i, case in enumerate(spec.cases):
         for method, cell in zip(methods, cells):
             mdr, far, error = cell["scores"][i]

@@ -46,11 +46,17 @@ _RIDGE_SCALE = 1e-8
 # copy and the p x chunk features whatever the block size
 _SCORE_CHUNK = 1024
 _RESTARTS = 3  # starts tried when a fit collapses (see train)
+_KDE_MIN_SAMPLES = 10  # fewest training scores control_limit accepts
 
 
 def _check_zeta(zeta: float) -> None:
     if not 0.0 < zeta <= 0.5:
         raise ValueError(f"zeta must lie in (0, 0.5], got {zeta}")
+
+
+def _check_kde_samples(count: int) -> None:
+    if count < _KDE_MIN_SAMPLES:
+        raise ValueError(f"need at least {_KDE_MIN_SAMPLES} samples, got {count}")
 
 
 @dataclass
@@ -187,8 +193,7 @@ def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -
     """
     samples = _finite_samples(t2_samples)
     _check_zeta(zeta)
-    if samples.size < 10:
-        raise ValueError(f"need at least 10 samples, got {samples.size}")
+    _check_kde_samples(samples.size)
     if h is None:
         h = silverman_bandwidth(samples)
     if not h > 0:
@@ -341,6 +346,7 @@ def train(
     N = expanded_dim(n)
     if p > N:
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
+    _check_kde_samples(m)  # control_limit's floor, before any start
     # The span has at most m + p dimensions, so it only pays when that is
     # below N; toy data (n = 3, N = 13) keeps the explicit expansion.
     if m + p < N:

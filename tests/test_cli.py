@@ -34,8 +34,8 @@ from scafd.cli import (
     _parse_case,
     _write_trace_csv,
 )
-from scafd.data import load_csv
-from scafd.optimizer import FitTrace
+from scafd.data import load_csv, write_samples_csv
+from scafd.optimizer import FitTrace, LineSearchError
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +455,26 @@ def test_bench_records_na_for_failing_fit(toy_paths, tmp_path, monkeypatch):
     assert list(meta["wall_times"]) == ["kpca"]
 
 
+@pytest.mark.parametrize("in_workers", [False, True])
+def test_bench_records_the_fit_a_line_search_failure_carries(toy_paths, tmp_path,
+                                                               monkeypatch, in_workers):
+    if in_workers and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    if not in_workers:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    error = LineSearchError("no admissible step", trials=12)
+    error.trace = FitTrace(cost_per_iter=[3.0, 2.0, 1.5], grad_norm_per_iter=[1.0, 0.5, 0.4],
+                           iterations=2, stop_reason="line_search")
+    _bench_with_failing_fit(toy_paths, tmp_path, monkeypatch, error)
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+    assert meta["fit_workers"] == (2 if in_workers else 1)
+    assert meta["fits"] == {"pca": {"stop_reason": "line_search", "iterations": 2}}
+    assert meta["failures"] == [
+        {"method": "pca", "stage": "train", "error": "no admissible step"}
+    ]
+    assert list(meta["wall_times"]) == ["kpca"]
+
+
 def test_bench_propagates_programming_errors(toy_paths, tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="not a fit failure"):
         _bench_with_failing_fit(
@@ -528,6 +548,44 @@ def test_bench_files_are_the_same_in_process_and_in_workers(toy_paths, tmp_path,
     assert [line.split(",")[:2] for line in metrics[1:]] == (
         [["toy", m] for m in METHODS] + [["bad", m] for m in METHODS]
     )
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_bench_files_are_the_same_in_process_and_in_workers_at_52_variables(
+    tmp_path, monkeypatch
+):
+    # at this shape OpenBLAS threads its products, and its default thread
+    # count changes a fit's bits, so each forked worker must fit as the
+    # caller does; latent-factor data: 52 variables driven by 12 factors
+    rng = np.random.default_rng(11)
+    loadings = rng.standard_normal((52, 12))
+
+    def plant(m):
+        return loadings @ rng.standard_normal((12, m)) + 0.3 * rng.standard_normal((52, m))
+
+    train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_samples_csv(train_path, plant(500))
+    test = plant(200)
+    test[:, 100:] += 1.0
+    write_samples_csv(test_path, test)
+
+    def bench(name):
+        out = tmp_path / name
+        run_bench(BenchSpec(train_path=train_path, cases=[BenchCase(test_path, 100, "step")],
+                            methods=["sca", "pca"], p=27, out_dir=out, max_iters=10))
+        meta = json.loads((out / "run_metadata.json").read_text())
+        del meta["wall_times"], meta["fit_workers"]
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        files["run_metadata.json"] = meta
+        return files
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        in_process = bench("in_process")
+    in_workers = bench("in_workers")
+    assert sorted(in_process) == ["chart_faultstep_pca.csv", "chart_faultstep_sca.csv",
+                                  "metrics.csv", "run_metadata.json", "trace_sca.csv"]
+    assert in_process == in_workers
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,25 @@ def test_train_rejects_small_sample(rng):
         train(X, p=2)
 
 
+@pytest.mark.parametrize("method", ["sca", "ae", "sae"])
+def test_trainers_reject_too_few_samples_for_the_limit_before_any_fit(
+    rng, monkeypatch, method
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(scafd.sca, "cg_optimize", no_fit)
+    monkeypatch.setattr(scafd.baselines, "_gradient_descent", no_fit)
+    X = DataMatrix(rng.standard_normal((3, 8)))
+    # control_limit's own message, not a restart loop's wrapper around it
+    with pytest.raises(ValueError, match="^need at least 10 samples, got 8$") as info:
+        if method == "sca":
+            train(X, p=2)
+        else:
+            ae_train(X, 2, expand_inputs=method == "sae")
+    assert info.value.__cause__ is None
+
+
 def test_train_rejects_bad_p(rng):
     X = DataMatrix(rng.standard_normal((1, 8)))
     with pytest.raises(ValueError, match="at least 1"):
@@ -617,6 +636,24 @@ def test_package_exports_resolve():
 
     missing = [name for name in scafd.__all__ if not hasattr(scafd, name)]
     assert missing == []
+
+
+def test_importing_one_module_loads_only_what_it_imports():
+    # the package root re-exports nothing, so scafd.data (numpy only) does
+    # not pull in the trainers, the optimizer or persistence
+    script = """
+import sys
+import scafd.data
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scafd"))
+"""
+    src = str(Path(scafd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['scafd', 'scafd.data']"
 
 
 def test_runtime_needs_numpy_only():
