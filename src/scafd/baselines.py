@@ -28,7 +28,8 @@ from .data import (
 )
 from .manifold import orthonormality_error
 from .optimizer import FitTrace, _is_flat
-from .sca import DEFAULT_ZETA, MonitoringStats, _check_kde_samples, fit_monitoring_stats
+from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
+from .sca import _check_kde_samples, _check_zeta
 
 _EIG_RANK_TOL = 1e-10
 _LR_FLOOR = 1e-16
@@ -56,9 +57,8 @@ class PcaModel(MonitoringStats):
         if np.any(np.diff(top) > 1e-12):
             raise ValueError("retained eigenvalues must be descending")
 
-    def encode_batch(self, X: DataMatrix) -> np.ndarray:
-        scaled = apply_scaler(self.scaler, X)
-        return self.loading.T @ scaled.values
+    def encode_batch(self, X: np.ndarray) -> np.ndarray:
+        return self.loading.T @ apply_scaler(self.scaler, X)
 
 
 @dataclass(kw_only=True)
@@ -87,8 +87,8 @@ class KpcaModel(MonitoringStats):
         if np.any(np.diff(self.eigenvalues) > 1e-12):
             raise ValueError("retained Gram eigenvalues must be descending")
 
-    def encode_batch(self, X: DataMatrix) -> np.ndarray:
-        scaled = apply_scaler(self.scaler, X).values
+    def encode_batch(self, X: np.ndarray) -> np.ndarray:
+        scaled = apply_scaler(self.scaler, X)
         # Kernel rows against the training block, then double centering.
         k = gaussian_kernel(scaled, self.train_scaled, self.kernel_width)
         k_centered = (
@@ -121,14 +121,13 @@ class AeModel(MonitoringStats):
             {"w_enc": (n, p), "b_enc": (p,), "w_dec": (n, p), "b_dec": (n,)}
         )
 
-    def encode_batch(self, X: DataMatrix) -> np.ndarray:
+    def encode_batch(self, X: np.ndarray) -> np.ndarray:
         inputs = apply_scaler(self.scaler, X)
         if self.expand_inputs:
             pre = expanded_t_dot(inputs, self.w_enc).T
         else:
-            pre = self.w_enc.T @ inputs.values
-        enc = get_activation(self.encoder_activation)
-        return enc.fn(pre + self.b_enc[:, None])
+            pre = self.w_enc.T @ inputs
+        return get_activation(self.encoder_activation).fn(pre + self.b_enc[:, None])
 
 
 def pca_fit(
@@ -138,10 +137,11 @@ def pca_fit(
     zeta: float = DEFAULT_ZETA,
 ) -> PcaModel:
     """Fit the PCA monitor; pick p explicitly or by cumulative eigenvalue energy."""
+    _check_zeta(zeta)
     if (n_components is None) == (energy is None):
         raise ValueError("specify exactly one of n_components or energy")
     scaler = fit_scaler(X)
-    scaled = apply_scaler(scaler, X).values
+    scaled = apply_scaler(scaler, X.values)
     cov = np.atleast_2d(np.cov(scaled, ddof=1))
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
@@ -195,10 +195,11 @@ def kpca_fit(
     actually fed to the kernel, so it is 1 up to the sample-std convention.
     Features are whitened so the training feature covariance is the identity.
     """
+    _check_zeta(zeta)
     if X.n_samples < p + 1:
         raise ValueError(f"need at least p+1 = {p + 1} samples")
     scaler = fit_scaler(X)
-    scaled = apply_scaler(scaler, X).values
+    scaled = apply_scaler(scaler, X.values)
     n, m = scaled.shape
     delta_bar = float(scaled.std(axis=1, ddof=1).mean())
     width = 10.0 * n * delta_bar
@@ -375,12 +376,14 @@ def ae_train(
 
     ``expand_inputs`` trains on the second-order expansion (method ``sae``).
     """
+    _check_zeta(zeta)
     if p < 1:
         raise ValueError("p must be at least 1")
     scaler = fit_scaler(X)
     _check_kde_samples(X.n_samples)  # control_limit's floor, before the descent
-    inputs = apply_scaler(scaler, X)
-    mat = expand_second_order(inputs) if expand_inputs else inputs.values
+    inputs = apply_scaler(scaler, X.values)
+    # a DataMatrix only for perfbench's hook, which reads .values (ROADMAP 5)
+    mat = expand_second_order(DataMatrix(inputs)) if expand_inputs else inputs
 
     rng = np.random.default_rng(seed)
     params, trace = _gradient_descent(mat, p, rng, TANH, max_iters)

@@ -26,7 +26,10 @@ _STD_FLOOR = 1e-12
 
 @dataclass
 class DataMatrix:
-    """An n x m block of process measurements (variables by samples)."""
+    """An n x m block of process measurements (variables by samples).
+
+    Checked once, where it enters; code inside works on its ``values``.
+    """
 
     values: np.ndarray
     variable_names: list[str] | None = None
@@ -40,17 +43,11 @@ class DataMatrix:
             raise ValueError(f"matrix must be at least 1x1, got {n}x{m}")
         if not np.all(np.isfinite(self.values)):
             bad = np.argwhere(~np.isfinite(self.values))[0]
-            raise ValueError(
-                f"non-finite entry at variable {bad[0]}, sample {bad[1]}"
-            )
+            raise ValueError(f"non-finite entry at variable {bad[0]}, sample {bad[1]}")
         if self.variable_names is not None and len(self.variable_names) != n:
             raise ValueError(
                 f"got {len(self.variable_names)} variable names for {n} variables"
             )
-
-    @property
-    def n_variables(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_samples(self) -> int:
@@ -94,14 +91,17 @@ def fit_scaler(X: DataMatrix) -> Scaler:
     return Scaler(mean=mean, std=std)
 
 
-def apply_scaler(scaler: Scaler, X: DataMatrix) -> DataMatrix:
-    """Z-score X with the scaler's training statistics."""
-    if X.n_variables != scaler.n_variables:
+def apply_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
+    """Z-score an n x m array; an overflow is an error, as NaN T2 never alarms."""
+    if values.shape[0] != scaler.n_variables:
         raise ValueError(
-            f"model expects {scaler.n_variables} variables, data has {X.n_variables}"
+            f"model expects {scaler.n_variables} variables, data has {values.shape[0]}"
         )
-    scaled = (X.values - scaler.mean[:, None]) / scaler.std[:, None]
-    return DataMatrix(values=scaled, variable_names=X.variable_names)
+    scaled = (values - scaler.mean[:, None]) / scaler.std[:, None]
+    if not np.all(np.isfinite(scaled)):
+        bad = np.argwhere(~np.isfinite(scaled))[0]
+        raise ValueError(f"non-finite entry at variable {bad[0]}, sample {bad[1]}")
+    return scaled
 
 
 def expand_second_order(X: DataMatrix) -> np.ndarray:
@@ -121,30 +121,30 @@ def expanded_dim(n: int) -> int:
     return 1 + n + n * n
 
 
-# The three products below use the expansion only through its structure, so
-# none of them forms the (1+n+n^2) x m array of ``expand_second_order``.
+# The three products below take an n x m array Z and use its second-order
+# expansion E only through E's structure, so none of them forms the
+# (1+n+n^2) x m array of ``expand_second_order``.
 # Cap on the elements of the largest temporary of expanded_t_dot and
 # expanded_dot (1 MB): they work in slices of samples or of columns of c
 # under it, instead of holding m x n*p arrays.
 _PRODUCT_CHUNK = 1 << 17
 
 
-def second_order_kernel(X: DataMatrix) -> np.ndarray:
+def second_order_kernel(Z: np.ndarray) -> np.ndarray:
     """Gram matrix of the expansion, 1 + S + S*S with S = Z^T Z: m x m.
 
-    Equals ``expand_second_order(X).T @ expand_second_order(X)``, because
-    expanded samples satisfy x~^T y~ = 1 + x^T y + (x^T y)^2.  Only S and
-    the result are held: S * S overwrites S.
+    Equals ``E.T @ E``, because expanded samples satisfy x~^T y~ = 1 +
+    x^T y + (x^T y)^2.  Only S and the result are held: S * S overwrites S.
     """
-    S = X.values.T @ X.values
+    S = Z.T @ Z
     K = 1.0 + S
     S *= S
     K += S
     return K
 
 
-def expanded_t_dot(X: DataMatrix, w: np.ndarray) -> np.ndarray:
-    """``expand_second_order(X).T @ w`` for a (1+n+n^2) x p matrix w: m x p.
+def expanded_t_dot(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``E.T @ w`` for a (1+n+n^2) x p matrix w: m x p.
 
     The product rows of w, reshaped to n x n*p, meet the samples in a
     matmul, Z^T W_2, and a batched row product with each sample finishes
@@ -152,7 +152,6 @@ def expanded_t_dot(X: DataMatrix, w: np.ndarray) -> np.ndarray:
     temporary, that matmul, has at most ``_PRODUCT_CHUNK`` elements (or one
     sample's n*p).
     """
-    Z = X.values
     n, m = Z.shape
     p = w.shape[1]
     w2 = w[1 + n :].reshape(n, n * p)
@@ -167,15 +166,14 @@ def expanded_t_dot(X: DataMatrix, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def expanded_dot(X: DataMatrix, c: np.ndarray) -> np.ndarray:
-    """``expand_second_order(X) @ c`` for an m x p matrix c: (1+n+n^2) x p.
+def expanded_dot(Z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``E @ c`` for an m x p matrix c: (1+n+n^2) x p.
 
     The product block is Z diag(c_q) Z^T for each column q, formed by one
     batched matmul per slice of k columns of c; the largest temporary, the
     k x m x n stack of weighted samples, has at most ``_PRODUCT_CHUNK``
     elements (or one column's m*n).
     """
-    Z = X.values
     n, m = Z.shape
     p = c.shape[1]
     zt = np.ascontiguousarray(Z.T)  # so each weighted stack is C-ordered

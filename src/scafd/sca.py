@@ -61,14 +61,12 @@ def _check_kde_samples(count: int) -> None:
 
 @dataclass
 class DetectionReport:
-    """Per-sample T2 values and alarm flags."""
+    """Per-sample T2 values and alarm flags: float and bool arrays from ``monitor``."""
 
     t2: np.ndarray
     flags: np.ndarray
 
     def __post_init__(self) -> None:
-        self.t2 = np.asarray(self.t2, dtype=float)
-        self.flags = np.asarray(self.flags, dtype=bool)
         if self.t2.shape != self.flags.shape:
             raise ValueError("t2 and flags must have equal length")
 
@@ -78,13 +76,14 @@ class MonitoringStats:
     """Training scaler, sizes and T2 machinery shared by every monitor.
 
     Every monitor subclasses it and adds its feature map: the fields and the
-    ``encode_batch`` method that turns raw samples into a p x m feature block,
-    with shapes checked against ``n_variables`` (the scaler's) and
-    ``n_components`` (the feature mean's length).  Field order is the key
-    order of a saved model, so ``scaler`` comes last, before a subclass's
-    own fields.  Every field annotated ``np.ndarray``, here or in a subclass,
-    is stored as float64, and it and every ``float`` field must be finite: a
-    NaN weight would make every T2 NaN, and NaN never exceeds the limit.
+    ``encode_batch`` method that turns raw samples, an n x m float array,
+    into a p x m feature block, with shapes checked against ``n_variables``
+    (the scaler's) and ``n_components`` (the feature mean's length).  Field
+    order is the key order of a saved model, so ``scaler`` comes last,
+    before a subclass's own fields.  Every field annotated ``np.ndarray``,
+    here or in a subclass, is stored as float64, and it and every ``float``
+    field must be finite: a NaN weight would make every T2 NaN, and NaN
+    never exceeds the limit.
     """
 
     sigma_g_inv: np.ndarray
@@ -152,7 +151,7 @@ class ScaModel(MonitoringStats):
         self._check_shapes({"w": shape, "w_tilde": shape})
         get_activation(self.encoder_activation)
 
-    def encode_batch(self, X: DataMatrix) -> np.ndarray:
+    def encode_batch(self, X: np.ndarray) -> np.ndarray:
         """Features (p x m) of raw process samples: enc(W^T expand(scale(X)))."""
         pre = expanded_t_dot(apply_scaler(self.scaler, X), self.w)
         return get_activation(self.encoder_activation).fn(pre.T)
@@ -160,7 +159,6 @@ class ScaModel(MonitoringStats):
 
 def t2_batch(G: np.ndarray, sigma_inv: np.ndarray) -> np.ndarray:
     """T2 of every column of a p x m feature matrix."""
-    G = np.asarray(G, dtype=float)
     return np.einsum("pm,pm->m", G, sigma_inv @ G)
 
 
@@ -182,22 +180,20 @@ def silverman_bandwidth(t2_samples: np.ndarray) -> float:
     return 1e-6 * max(1.0, float(abs(samples.mean())))
 
 
-def control_limit(t2_samples: np.ndarray, zeta: float, h: float | None = None) -> float:
+def control_limit(t2_samples: np.ndarray, zeta: float) -> float:
     """T2 threshold whose KDE-estimated coverage on [0, U] is 1 - zeta.
 
-    U = max + 5h.  The KDE mass of [t, U] is A(t) = sum_i Q((t - s_i)/h) -
-    Q((U - s_i)/h) with the normal upper tail Q(x) = erfc(x / sqrt 2) / 2,
-    and the limit is the t where A(t) = zeta * A(0): Gaussian kernels leak
-    some mass below zero, so coverage is relative to the mass on [0, U].
-    Bisection on [0, U] runs until the bracket holds adjacent doubles.
+    h is the Silverman bandwidth and U = max + 5h.  The KDE mass of [t, U]
+    is A(t) = sum_i Q((t - s_i)/h) - Q((U - s_i)/h) with the normal upper
+    tail Q(x) = erfc(x / sqrt 2) / 2, and the limit is the t where A(t) =
+    zeta * A(0): Gaussian kernels leak some mass below zero, so coverage is
+    relative to the mass on [0, U].  Bisection on [0, U] runs until the
+    bracket holds adjacent doubles.
     """
     samples = _finite_samples(t2_samples)
     _check_zeta(zeta)
     _check_kde_samples(samples.size)
-    if h is None:
-        h = silverman_bandwidth(samples)
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    h = silverman_bandwidth(samples)
 
     width = h * math.sqrt(2.0)
     upper = float(samples.max()) + 5.0 * h
@@ -260,20 +256,18 @@ def fit_monitoring_stats(
         raise ValueError("feature covariance inverse is non-finite")
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
     t2_train = t2_batch(G - g_mean[:, None], sigma_inv)
-    h = silverman_bandwidth(t2_train)
-    tau = control_limit(t2_train, zeta, h=h)
     return MonitoringStats(
         sigma_g_inv=sigma_inv,
         g_mean=g_mean,
         t2_train=t2_train,
-        kde_bandwidth=h,
-        control_limit=tau,
+        kde_bandwidth=silverman_bandwidth(t2_train),
+        control_limit=control_limit(t2_train, zeta),
         zeta=zeta,
         scaler=scaler,
     )
 
 
-def _kernel_basis(Z: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_basis(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal basis Q_X of the range of X = expand(Z), kept implicit.
 
     With the m x m kernel K = X^T X = V diag(lam) V^T, restricted to the
@@ -282,14 +276,14 @@ def _kernel_basis(Z: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
     N x m expansion is never formed.
     """
     lam, V = np.linalg.eigh(second_order_kernel(Z))
-    keep = lam > Z.n_samples * np.finfo(float).eps * lam[-1]
+    keep = lam > Z.shape[1] * np.finfo(float).eps * lam[-1]
     root = np.sqrt(lam[keep])
     V = V[:, keep]
     return V / root, root[:, None] * V.T
 
 
 def _fit_in_span(
-    Z: DataMatrix,
+    Z: np.ndarray,
     coef: np.ndarray,
     coords: np.ndarray,
     init: ProductPoint,
@@ -341,8 +335,8 @@ def train(
             f"need at least p+2 = {p + 2} samples, got {X_train.n_samples}"
         )
     scaler = fit_scaler(X_train)
-    scaled = apply_scaler(scaler, X_train)
-    n, m = scaled.values.shape
+    scaled = apply_scaler(scaler, X_train.values)
+    n, m = scaled.shape
     N = expanded_dim(n)
     if p > N:
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
@@ -356,7 +350,8 @@ def train(
             return _fit_in_span(scaled, coef, coords, init, cfg)
 
     else:
-        expanded = expand_second_order(scaled)
+        # a DataMatrix only for perfbench's hook, which reads .values (ROADMAP 5)
+        expanded = expand_second_order(DataMatrix(scaled))
 
         def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
             point, trace = cg_optimize(init, expanded, cfg, TANH)
@@ -394,7 +389,7 @@ def monitor(model: MonitoringStats, X_new: DataMatrix) -> DetectionReport:
     """
     values = np.concatenate([
         t2_batch(
-            model.encode_batch(DataMatrix(X_new.values[:, lo : lo + _SCORE_CHUNK]))
+            model.encode_batch(X_new.values[:, lo : lo + _SCORE_CHUNK])
             - model.g_mean[:, None],
             model.sigma_g_inv,
         )

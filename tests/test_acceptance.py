@@ -256,7 +256,7 @@ def test_ac4_pca_against_brute_force():
         X = DataMatrix(rng.standard_normal((6, 300)) * np.arange(1, 7)[:, None])
         p = 3
         model = pca_fit(X, n_components=p)
-        scaled = apply_scaler(fit_scaler(X), X).values
+        scaled = apply_scaler(fit_scaler(X), X.values)
         vals, vecs = np.linalg.eigh(np.cov(scaled, ddof=1))
         order = np.argsort(vals)[::-1]
         angle = float(

@@ -69,7 +69,7 @@ def test_pca_matches_brute_force_eigendecomposition(rng):
     X = DataMatrix(rng.standard_normal((6, 300)) * np.arange(1, 7)[:, None])
     p = 3
     model = pca_fit(X, n_components=p)
-    scaled = apply_scaler(fit_scaler(X), X).values
+    scaled = apply_scaler(fit_scaler(X), X.values)
     vals, vecs = np.linalg.eigh(np.cov(scaled, ddof=1))
     top = vecs[:, np.argsort(vals)[::-1][:p]]
     assert np.max(subspace_angles(top, model.loading)) <= 1e-8
@@ -80,7 +80,7 @@ def test_pca_reconstruction_equals_discarded_eigenvalue_mass(rng):
     X = DataMatrix(rng.standard_normal((5, 120)))
     p = 2
     model = pca_fit(X, n_components=p)
-    scaled = apply_scaler(model.scaler, X).values
+    scaled = apply_scaler(model.scaler, X.values)
     recon = model.loading @ (model.loading.T @ scaled)
     resid = float(np.sum((scaled - recon) ** 2))
     m = X.n_samples
@@ -184,17 +184,17 @@ def test_kpca_width_is_ten_n_on_scaled_data(rng):
 def test_kpca_training_features_self_consistent(rng):
     X = DataMatrix(rng.standard_normal((2, 40)))
     model = kpca_fit(X, p=3)
-    scaled = apply_scaler(model.scaler, X).values
+    scaled = apply_scaler(model.scaler, X.values)
     Kc = center_gram(gaussian_kernel(scaled, scaled, model.kernel_width))
     features = (Kc @ model.alphas).T
-    out = model.encode_batch(X)
+    out = model.encode_batch(X.values)
     assert np.max(np.abs(out - features)) <= 1e-8 * max(1.0, np.abs(features).max())
 
 
 def test_kpca_features_are_whitened(rng):
     X = DataMatrix(rng.standard_normal((3, 50)))
     model = kpca_fit(X, p=4)
-    cov = np.cov(model.encode_batch(X), ddof=1)
+    cov = np.cov(model.encode_batch(X.values), ddof=1)
     assert np.allclose(cov, np.eye(4), atol=1e-8)
     assert np.all(np.diff(model.eigenvalues) <= 1e-12)
     assert np.all(model.eigenvalues > 0)
@@ -341,7 +341,7 @@ def test_ae_cost_grad_rejects_a_mis_sized_out(out):
 def test_linear_ae_cannot_beat_pca(rng):
     X = DataMatrix(rng.standard_normal((6, 80)))
     p = 2
-    scaled = apply_scaler(fit_scaler(X), X).values
+    scaled = apply_scaler(fit_scaler(X), X.values)
     _, trace = _gradient_descent(scaled, p, np.random.default_rng(1), IDENTITY, 2000)
     vals = np.linalg.eigvalsh(np.cov(scaled, ddof=1))
     pca_residual = float(vals[:-p].sum()) * (X.n_samples - 1)
@@ -462,7 +462,7 @@ def toy_fits(tmp_path_factory):
     for toy_seed in (0, 1):
         train_path, _ = gen_toy(tmp_path_factory.mktemp("toy"), seed=toy_seed)
         X = load_csv(train_path, samples="rows", header=True)
-        inputs = apply_scaler(fit_scaler(X), X)
+        inputs = apply_scaler(fit_scaler(X), X.values)
         for expand in (False, True):
             calls = []
 
@@ -475,7 +475,7 @@ def toy_fits(tmp_path_factory):
                 model, trace = ae_train(X, 2, seed=toy_seed, expand_inputs=expand)
             finally:
                 baselines.ae_cost_grad = original
-            mat = expand_second_order(inputs) if expand else inputs.values
+            mat = expand_second_order(DataMatrix(inputs)) if expand else inputs
             fits.append((toy_seed, mat, model, trace, len(calls)))
     return fits
 
@@ -664,8 +664,8 @@ def test_sae_zero_data_has_bias_only_exact_solution():
     # scaled zero data expands to [1, 0, ..., 0]: decoding bias e_0 with zero
     # weights reconstructs it exactly
     raw = DataMatrix(np.zeros((2, 8)))
-    scaled = apply_scaler(fit_scaler(raw), raw)
-    expanded = expand_second_order(scaled)
+    scaled = apply_scaler(fit_scaler(raw), raw.values)
+    expanded = expand_second_order(DataMatrix(scaled))
     N = expanded.shape[0]
     b_dec = np.zeros(N)
     b_dec[0] = 1.0

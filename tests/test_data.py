@@ -84,20 +84,20 @@ def test_scaler_rejects_non_finite_entries(name, bad):
 
 def test_apply_scaler_centers_the_mean():
     s = Scaler(mean=np.array([2.0]), std=np.array([np.sqrt(2.0)]))
-    out = apply_scaler(s, DataMatrix(np.array([[2.0]])))
-    assert out.values[0, 0] == 0.0
+    out = apply_scaler(s, np.array([[2.0]]))
+    assert out[0, 0] == 0.0
 
 
 def test_apply_scaler_identity():
     s = Scaler(mean=np.array([0.0, 0.0]), std=np.array([1.0, 1.0]))
-    X = DataMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(apply_scaler(s, X).values, X.values)
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(apply_scaler(s, X), X)
 
 
 def test_apply_scaler_dimension_mismatch():
     s = Scaler(mean=np.zeros(2), std=np.ones(2))
     with pytest.raises(ValueError, match="model expects 2 variables, data has 3"):
-        apply_scaler(s, DataMatrix(np.ones((3, 4))))
+        apply_scaler(s, np.ones((3, 4)))
 
 
 @given(
@@ -106,7 +106,7 @@ def test_apply_scaler_dimension_mismatch():
 def test_scale_round_trip(rows):
     X = DataMatrix(np.array(rows, dtype=float).T)
     s = fit_scaler(X)
-    back = apply_scaler(s, X).values * s.std[:, None] + s.mean[:, None]
+    back = apply_scaler(s, X.values) * s.std[:, None] + s.mean[:, None]
     # re-adding the mean loses ~eps * |mean| to cancellation
     tol = 1e-12 * (np.abs(X.values) + np.maximum(1.0, np.abs(s.mean))[:, None])
     assert np.all(np.abs(back - X.values) <= tol)
@@ -122,7 +122,7 @@ def test_scaled_training_data_has_unit_stats(rows):
     # noise and cannot satisfy the identity; the guard question is separate
     assume(np.all(raw_std >= 1e-6 * np.maximum(1.0, np.abs(X.values).max(axis=1))))
     s = fit_scaler(X)
-    scaled = apply_scaler(s, X).values
+    scaled = apply_scaler(s, X.values)
     assert np.all(np.abs(scaled.mean(axis=1)) <= 1e-10 * np.maximum(1.0, np.abs(s.mean)))
     assert np.all(np.abs(scaled.std(axis=1, ddof=1) - 1.0) <= 1e-10)
 
@@ -161,7 +161,7 @@ def test_expanded_dim_arithmetic():
 )
 def test_expand_products_are_exact_ieee_products(rows):
     X = DataMatrix(np.array(rows, dtype=float).T)
-    n = X.n_variables
+    n = X.values.shape[0]
     out = expand_second_order(X)
     assert np.all(out[0] == 1.0)
     assert np.array_equal(out[1 : 1 + n], X.values)
@@ -193,8 +193,8 @@ def test_structured_products_match_explicit_expansion(n, m, p, seed, chunk):
     # slice cap than the default makes the products work one sample (one
     # column of c) or a few at a time, with a ragged last slice.
     rng = np.random.default_rng(seed)
-    X = DataMatrix(rng.standard_normal((n, m)) * rng.uniform(0.1, 10.0, (n, 1)))
-    E = expand_second_order(X)
+    X = rng.standard_normal((n, m)) * rng.uniform(0.1, 10.0, (n, 1))
+    E = expand_second_order(DataMatrix(X))
     w = rng.standard_normal((expanded_dim(n), p))
     c = rng.standard_normal((m, p))
     with mock.patch("scafd.data._PRODUCT_CHUNK", chunk):
@@ -223,12 +223,12 @@ def test_structured_products_memory_stays_near_the_slice_cap():
     # is 45 MB for a 4000-sample block scored by expanded_t_dot and 5.6 MB
     # for the 500 training samples expanded_dot lifts; sliced, about 1 MB.
     rng = np.random.default_rng(0)
-    block = DataMatrix(rng.standard_normal((52, 4000)))
+    block = rng.standard_normal((52, 4000))
     t_dot, t_dot_peak = _peak_above_entry(
         expanded_t_dot, block, rng.standard_normal((expanded_dim(52), 27))
     )
     assert t_dot_peak < t_dot.nbytes + 3e6
-    train = DataMatrix(block.values[:, :500])
+    train = block[:, :500]
     dot, dot_peak = _peak_above_entry(expanded_dot, train, rng.standard_normal((500, 27)))
     assert dot_peak < dot.nbytes + 3e6
     # the kernel holds S and the result only: two m x m arrays
@@ -244,7 +244,7 @@ def test_load_csv_samples_as_columns(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5,6\n")
     dm = load_csv(path, samples="cols", header=False)
-    assert (dm.n_variables, dm.n_samples) == (2, 3)
+    assert dm.values.shape == (2, 3)
     assert np.array_equal(dm.values, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
 
@@ -252,7 +252,7 @@ def test_load_csv_samples_as_rows(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5,6\n")
     dm = load_csv(path, samples="rows", header=False)
-    assert (dm.n_variables, dm.n_samples) == (3, 2)
+    assert dm.values.shape == (3, 2)
     assert np.array_equal(dm.values, np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]))
 
 

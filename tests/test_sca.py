@@ -64,7 +64,7 @@ class _RawMonitor:
         self.control_limit = limit
 
     def encode_batch(self, X):
-        return X.values
+        return X
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +214,6 @@ def test_control_limit_rejects_non_finite_samples(bad):
     samples = np.append(np.linspace(0.0, 1.0, 20), bad)
     with pytest.raises(ValueError, match="must be finite"):
         control_limit(samples, 0.01)
-    with pytest.raises(ValueError, match="must be finite"):
-        control_limit(samples, 0.01, h=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +323,11 @@ def test_train_restarts_from_the_next_draw_of_the_seed_stream(toy_train, monkeyp
     assert np.array_equal(a.w, b.w) and a.control_limit == b.control_limit
     assert not np.array_equal(a.w, first.w)
     # the fit that was kept started from the second draw of default_rng(seed)
-    scaled = apply_scaler(fit_scaler(toy_train), toy_train)
+    scaled = apply_scaler(fit_scaler(toy_train), toy_train.values)
     rng = np.random.default_rng(cfg.seed)
     init_product_point(13, 2, rng)
     point, _ = cg_optimize(
-        init_product_point(13, 2, rng), expand_second_order(scaled), cfg
+        init_product_point(13, 2, rng), expand_second_order(DataMatrix(scaled)), cfg
     )
     assert np.array_equal(a.w, point.w)
 
@@ -374,6 +372,32 @@ def test_trainers_reject_too_few_samples_for_the_limit_before_any_fit(
     assert info.value.__cause__ is None
 
 
+@pytest.mark.parametrize("method", ["sca", "ae", "pca", "kpca"])
+def test_trainers_reject_bad_zeta_before_any_fit(rng, monkeypatch, method):
+    ran = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            ran.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(scafd.baselines, "ae_cost_grad",
+                        spy("ae_cost_grad", scafd.baselines.ae_cost_grad))
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    # m + p < N, so sca would fit in the data span, which starts with eigh
+    X = _latent_block(rng, 6, 20)
+    fit = {
+        "sca": lambda: train(X, p=2, zeta=0.7),
+        "ae": lambda: ae_train(X, 2, zeta=0.7),
+        "pca": lambda: pca_fit(X, n_components=2, zeta=0.7),
+        "kpca": lambda: kpca_fit(X, 2, zeta=0.7),
+    }[method]
+    with pytest.raises(ValueError, match=r"^zeta must lie in \(0, 0.5\], got 0.7$"):
+        fit()
+    assert ran == []
+
+
 def test_train_rejects_bad_p(rng):
     X = DataMatrix(rng.standard_normal((1, 8)))
     with pytest.raises(ValueError, match="at least 1"):
@@ -394,7 +418,7 @@ def test_train_in_data_span_matches_explicit_expansion():
     X = _latent_block(np.random.default_rng(5), 6, 20)
     cfg = CgConfig(seed=4, max_iters=10)
     model, trace = train(X, p=3, cfg=cfg)
-    expanded = expand_second_order(apply_scaler(model.scaler, X))
+    expanded = expand_second_order(DataMatrix(apply_scaler(model.scaler, X.values)))
     init = init_product_point(expanded_dim(6), 3, np.random.default_rng(cfg.seed))
     ref, ref_trace = cg_optimize(init, expanded, cfg)
     assert trace.iterations == ref_trace.iterations == 10
@@ -410,7 +434,7 @@ def test_train_in_data_span_with_rank_deficient_kernel():
     base = _latent_block(rng, 6, 20).values
     base[2] = 4.0
     X = DataMatrix(np.hstack([base, base]))
-    kernel = second_order_kernel(apply_scaler(fit_scaler(X), X))
+    kernel = second_order_kernel(apply_scaler(fit_scaler(X), X.values))
     assert np.linalg.matrix_rank(kernel) <= 20
     model, _ = train(X, p=2, cfg=CgConfig(seed=0, max_iters=50))
     assert orthonormality_error(model.w_tilde.matrix) <= 1e-12
@@ -456,7 +480,7 @@ def test_train_and_monitor_memory_stay_below_the_expansion_at_ac10_shape():
 
 def _encode_sample(model, x):
     """Features of one raw sample, encoded as a one-column block."""
-    return model.encode_batch(DataMatrix(np.asarray(x, dtype=float)[:, None]))[:, 0]
+    return model.encode_batch(np.asarray(x, dtype=float)[:, None])[:, 0]
 
 
 def test_encode_zero_weights_gives_zero_features():
@@ -472,7 +496,7 @@ def test_encode_constant_slot_one_hot():
 
 def test_encode_batch_single_consistency(toy_sca_model, toy_train):
     model, _ = toy_sca_model
-    G = model.encode_batch(toy_train)
+    G = model.encode_batch(toy_train.values)
     for j in (0, 7, 499):
         assert np.all(
             np.abs(_encode_sample(model, toy_train.values[:, j]) - G[:, j]) <= 1e-12
@@ -536,6 +560,26 @@ def test_monitor_scores_in_chunks(method, toy_sca_model, toy_train, toy_test, mo
     chunked = monitor(model, block)
     assert np.array_equal(chunked.flags, whole.flags)
     assert np.allclose(chunked.t2, whole.t2, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("method", ["sca", "pca", "kpca", "ae"])
+def test_monitor_rejects_a_z_score_that_overflows(method, toy_train):
+    # A finite entry far outside a 1e-3 spread scales to inf (numpy warns);
+    # its T2 would be inf or NaN, and NaN never alarms.
+    values = toy_train.values.copy()
+    values[0] *= 1e-3 / values[0].std(ddof=1)
+    X = DataMatrix(values)
+    model = {
+        "sca": lambda: train(X, p=2, cfg=CgConfig(seed=0, max_iters=30))[0],
+        "pca": lambda: pca_fit(X, n_components=2),
+        "kpca": lambda: kpca_fit(X, p=2),
+        "ae": lambda: ae_train(X, p=2, max_iters=30)[0],
+    }[method]()
+    block = np.zeros((3, 5))
+    block[0, 3] = 1e308
+    with pytest.raises(ValueError, match="^non-finite entry at variable 0, sample 3$"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            monitor(model, DataMatrix(block))
 
 
 def test_monitor_zero_t2_never_alarms():
