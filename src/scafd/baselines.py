@@ -3,9 +3,11 @@
 All four are :class:`scafd.sca.MonitoringStats`, which holds the scaler,
 the sizes and the T2/KDE machinery; each model type only supplies its own
 feature map.  The autoencoder (second-order with ``expand_inputs=True``)
-deliberately has no orthogonality constraint and trains by full-batch
-gradient descent, so the constraint stays the experimental variable when
-comparing against the manifold-trained model; the descent fills the same
+has no orthogonality constraint, but it also trains by full-batch gradient
+descent for up to ``_AE_MAX_ITERS`` steps, where the manifold-trained model
+runs conjugate gradient under ``CgConfig.max_iters``.  So a comparison
+against that model varies the optimizer and the step budget along with the
+constraint, and isolates none of them.  The descent fills the same
 ``scafd.optimizer.FitTrace`` as the conjugate gradient.
 """
 
@@ -17,19 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import TANH, Activation, get_activation
 from .data import (
     DataMatrix,
     apply_scaler,
     expand_second_order,
     expanded_dim,
     expanded_t_dot,
-    fit_scaler,
 )
 from .manifold import orthonormality_error
-from .optimizer import FitTrace, _is_flat
+from .optimizer import TANH, Activation, FitTrace, _is_flat, get_activation
 from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
-from .sca import _check_kde_samples, _check_zeta
+from .sca import _scaled_training_block
 
 _EIG_RANK_TOL = 1e-10
 _LR_FLOOR = 1e-16
@@ -37,6 +37,7 @@ _FLAT_WINDOW = 10
 _LR_START = 1.0  # first gradient-descent step
 _COST_REL_TOL = 1e-9  # stop at a smaller relative drop over _FLAT_WINDOW steps
 _NORM_BLOCK_ELEMS = 2**14  # gradient entries held for one batched norm pass
+_AE_MAX_ITERS = 2000  # descent steps of ae and sae, which --max-iters does not set
 
 
 @dataclass(kw_only=True)
@@ -137,26 +138,24 @@ def pca_fit(
     zeta: float = DEFAULT_ZETA,
 ) -> PcaModel:
     """Fit the PCA monitor; pick p explicitly or by cumulative eigenvalue energy."""
-    _check_zeta(zeta)
     if (n_components is None) == (energy is None):
         raise ValueError("specify exactly one of n_components or energy")
-    scaler = fit_scaler(X)
-    scaled = apply_scaler(scaler, X.values)
+    n = X.values.shape[0]
+    if energy is None:
+        p = int(n_components)
+        if p < 1 or p > n:
+            raise ValueError(f"p={p} out of range for {n} variables")
+    elif not 0.0 < energy <= 1.0:
+        raise ValueError("energy must lie in (0, 1]")
+    scaler, scaled = _scaled_training_block(X, zeta)
     cov = np.atleast_2d(np.cov(scaled, ddof=1))
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
 
     if energy is not None:
-        if not 0.0 < energy <= 1.0:
-            raise ValueError("energy must lie in (0, 1]")
         fractions = np.cumsum(vals) / vals.sum()
-        p = int(np.searchsorted(fractions, energy) + 1)
-        p = min(p, vals.size)
-    else:
-        p = int(n_components)
-    if p < 1 or p > vals.size:
-        raise ValueError(f"p={p} out of range for {vals.size} variables")
+        p = min(int(np.searchsorted(fractions, energy) + 1), n)
     if vals[p - 1] <= _EIG_RANK_TOL * max(vals[0], 1e-300):
         raise ValueError(
             f"covariance is rank-deficient: eigenvalue {p} is "
@@ -195,11 +194,11 @@ def kpca_fit(
     actually fed to the kernel, so it is 1 up to the sample-std convention.
     Features are whitened so the training feature covariance is the identity.
     """
-    _check_zeta(zeta)
+    if p < 1:
+        raise ValueError(f"p={p} out of range for {X.n_samples} samples")
     if X.n_samples < p + 1:
         raise ValueError(f"need at least p+1 = {p + 1} samples")
-    scaler = fit_scaler(X)
-    scaled = apply_scaler(scaler, X.values)
+    scaler, scaled = _scaled_training_block(X, zeta)
     n, m = scaled.shape
     delta_bar = float(scaled.std(axis=1, ddof=1).mean())
     width = 10.0 * n * delta_bar
@@ -209,8 +208,6 @@ def kpca_fit(
     vals, vecs = np.linalg.eigh(0.5 * (Kc + Kc.T))
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    if p < 1 or p > m:
-        raise ValueError(f"p={p} out of range for {m} samples")
     if vals[p - 1] <= _EIG_RANK_TOL * max(vals[0], 1e-300):
         raise ValueError(
             f"p={p} exceeds the numerically positive rank of the centered Gram"
@@ -367,7 +364,7 @@ def _gradient_descent(
 def ae_train(
     X: DataMatrix,
     p: int,
-    max_iters: int = 2000,
+    max_iters: int = _AE_MAX_ITERS,
     seed: int = 0,
     zeta: float = DEFAULT_ZETA,
     expand_inputs: bool = False,
@@ -376,12 +373,9 @@ def ae_train(
 
     ``expand_inputs`` trains on the second-order expansion (method ``sae``).
     """
-    _check_zeta(zeta)
     if p < 1:
         raise ValueError("p must be at least 1")
-    scaler = fit_scaler(X)
-    _check_kde_samples(X.n_samples)  # control_limit's floor, before the descent
-    inputs = apply_scaler(scaler, X.values)
+    scaler, inputs = _scaled_training_block(X, zeta)
     # a DataMatrix only for perfbench's hook, which reads .values (ROADMAP 5)
     mat = expand_second_order(DataMatrix(inputs)) if expand_inputs else inputs
 

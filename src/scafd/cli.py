@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--max-iters", type=int, default=CgConfig.max_iters,
                      help="caps sca's conjugate gradient only; ae and sae run "
-                          "up to 2000 steps")
+                          f"up to {baselines._AE_MAX_ITERS} steps")
 
     p_gen = sub.add_parser("gen-toy", parents=[config],
                            help="generate the toy heteroscedastic dataset")

@@ -26,16 +26,21 @@ and p x m work instead of two N x m x p products, and the accepted trial's
 products and R give the new point's forward pass, gradient and decoder.
 
 ``FitTrace`` also records the autoencoder descent of ``scafd.baselines``.
+
+The encoder activations, which the baselines share, are ``tanh`` (the
+default; zero-centered, matches z-scored inputs) and ``identity``; every
+decoder is linear.  ``Activation.deriv`` takes the output y = fn(z) (tanh:
+1 - y^2), so a caller that holds the codes need not evaluate ``fn`` again.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .activations import TANH, Activation
 from .manifold import (
     ProductPoint,
     StiefelPoint,
@@ -57,6 +62,30 @@ _BACKTRACK = 0.5  # step factor per backtrack
 _INITIAL_STEP = 1.0  # largest step; the first search of a run starts here
 # the steps a line search may try, largest first; all are exact powers of two
 _STEPS = [_INITIAL_STEP * _BACKTRACK**k for k in range(_MAX_BACKTRACKS + 1)]
+
+
+@dataclass(frozen=True)
+class Activation:
+    name: str
+    fn: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray], np.ndarray]  # fn'(z) as a function of y = fn(z)
+
+
+_ACTIVATIONS = {
+    "identity": Activation("identity", lambda z: z, lambda y: np.ones_like(y)),
+    "tanh": Activation("tanh", np.tanh, lambda y: 1.0 - y * y),
+}
+
+TANH = _ACTIVATIONS["tanh"]
+
+
+def get_activation(name: str) -> Activation:
+    try:
+        return _ACTIVATIONS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}"
+        ) from None
 
 
 class LineSearchError(RuntimeError):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import TANH, get_activation
 from .data import (
     DataMatrix,
     Scaler,
@@ -38,7 +37,8 @@ from .data import (
     second_order_kernel,
 )
 from .manifold import ProductPoint, StiefelPoint
-from .optimizer import CgConfig, FitTrace, cg_optimize, init_product_point
+from .optimizer import TANH, CgConfig, FitTrace, cg_optimize, get_activation
+from .optimizer import init_product_point
 
 DEFAULT_ZETA = 0.01
 _RIDGE_SCALE = 1e-8
@@ -57,6 +57,17 @@ def _check_zeta(zeta: float) -> None:
 def _check_kde_samples(count: int) -> None:
     if count < _KDE_MIN_SAMPLES:
         raise ValueError(f"need at least {_KDE_MIN_SAMPLES} samples, got {count}")
+
+
+def _scaled_training_block(X: DataMatrix, zeta: float) -> tuple[Scaler, np.ndarray]:
+    """Check zeta, fit the scaler, check the KDE floor: (scaler, z-scored X).
+
+    Every trainer calls it after its own rules for p, before any fit.
+    """
+    _check_zeta(zeta)
+    scaler = fit_scaler(X)
+    _check_kde_samples(X.n_samples)  # control_limit's floor
+    return scaler, apply_scaler(scaler, X.values)
 
 
 @dataclass
@@ -327,23 +338,19 @@ def train(
     """Fit a second-order component analysis monitor (tanh encoder) on normal data."""
     if cfg is None:
         cfg = CgConfig()
-    _check_zeta(zeta)  # the restart loop would report it as degenerate features
     if p < 1:
         raise ValueError("p must be at least 1")
     if X_train.n_samples < p + 2:
         raise ValueError(
             f"need at least p+2 = {p + 2} samples, got {X_train.n_samples}"
         )
-    scaler = fit_scaler(X_train)
-    scaled = apply_scaler(scaler, X_train.values)
-    n, m = scaled.shape
-    N = expanded_dim(n)
+    N = expanded_dim(X_train.values.shape[0])
     if p > N:
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
-    _check_kde_samples(m)  # control_limit's floor, before any start
+    scaler, scaled = _scaled_training_block(X_train, zeta)
     # The span has at most m + p dimensions, so it only pays when that is
     # below N; toy data (n = 3, N = 13) keeps the explicit expansion.
-    if m + p < N:
+    if X_train.n_samples + p < N:
         coef, coords = _kernel_basis(scaled)
 
         def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
@@ -387,14 +394,22 @@ def monitor(model: MonitoringStats, X_new: DataMatrix) -> DetectionReport:
     The block is encoded and scored ``_SCORE_CHUNK`` samples at a time, so
     memory stays bounded whatever its length.
     """
-    values = np.concatenate([
-        t2_batch(
-            model.encode_batch(X_new.values[:, lo : lo + _SCORE_CHUNK])
-            - model.g_mean[:, None],
-            model.sigma_g_inv,
-        )
-        for lo in range(0, X_new.n_samples, _SCORE_CHUNK)
-    ])
+    t2 = []
+    for lo in range(0, X_new.n_samples, _SCORE_CHUNK):
+        hi = lo + _SCORE_CHUNK
+        try:
+            t2.append(t2_batch(model.encode_batch(X_new.values[:, lo:hi])
+                               - model.g_mean[:, None], model.sigma_g_inv))
+        except ValueError:
+            # apply_scaler counts samples from the chunk's start; scaling the
+            # block up to hi, where only this chunk can fail, names the bad
+            # z-score by its sample in the block
+            try:
+                apply_scaler(model.scaler, X_new.values[:, :hi])
+            except ValueError as located:
+                raise located from None
+            raise
+    values = np.concatenate(t2)
     return DetectionReport(t2=values, flags=values > model.control_limit)
 
 

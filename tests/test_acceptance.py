@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scafd.activations import get_activation
 from scafd.baselines import ae_cost_grad, pca_fit
 from scafd.cli import BenchCase, BenchSpec, gen_toy, run_bench
 from scafd.data import DataMatrix, apply_scaler, fit_scaler, load_csv
@@ -30,7 +29,14 @@ from scafd.manifold import (
     retract,
     tangency_error,
 )
-from scafd.optimizer import CgConfig, cg_optimize, cost, euclidean_grad, init_product_point
+from scafd.optimizer import (
+    CgConfig,
+    cg_optimize,
+    cost,
+    euclidean_grad,
+    get_activation,
+    init_product_point,
+)
 from scafd.sca import control_limit, monitor, train
 
 TANH_ID = get_activation("tanh")

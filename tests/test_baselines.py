@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from scafd.activations import get_activation
 from scafd.baselines import (
     _COST_REL_TOL,
     _FLAT_WINDOW,
@@ -31,7 +30,7 @@ from scafd.data import (
     fit_scaler,
     load_csv,
 )
-from scafd.optimizer import FitTrace
+from scafd.optimizer import FitTrace, get_activation
 from scafd.sca import monitor
 
 IDENTITY = get_activation("identity")

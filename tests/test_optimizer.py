@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from scafd import optimizer
-from scafd.activations import get_activation
 from scafd.data import DataMatrix
 from scafd.manifold import (
     ProductPoint,
@@ -27,6 +26,7 @@ from scafd.optimizer import (
     cg_optimize,
     cost,
     euclidean_grad,
+    get_activation,
     init_product_point,
     line_search,
     move,

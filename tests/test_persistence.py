@@ -1,6 +1,7 @@
 """Round-trip exactness of the JSON model files for every monitor kind."""
 
 import base64
+import dataclasses
 import json
 import shutil
 import tracemalloc
@@ -103,6 +104,22 @@ def test_sae_round_trip_exact(small_block, tmp_path):
     model, _ = ae_train(small_block, p=2, max_iters=60, seed=3, expand_inputs=True)
     loaded = _assert_exact_round_trip(model, "sae", tmp_path)
     assert loaded.expand_inputs
+
+
+@pytest.mark.parametrize("tag", ["sca", "ae"])
+def test_identity_encoder_round_trip_exact(tag, toy_sca_model, small_block, tmp_path):
+    # no trainer fits an identity encoder, so one is put into a fitted model:
+    # its file must still load and score bit for bit as before
+    fitted = (toy_sca_model[0] if tag == "sca"
+              else ae_train(small_block, p=2, max_iters=60, seed=3)[0])
+    model = dataclasses.replace(fitted, encoder_activation="identity")
+    loaded = _assert_exact_round_trip(model, tag, tmp_path)
+    assert loaded.encoder_activation == "identity"
+    before, after = monitor(model, small_block), monitor(loaded, small_block)
+    assert np.array_equal(before.t2, after.t2)
+    assert np.array_equal(before.flags, after.flags)
+    # the scores are the identity encoder's, not tanh's
+    assert not np.array_equal(before.t2, monitor(fitted, small_block).t2)
 
 
 def test_method_tag_rejects_foreign_objects():

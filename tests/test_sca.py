@@ -372,8 +372,38 @@ def test_trainers_reject_too_few_samples_for_the_limit_before_any_fit(
     assert info.value.__cause__ is None
 
 
-@pytest.mark.parametrize("method", ["sca", "ae", "pca", "kpca"])
-def test_trainers_reject_bad_zeta_before_any_fit(rng, monkeypatch, method):
+_ZETA = r"^zeta must lie in \(0, 0.5\], got 0.7$"
+_FEW = "^need at least 10 samples, got 8$"
+# Each trainer on a bad request, with the message it raises: a bad zeta, 8
+# samples (below the KDE floor), p = 0 and p above the method's limit (ae
+# has none).  X is a 6 x 20 block, X8 holds 8 samples and X1 one variable.
+_BAD_REQUESTS = {
+    "sca-zeta": (lambda X, X8, X1: train(X, p=2, zeta=0.7), _ZETA),
+    "sca-8-samples": (lambda X, X8, X1: train(X8, p=2), _FEW),
+    "sca-p0": (lambda X, X8, X1: train(X, p=0), "^p must be at least 1$"),
+    "sca-p-above-N": (lambda X, X8, X1: train(X1, p=4),
+                      "^p=4 exceeds expanded dimension 3$"),
+    "ae-zeta": (lambda X, X8, X1: ae_train(X, 2, zeta=0.7), _ZETA),
+    "ae-8-samples": (lambda X, X8, X1: ae_train(X8, 2), _FEW),
+    "ae-p0": (lambda X, X8, X1: ae_train(X, 0), "^p must be at least 1$"),
+    "pca-zeta": (lambda X, X8, X1: pca_fit(X, n_components=2, zeta=0.7), _ZETA),
+    "pca-8-samples": (lambda X, X8, X1: pca_fit(X8, n_components=2), _FEW),
+    "pca-p0": (lambda X, X8, X1: pca_fit(X, n_components=0),
+               "^p=0 out of range for 6 variables$"),
+    "pca-p-above-n": (lambda X, X8, X1: pca_fit(X, n_components=7),
+                      "^p=7 out of range for 6 variables$"),
+    "pca-energy": (lambda X, X8, X1: pca_fit(X, energy=1.5),
+                   r"^energy must lie in \(0, 1\]$"),
+    "kpca-zeta": (lambda X, X8, X1: kpca_fit(X, 2, zeta=0.7), _ZETA),
+    "kpca-8-samples": (lambda X, X8, X1: kpca_fit(X8, 2), _FEW),
+    "kpca-p0": (lambda X, X8, X1: kpca_fit(X, 0), "^p=0 out of range for 20 samples$"),
+    "kpca-p-above-m": (lambda X, X8, X1: kpca_fit(X, 20),
+                       r"^need at least p\+1 = 21 samples$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_REQUESTS))
+def test_trainers_reject_a_bad_request_before_any_fit(rng, monkeypatch, case):
     ran = []
 
     def spy(name, fn):
@@ -384,17 +414,13 @@ def test_trainers_reject_bad_zeta_before_any_fit(rng, monkeypatch, method):
 
     monkeypatch.setattr(scafd.baselines, "ae_cost_grad",
                         spy("ae_cost_grad", scafd.baselines.ae_cost_grad))
+    monkeypatch.setattr(scafd.sca, "cg_optimize", spy("cg_optimize", cg_optimize))
     monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
     # m + p < N, so sca would fit in the data span, which starts with eigh
-    X = _latent_block(rng, 6, 20)
-    fit = {
-        "sca": lambda: train(X, p=2, zeta=0.7),
-        "ae": lambda: ae_train(X, 2, zeta=0.7),
-        "pca": lambda: pca_fit(X, n_components=2, zeta=0.7),
-        "kpca": lambda: kpca_fit(X, 2, zeta=0.7),
-    }[method]
-    with pytest.raises(ValueError, match=r"^zeta must lie in \(0, 0.5\], got 0.7$"):
-        fit()
+    blocks = [_latent_block(rng, n, m) for n, m in ((6, 20), (6, 8), (1, 20))]
+    fit, message = _BAD_REQUESTS[case]
+    with pytest.raises(ValueError, match=message):
+        fit(*blocks)
     assert ran == []
 
 
@@ -575,11 +601,16 @@ def test_monitor_rejects_a_z_score_that_overflows(method, toy_train):
         "kpca": lambda: kpca_fit(X, p=2),
         "ae": lambda: ae_train(X, p=2, max_iters=30)[0],
     }[method]()
-    block = np.zeros((3, 5))
-    block[0, 3] = 1e308
-    with pytest.raises(ValueError, match="^non-finite entry at variable 0, sample 3$"):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            monitor(model, DataMatrix(block))
+    # sample 1500 sits in the block's second scoring chunk, and is named
+    # by its place in the block
+    for size, sample in ((5, 3), (2000, 1500)):
+        block = np.zeros((3, size))
+        block[0, sample] = 1e308
+        message = f"^non-finite entry at variable 0, sample {sample}$"
+        with pytest.raises(ValueError, match=message) as info:
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                monitor(model, DataMatrix(block))
+        assert info.value.__suppress_context__  # the chunk's own error is not shown
 
 
 def test_monitor_zero_t2_never_alarms():
@@ -700,28 +731,45 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scafd"))
     assert result.stdout.strip() == "['scafd', 'scafd.data']"
 
 
-def test_runtime_needs_numpy_only():
-    # pyproject.toml declares numpy as the only runtime dependency: fitting a
-    # monitor and its control limit must not import scipy
+def test_runtime_needs_numpy_only(tmp_path):
+    # pyproject.toml declares numpy as the only runtime dependency: with the
+    # test extras scipy and hypothesis unimportable, gen-toy, train for every
+    # method, detect and a five-method bench must all succeed on toy data.
+    # The CI job "numpy-only" runs the same commands on an install without
+    # the extras.
     script = """
 import sys
-import numpy as np
-import scafd.cli
-from scafd.data import DataMatrix
-from scafd.optimizer import CgConfig
-from scafd.sca import control_limit, train
 
-rng = np.random.default_rng(0)
-control_limit(rng.exponential(size=200), 0.01)
-model, _ = train(DataMatrix(rng.standard_normal((3, 60))), p=2,
-                 cfg=CgConfig(seed=0, max_iters=10))
-assert model.control_limit > 0
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "hypothesis"):
+            raise ModuleNotFoundError(f"{name} is blocked")
+
+sys.meta_path.insert(0, Blocked())
+for name in ("scipy", "hypothesis"):
+    try:
+        __import__(name)
+    except ModuleNotFoundError:
+        continue
+    raise SystemExit(f"{name} was imported")
+
+from scafd.cli import METHODS, main
+
+fit = ["--train", "toy/train.csv", "--header", "--p", "2", "--max-iters", "20"]
+assert main(["gen-toy", "--out-dir", "toy", "--train-m", "100",
+             "--normal-m", "20", "--fault-m", "40"]) == 0
+for method in METHODS:
+    assert main(["train", *fit, "--method", method, "--out", f"{method}.json"]) == 0
+    assert main(["detect", "--model", f"{method}.json", "--data", "toy/test.csv",
+                 "--header", "--normal-count", "20"]) == 0
+assert main(["bench", *fit, "--methods", ",".join(METHODS),
+             "--test", "toy/test.csv:20:1", "--out-dir", "bench"]) == 0
 """
     src = str(Path(scafd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    metrics = (tmp_path / "bench" / "metrics.csv").read_text()
+    assert metrics.count("\n") == 6 and "NA" not in metrics
