@@ -2,13 +2,16 @@
 
 All four are :class:`scafd.sca.MonitoringStats`, which holds the scaler,
 the sizes and the T2/KDE machinery; each model type only supplies its own
-feature map.  The autoencoder (second-order with ``expand_inputs=True``)
-has no orthogonality constraint, but it also trains by full-batch gradient
-descent for up to ``_AE_MAX_ITERS`` steps, where the manifold-trained model
-runs conjugate gradient under ``CgConfig.max_iters``.  So a comparison
-against that model varies the optimizer and the step budget along with the
-constraint, and isolates none of them.  The descent fills the same
-``scafd.optimizer.FitTrace`` as the conjugate gradient.
+feature map of z-scores.  The autoencoder (second-order with
+``expand_inputs=True``) has no orthogonality constraint, but it also trains
+by full-batch gradient descent for up to ``_AE_MAX_ITERS`` steps, where the
+manifold-trained model runs conjugate gradient under ``CgConfig.max_iters``,
+and it has a decoder bias that model lacks (and an encoder bias, which on
+the expansion repeats ``w_enc[0]``, the weight of its constant row).  So a
+comparison against that model varies the optimizer, the step budget and
+the biases along with the constraint, and isolates none of them.  The
+descent fills the same ``scafd.optimizer.FitTrace`` as the conjugate
+gradient.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    DataMatrix,
-    apply_scaler,
-    expand_second_order,
-    expanded_dim,
-    expanded_t_dot,
-)
+from .data import DataMatrix, expand_second_order, expanded_dim, expanded_t_dot
 from .manifold import orthonormality_error
 from .optimizer import TANH, Activation, FitTrace, _is_flat, get_activation
 from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
@@ -58,8 +55,8 @@ class PcaModel(MonitoringStats):
         if np.any(np.diff(top) > 1e-12):
             raise ValueError("retained eigenvalues must be descending")
 
-    def encode_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.loading.T @ apply_scaler(self.scaler, X)
+    def encode_batch(self, Z: np.ndarray) -> np.ndarray:
+        return self.loading.T @ Z
 
 
 @dataclass(kw_only=True)
@@ -88,10 +85,9 @@ class KpcaModel(MonitoringStats):
         if np.any(np.diff(self.eigenvalues) > 1e-12):
             raise ValueError("retained Gram eigenvalues must be descending")
 
-    def encode_batch(self, X: np.ndarray) -> np.ndarray:
-        scaled = apply_scaler(self.scaler, X)
+    def encode_batch(self, Z: np.ndarray) -> np.ndarray:
         # Kernel rows against the training block, then double centering.
-        k = gaussian_kernel(scaled, self.train_scaled, self.kernel_width)
+        k = gaussian_kernel(Z, self.train_scaled, self.kernel_width)
         k_centered = (
             k
             - k.mean(axis=1, keepdims=True)
@@ -122,12 +118,11 @@ class AeModel(MonitoringStats):
             {"w_enc": (n, p), "b_enc": (p,), "w_dec": (n, p), "b_dec": (n,)}
         )
 
-    def encode_batch(self, X: np.ndarray) -> np.ndarray:
-        inputs = apply_scaler(self.scaler, X)
+    def encode_batch(self, Z: np.ndarray) -> np.ndarray:
         if self.expand_inputs:
-            pre = expanded_t_dot(inputs, self.w_enc).T
+            pre = expanded_t_dot(Z, self.w_enc).T
         else:
-            pre = self.w_enc.T @ inputs
+            pre = self.w_enc.T @ Z
         return get_activation(self.encoder_activation).fn(pre + self.b_enc[:, None])
 
 

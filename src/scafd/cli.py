@@ -408,19 +408,21 @@ def _expand_config(argv: list[str]) -> list[str]:
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise ValueError("--config requires a file path")
+    path = Path(argv[i + 1])
     tokens: list[str] = []
-    for line_no, line in enumerate(Path(argv[i + 1]).read_text().splitlines()):
+    for line_no, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        at = f"{path}: config line {line_no}"
         if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected key=value, got {line!r}")
+            raise ValueError(f"{at}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _BOOL_KEYS:
             if value.lower() in ("true", "1", "yes"):
                 tokens.append(f"--{key}")
             elif value.lower() not in ("false", "0", "no"):
-                raise ValueError(f"config key {key}: boolean value expected")
+                raise ValueError(f"{at}: key {key}: boolean value expected")
         else:
             tokens.extend([f"--{key}", value])
     # insert after the subcommand so explicit flags (later tokens) win
@@ -567,11 +569,14 @@ def _cmd_detect(args) -> int:
 
 def _parse_case(text: str) -> BenchCase:
     parts = text.rsplit(":", 2)
+    bad = f"bad --test value {text!r}: "
     if len(parts) != 3:
-        raise ValueError(
-            f"bad --test value {text!r}: expected path:normal_count:fault_id"
-        )
-    return BenchCase(Path(parts[0]), int(parts[1]), parts[2])
+        raise ValueError(bad + "expected path:normal_count:fault_id")
+    try:
+        count = int(parts[1])
+    except ValueError:
+        raise ValueError(bad + f"normal_count {parts[1]!r} is not an integer") from None
+    return BenchCase(Path(parts[0]), count, parts[2])
 
 
 def _cmd_bench(args) -> int:

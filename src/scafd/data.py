@@ -91,15 +91,18 @@ def fit_scaler(X: DataMatrix) -> Scaler:
     return Scaler(mean=mean, std=std)
 
 
-def apply_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
-    """Z-score an n x m array; an overflow is an error, as NaN T2 never alarms."""
+def apply_scaler(scaler: Scaler, values: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Z-score an n x m array; an overflow is an error, as NaN T2 never alarms.
+
+    The error counts samples from ``offset``, the array's first in its block.
+    """
     if values.shape[0] != scaler.n_variables:
         raise ValueError(
             f"model expects {scaler.n_variables} variables, data has {values.shape[0]}"
         )
     scaled = (values - scaler.mean[:, None]) / scaler.std[:, None]
     if not np.all(np.isfinite(scaled)):
-        bad = np.argwhere(~np.isfinite(scaled))[0]
+        bad = np.argwhere(~np.isfinite(scaled))[0] + (0, offset)
         raise ValueError(f"non-finite entry at variable {bad[0]}, sample {bad[1]}")
     return scaled
 

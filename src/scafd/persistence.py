@@ -39,7 +39,7 @@ _CLASSES = {**{tag: cls for cls, tag in _METHODS.items()}, "sae": AeModel}
 _DECODER = "identity"
 _DTYPE = "<f8"
 _ARRAY_KEYS = {"dtype", "shape", "data"}
-_SCALARS = {"float": (int, float), "bool": bool}
+_SCALARS = {"float": (int, float), "bool": (bool,)}  # exact types: a bool is an int
 
 
 def method_tag(model) -> str:
@@ -110,7 +110,7 @@ def _decode(field_type: str, name: str, value, array):
         return StiefelPoint(array(value, name))
     if field_type == "np.ndarray":
         return array(value, name)
-    if not isinstance(value, _SCALARS[field_type]):
+    if type(value) not in _SCALARS[field_type]:
         raise ValueError(f"entry {name!r} must be a {field_type}, got {value!r}")
     return value
 

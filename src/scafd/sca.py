@@ -10,7 +10,7 @@ training runs the same conjugate gradient in the span of the expanded data
 and the starting decoder, reached through the m x m second-order kernel,
 and never forms the N x m expansion.
 
-Online: scale and encode a new sample, W^T expand(z) computed without
+Online: z-score and encode a new sample, W^T expand(z) computed without
 expanding, compute its T2, and alarm when it exceeds the control limit.
 
 Every monitor, this one and the baselines, is a ``MonitoringStats`` (the
@@ -87,14 +87,15 @@ class MonitoringStats:
     """Training scaler, sizes and T2 machinery shared by every monitor.
 
     Every monitor subclasses it and adds its feature map: the fields and the
-    ``encode_batch`` method that turns raw samples, an n x m float array,
-    into a p x m feature block, with shapes checked against ``n_variables``
-    (the scaler's) and ``n_components`` (the feature mean's length).  Field
-    order is the key order of a saved model, so ``scaler`` comes last,
-    before a subclass's own fields.  Every field annotated ``np.ndarray``,
-    here or in a subclass, is stored as float64, and it and every ``float``
-    field must be finite: a NaN weight would make every T2 NaN, and NaN
-    never exceeds the limit.
+    ``encode_batch`` method that turns z-scores, an n x m float array, into
+    a p x m feature block, with shapes checked against ``n_variables`` (the
+    scaler's) and ``n_components`` (the feature mean's length).  The map
+    does not scale: ``_scaled_training_block`` z-scores a training block
+    and ``monitor`` a block it scores.  Field order is the key order of a
+    saved model, so ``scaler`` comes last, before a subclass's own fields.
+    Every field annotated ``np.ndarray``, here or in a subclass, is stored
+    as float64, and it and every ``float`` field must be finite: a NaN
+    weight would make every T2 NaN, and NaN never exceeds the limit.
     """
 
     sigma_g_inv: np.ndarray
@@ -162,9 +163,9 @@ class ScaModel(MonitoringStats):
         self._check_shapes({"w": shape, "w_tilde": shape})
         get_activation(self.encoder_activation)
 
-    def encode_batch(self, X: np.ndarray) -> np.ndarray:
-        """Features (p x m) of raw process samples: enc(W^T expand(scale(X)))."""
-        pre = expanded_t_dot(apply_scaler(self.scaler, X), self.w)
+    def encode_batch(self, Z: np.ndarray) -> np.ndarray:
+        """Features (p x m) of z-scored samples: enc(W^T expand(Z))."""
+        pre = expanded_t_dot(Z, self.w)
         return get_activation(self.encoder_activation).fn(pre.T)
 
 
@@ -391,24 +392,16 @@ def train(
 def monitor(model: MonitoringStats, X_new: DataMatrix) -> DetectionReport:
     """Per-sample T2 and alarm flags of a data block under any fitted monitor.
 
-    The block is encoded and scored ``_SCORE_CHUNK`` samples at a time, so
-    memory stays bounded whatever its length.
+    The block is z-scored, encoded and scored ``_SCORE_CHUNK`` samples at a
+    time, so memory stays bounded whatever its length, and a z-score that
+    overflows is named by its sample in the block.
     """
     t2 = []
     for lo in range(0, X_new.n_samples, _SCORE_CHUNK):
-        hi = lo + _SCORE_CHUNK
-        try:
-            t2.append(t2_batch(model.encode_batch(X_new.values[:, lo:hi])
-                               - model.g_mean[:, None], model.sigma_g_inv))
-        except ValueError:
-            # apply_scaler counts samples from the chunk's start; scaling the
-            # block up to hi, where only this chunk can fail, names the bad
-            # z-score by its sample in the block
-            try:
-                apply_scaler(model.scaler, X_new.values[:, :hi])
-            except ValueError as located:
-                raise located from None
-            raise
+        chunk = X_new.values[:, lo : lo + _SCORE_CHUNK]
+        # a view; left unnamed, its z-scores and features are freed once used
+        t2.append(t2_batch(model.encode_batch(apply_scaler(model.scaler, chunk, lo))
+                           - model.g_mean[:, None], model.sigma_g_inv))
     values = np.concatenate(t2)
     return DetectionReport(t2=values, flags=values > model.control_limit)
 

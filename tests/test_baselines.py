@@ -186,14 +186,14 @@ def test_kpca_training_features_self_consistent(rng):
     scaled = apply_scaler(model.scaler, X.values)
     Kc = center_gram(gaussian_kernel(scaled, scaled, model.kernel_width))
     features = (Kc @ model.alphas).T
-    out = model.encode_batch(X.values)
+    out = model.encode_batch(scaled)
     assert np.max(np.abs(out - features)) <= 1e-8 * max(1.0, np.abs(features).max())
 
 
 def test_kpca_features_are_whitened(rng):
     X = DataMatrix(rng.standard_normal((3, 50)))
     model = kpca_fit(X, p=4)
-    cov = np.cov(model.encode_batch(X.values), ddof=1)
+    cov = np.cov(model.encode_batch(apply_scaler(model.scaler, X.values)), ddof=1)
     assert np.allclose(cov, np.eye(4), atol=1e-8)
     assert np.all(np.diff(model.eigenvalues) <= 1e-12)
     assert np.all(model.eigenvalues > 0)

@@ -174,6 +174,9 @@ def test_parse_case_splits_from_the_right():
     assert case.fault_id == "f3"
     with pytest.raises(ValueError, match="path:normal_count:fault_id"):
         _parse_case("only_two:parts")
+    message = "^bad --test value 't.csv:abc:1': normal_count 'abc' is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        _parse_case("t.csv:abc:1")
 
 
 def test_bench_spec_validation(tmp_path):
@@ -601,6 +604,26 @@ def test_cli_gen_toy_and_config_precedence(tmp_path, capsys):
     assert rc == 0
     lines = (out / "train.csv").read_text().splitlines()
     assert len(lines) == 10  # header + 9 samples: explicit flag beat the config
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("train-m=7\nbogus\n", "config line 2: expected key=value, got 'bogus'"),
+        ("# sizes\n\ntrain-m=7\nheader=maybe\n",
+         "config line 4: key header: boolean value expected"),
+    ],
+    ids=["no-equals", "bad-boolean"],
+)
+def test_cli_config_error_names_the_file_and_its_line(text, error, tmp_path, capsys):
+    # lines are counted from 1, comments and blank lines included
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "data"
+    rc = main(["gen-toy", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {error}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -266,6 +266,8 @@ def test_ac10_shape_file_size_and_memory(ac10_shape_model, tmp_path):
         ("ae", "expand_inputs", "yes", "entry 'expand_inputs' must be a bool"),
         ("sca", "w", {"a": 1.0}, "entry 'w' must be a nested list of numbers"),
         ("kpca", "alphas", [[1.0], [1.0, 2.0]], "entry 'alphas' must be a nested list"),
+        # a JSON boolean is a Python int, but not a float
+        ("pca", "control_limit", True, "^entry 'control_limit' must be a float, got True$"),
     ],
 )
 def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):

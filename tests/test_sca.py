@@ -56,15 +56,16 @@ def _tiny_model(**overrides):
 
 
 class _RawMonitor:
-    """Monitor stub whose feature map is the identity on raw values."""
+    """Monitor stub whose scaler and feature map are identities: T2 of raw values."""
 
     def __init__(self, p, limit):
+        self.scaler = Scaler(mean=np.zeros(p), std=np.ones(p))
         self.g_mean = np.zeros(p)
         self.sigma_g_inv = np.eye(p)
         self.control_limit = limit
 
-    def encode_batch(self, X):
-        return X
+    def encode_batch(self, Z):
+        return Z
 
 
 # ---------------------------------------------------------------------------
@@ -340,36 +341,10 @@ def test_train_gives_up_after_every_start_degenerates(toy_train, monkeypatch):
     assert str(info.value.__cause__) == "degenerate start 3"
 
 
-@pytest.mark.parametrize("zeta", [0.0, 0.7])
-def test_train_rejects_bad_zeta_before_any_start(toy_train, monkeypatch, zeta):
-    monkeypatch.setattr(scafd.sca, "init_product_point", None)  # any start would fail
-    with pytest.raises(ValueError, match=f"zeta must lie in \\(0, 0.5\\], got {zeta}"):
-        train(toy_train, p=2, cfg=CgConfig(max_iters=5), zeta=zeta)
-
-
 def test_train_rejects_small_sample(rng):
     X = DataMatrix(rng.standard_normal((2, 3)))
     with pytest.raises(ValueError, match=r"p\+2"):
         train(X, p=2)
-
-
-@pytest.mark.parametrize("method", ["sca", "ae", "sae"])
-def test_trainers_reject_too_few_samples_for_the_limit_before_any_fit(
-    rng, monkeypatch, method
-):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a fit started")
-
-    monkeypatch.setattr(scafd.sca, "cg_optimize", no_fit)
-    monkeypatch.setattr(scafd.baselines, "_gradient_descent", no_fit)
-    X = DataMatrix(rng.standard_normal((3, 8)))
-    # control_limit's own message, not a restart loop's wrapper around it
-    with pytest.raises(ValueError, match="^need at least 10 samples, got 8$") as info:
-        if method == "sca":
-            train(X, p=2)
-        else:
-            ae_train(X, 2, expand_inputs=method == "sae")
-    assert info.value.__cause__ is None
 
 
 _ZETA = r"^zeta must lie in \(0, 0.5\], got 0.7$"
@@ -379,6 +354,8 @@ _FEW = "^need at least 10 samples, got 8$"
 # has none).  X is a 6 x 20 block, X8 holds 8 samples and X1 one variable.
 _BAD_REQUESTS = {
     "sca-zeta": (lambda X, X8, X1: train(X, p=2, zeta=0.7), _ZETA),
+    "sca-zeta-0": (lambda X, X8, X1: train(X, p=2, zeta=0.0),
+                   r"^zeta must lie in \(0, 0.5\], got 0.0$"),
     "sca-8-samples": (lambda X, X8, X1: train(X8, p=2), _FEW),
     "sca-p0": (lambda X, X8, X1: train(X, p=0), "^p must be at least 1$"),
     "sca-p-above-N": (lambda X, X8, X1: train(X1, p=4),
@@ -386,6 +363,7 @@ _BAD_REQUESTS = {
     "ae-zeta": (lambda X, X8, X1: ae_train(X, 2, zeta=0.7), _ZETA),
     "ae-8-samples": (lambda X, X8, X1: ae_train(X8, 2), _FEW),
     "ae-p0": (lambda X, X8, X1: ae_train(X, 0), "^p must be at least 1$"),
+    "sae-8-samples": (lambda X, X8, X1: ae_train(X8, 2, expand_inputs=True), _FEW),
     "pca-zeta": (lambda X, X8, X1: pca_fit(X, n_components=2, zeta=0.7), _ZETA),
     "pca-8-samples": (lambda X, X8, X1: pca_fit(X8, n_components=2), _FEW),
     "pca-p0": (lambda X, X8, X1: pca_fit(X, n_components=0),
@@ -419,9 +397,11 @@ def test_trainers_reject_a_bad_request_before_any_fit(rng, monkeypatch, case):
     # m + p < N, so sca would fit in the data span, which starts with eigh
     blocks = [_latent_block(rng, n, m) for n, m in ((6, 20), (6, 8), (1, 20))]
     fit, message = _BAD_REQUESTS[case]
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         fit(*blocks)
     assert ran == []
+    # the check's own message, not a restart loop's wrapper around it
+    assert info.value.__cause__ is None
 
 
 def test_train_rejects_bad_p(rng):
@@ -504,9 +484,9 @@ def test_train_and_monitor_memory_stay_below_the_expansion_at_ac10_shape():
 # encode
 
 
-def _encode_sample(model, x):
-    """Features of one raw sample, encoded as a one-column block."""
-    return model.encode_batch(np.asarray(x, dtype=float)[:, None])[:, 0]
+def _encode_sample(model, z):
+    """Features of one z-scored sample, encoded as a one-column block."""
+    return model.encode_batch(np.asarray(z, dtype=float)[:, None])[:, 0]
 
 
 def test_encode_zero_weights_gives_zero_features():
@@ -531,8 +511,8 @@ def test_encode_batch_single_consistency(toy_sca_model, toy_train):
 
 def test_encode_dimension_mismatch():
     model = _tiny_model()
-    with pytest.raises(ValueError, match="expects 1 variables"):
-        _encode_sample(model, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="^model expects 1 variables, data has 2$"):
+        monitor(model, DataMatrix(np.array([[1.0], [2.0]])))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +590,29 @@ def test_monitor_rejects_a_z_score_that_overflows(method, toy_train):
         with pytest.raises(ValueError, match=message) as info:
             with pytest.warns(RuntimeWarning, match="overflow"):
                 monitor(model, DataMatrix(block))
-        assert info.value.__suppress_context__  # the chunk's own error is not shown
+        assert info.value.__context__ is None  # raised where the chunk is scaled
+
+
+def test_monitor_names_an_overflow_in_the_last_sample_in_bounded_memory(rng):
+    # Past the T2 already computed (8 bytes a sample), naming the sample must
+    # not take memory that grows with the block: no re-scaling of the block.
+    n = 20
+    X = DataMatrix(rng.standard_normal((n, 200)) * np.r_[1e-3, np.ones(n - 1)][:, None])
+    model = pca_fit(X, n_components=2)
+    peaks = {}
+    for size in (2048, 20480):
+        block = DataMatrix(np.zeros((n, size)))
+        block.values[0, -1] = 1e308
+        message = f"^non-finite entry at variable 0, sample {size - 1}$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                with pytest.warns(RuntimeWarning, match="overflow"):
+                    monitor(model, block)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20480] - peaks[2048] <= 8 * (20480 - 2048) + 32_000
 
 
 def test_monitor_zero_t2_never_alarms():
@@ -734,9 +736,10 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scafd"))
 def test_runtime_needs_numpy_only(tmp_path):
     # pyproject.toml declares numpy as the only runtime dependency: with the
     # test extras scipy and hypothesis unimportable, gen-toy, train for every
-    # method, detect and a five-method bench must all succeed on toy data.
-    # The CI job "numpy-only" runs the same commands on an install without
-    # the extras.
+    # method, detect and a five-method bench must all succeed on toy data; a
+    # train must read its flags from a config file, and detect must exit 2
+    # naming a sample whose z-score overflows.  The CI job "numpy-only" runs
+    # the same commands on an install without the extras.
     script = """
 import sys
 
@@ -764,6 +767,24 @@ for method in METHODS:
                  "--header", "--normal-count", "20"]) == 0
 assert main(["bench", *fit, "--methods", ",".join(METHODS),
              "--test", "toy/test.csv:20:1", "--out-dir", "bench"]) == 0
+
+import contextlib, io, warnings
+from pathlib import Path
+
+rows = [f"0.00{i % 7},{i % 5}" for i in range(1, 31)]
+Path("narrow.csv").write_text("\\n".join(["x1,x2", *rows]) + "\\n")
+Path("narrow.cfg").write_text("train=narrow.csv\\nheader=true\\nmethod=pca\\np=1\\n"
+                              "out=narrow.json\\n")
+assert main(["train", "--config", "narrow.cfg"]) == 0
+# x1's spread is about 2e-3, so 1e308 overflows its z-score
+Path("overflow.csv").write_text("x1,x2\\n0,1\\n0,2\\n1e308,3\\n")
+err = io.StringIO()
+with contextlib.redirect_stderr(err), warnings.catch_warnings():
+    warnings.simplefilter("ignore", RuntimeWarning)
+    status = main(["detect", "--model", "narrow.json", "--data", "overflow.csv",
+                   "--header"])
+assert status == 2
+assert err.getvalue() == "error: non-finite entry at variable 0, sample 2\\n", err.getvalue()
 """
     src = str(Path(scafd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
