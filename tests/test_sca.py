@@ -341,10 +341,36 @@ def test_train_gives_up_after_every_start_degenerates(toy_train, monkeypatch):
     assert str(info.value.__cause__) == "degenerate start 3"
 
 
+@pytest.mark.parametrize("zeta", [0.0, 0.7])
+def test_train_rejects_bad_zeta_before_any_start(toy_train, monkeypatch, zeta):
+    monkeypatch.setattr(scafd.sca, "init_product_point", None)  # any start would fail
+    with pytest.raises(ValueError, match=f"zeta must lie in \\(0, 0.5\\], got {zeta}"):
+        train(toy_train, p=2, cfg=CgConfig(max_iters=5), zeta=zeta)
+
+
 def test_train_rejects_small_sample(rng):
     X = DataMatrix(rng.standard_normal((2, 3)))
     with pytest.raises(ValueError, match=r"p\+2"):
         train(X, p=2)
+
+
+@pytest.mark.parametrize("method", ["sca", "ae", "sae"])
+def test_trainers_reject_too_few_samples_for_the_limit_before_any_fit(
+    rng, monkeypatch, method
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(scafd.sca, "cg_optimize", no_fit)
+    monkeypatch.setattr(scafd.baselines, "_gradient_descent", no_fit)
+    X = DataMatrix(rng.standard_normal((3, 8)))
+    # control_limit's own message, not a restart loop's wrapper around it
+    with pytest.raises(ValueError, match="^need at least 10 samples, got 8$") as info:
+        if method == "sca":
+            train(X, p=2)
+        else:
+            ae_train(X, 2, expand_inputs=method == "sae")
+    assert info.value.__cause__ is None
 
 
 _ZETA = r"^zeta must lie in \(0, 0.5\], got 0.7$"
@@ -354,8 +380,6 @@ _FEW = "^need at least 10 samples, got 8$"
 # has none).  X is a 6 x 20 block, X8 holds 8 samples and X1 one variable.
 _BAD_REQUESTS = {
     "sca-zeta": (lambda X, X8, X1: train(X, p=2, zeta=0.7), _ZETA),
-    "sca-zeta-0": (lambda X, X8, X1: train(X, p=2, zeta=0.0),
-                   r"^zeta must lie in \(0, 0.5\], got 0.0$"),
     "sca-8-samples": (lambda X, X8, X1: train(X8, p=2), _FEW),
     "sca-p0": (lambda X, X8, X1: train(X, p=0), "^p must be at least 1$"),
     "sca-p-above-N": (lambda X, X8, X1: train(X1, p=4),
@@ -363,7 +387,6 @@ _BAD_REQUESTS = {
     "ae-zeta": (lambda X, X8, X1: ae_train(X, 2, zeta=0.7), _ZETA),
     "ae-8-samples": (lambda X, X8, X1: ae_train(X8, 2), _FEW),
     "ae-p0": (lambda X, X8, X1: ae_train(X, 0), "^p must be at least 1$"),
-    "sae-8-samples": (lambda X, X8, X1: ae_train(X8, 2, expand_inputs=True), _FEW),
     "pca-zeta": (lambda X, X8, X1: pca_fit(X, n_components=2, zeta=0.7), _ZETA),
     "pca-8-samples": (lambda X, X8, X1: pca_fit(X8, n_components=2), _FEW),
     "pca-p0": (lambda X, X8, X1: pca_fit(X, n_components=0),
