@@ -8,15 +8,16 @@ override config values.
 
 A bench is one cell per method: ``_bench_cell`` fits the method on the
 training block, scores every test block with that model and writes the
-method's trace and chart CSVs.  ``run_bench`` loads every block once, runs
-the cells in worker processes forked from the caller (in the caller itself
-on one CPU), and writes metrics.csv and run_metadata.json from the small
-values the cells return.
+method's trace and chart CSVs.  ``run_bench`` loads every block once, binds
+them into one callable of the method, maps it over the methods in forked
+worker processes (in the caller itself on one CPU), and writes metrics.csv
+and run_metadata.json from the small values the cells return.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -139,10 +140,11 @@ class BenchCase:
         self.test_path = Path(self.test_path)
         if self.normal_count < 1:
             raise ValueError("normal_count must be at least 1")
-        # the fault id becomes part of the chart file names
-        if not self.fault_id or {os.sep, "/"} & set(self.fault_id):
+        # the fault id becomes part of the chart file names and a metrics.csv field
+        if not self.fault_id or {os.sep, "/", ",", '"', "\r", "\n"} & set(self.fault_id):
             raise ValueError(
-                f"fault_id {self.fault_id!r} must be non-empty and hold no path separator"
+                f"fault_id {self.fault_id!r} must be non-empty and hold no path "
+                "separator, comma, double quote or line break"
             )
 
 
@@ -240,8 +242,8 @@ def _fit_record(trace: FitTrace) -> dict:
     return {"stop_reason": trace.stop_reason, "iterations": trace.iterations}
 
 
-def _bench_cell(method: str, spec: BenchSpec, train_dm: DataMatrix, p: int,
-                tests: list[DataMatrix]) -> dict:
+def _bench_cell(spec: BenchSpec, train_dm: DataMatrix, p: int,
+                tests: list[DataMatrix], method: str) -> dict:
     """Fit one method, score every case of ``spec`` with it and write its files.
 
     Writes the method's trace CSV (iterative methods only) and one chart CSV
@@ -280,33 +282,23 @@ def _bench_cell(method: str, spec: BenchSpec, train_dm: DataMatrix, p: int,
     return cell
 
 
-# _bench_cell's arguments after the method, in a forked worker only: the
-# pool's initializer fills the worker's copy of this list, from what the
-# worker inherited from the parent, so the blocks are never pickled
-_worker_inputs: list = []
-
-
-def _worker_cell(method: str) -> dict:
-    return _bench_cell(method, *_worker_inputs)
-
-
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Train every requested method once and score every fault case.
 
-    Loads the training block and every test block, then runs one
-    ``_bench_cell`` per method: concurrently, in at most one worker per
-    method and per usable CPU, forked from the caller so that they inherit
-    the loaded blocks; or in the calling process, with one worker or where
-    ``fork`` is unavailable.  The cells write one chart CSV per case and
-    method and a trace CSV per iterative method (sca, ae, sae); this
-    function then writes metrics.csv (fault_id, method, mdr, far), case by
-    case in method order, and run_metadata.json.  Only run_metadata.json
-    depends on how many workers ran the cells: it records them as
-    ``fit_workers``, and each fit's own seconds as ``wall_times``, whose sum
-    can exceed the bench's elapsed time.  A method or case that fails with
-    one of ``_FIT_ERRORS`` is recorded as NA and skipped, not fatal; any
-    other exception propagates, and may leave the files of cells that had
-    finished.
+    Loads the training block and every test block, binds them to
+    ``_bench_cell`` once, and runs that callable per method: concurrently,
+    in at most one worker per method and per usable CPU, forked from the
+    caller, each task carrying the pickled blocks; or in the calling
+    process, with one worker or where ``fork`` is unavailable.  The cells
+    write one chart CSV per case and method and a trace CSV per iterative
+    method (sca, ae, sae); this function then writes metrics.csv (fault_id,
+    method, mdr, far), case by case in method order, and run_metadata.json.
+    Only run_metadata.json depends on how many workers ran the cells: it
+    records them as ``fit_workers``, and each fit's own seconds as
+    ``wall_times``, whose sum can exceed the bench's elapsed time.  A method
+    or case that fails with one of ``_FIT_ERRORS`` is recorded as NA and
+    skipped, not fatal; any other exception propagates, and may leave the
+    files of cells that had finished.
     """
     # imported here, as they add about 1.3 MB to every process importing cli
     import multiprocessing
@@ -318,19 +310,17 @@ def run_bench(spec: BenchSpec) -> BenchResult:
              for case in spec.cases]
     result = BenchResult()
     p = result.resolved_p = resolve_p(train_dm, spec.p, spec.energy)
-    inputs = (spec, train_dm, p, tests)
+    cell = functools.partial(_bench_cell, spec, train_dm, p, tests)
     methods = spec.methods
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(methods), cpus)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context,
-                                 initializer=_worker_inputs.extend,
-                                 initargs=(inputs,)) as pool:
-            cells = list(pool.map(_worker_cell, methods))
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            cells = list(pool.map(cell, methods))
     else:
-        workers, cells = 1, [_bench_cell(method, *inputs) for method in methods]
+        workers, cells = 1, list(map(cell, methods))
 
     metadata = {
         "seed": spec.seed,
@@ -401,14 +391,22 @@ def _write_chart_csv(
 # Argument parsing
 
 
-def _expand_config(argv: list[str]) -> list[str]:
-    """Replace --config FILE with the flag tokens it encodes."""
+def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Replace --config FILE with the flag tokens it encodes.
+
+    After a line's syntax, its key is checked against the long flags of the
+    subcommand, the first token once --config FILE is taken out; argparse
+    itself reports a subcommand it does not know.
+    """
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise ValueError("--config requires a file path")
     path = Path(argv[i + 1])
+    rest = argv[:i] + argv[i + 2 :]
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices.get(rest[0]) if rest else None
     tokens: list[str] = []
     for line_no, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
@@ -425,8 +423,9 @@ def _expand_config(argv: list[str]) -> list[str]:
                 raise ValueError(f"{at}: key {key}: boolean value expected")
         else:
             tokens.extend([f"--{key}", value])
+        if command is not None and f"--{key}" not in command._option_string_actions:
+            raise ValueError(f"{at}: unknown key {key!r}")
     # insert after the subcommand so explicit flags (later tokens) win
-    rest = argv[:i] + argv[i + 2 :]
     return rest[:1] + tokens + rest[1:]
 
 
@@ -609,9 +608,8 @@ def _cmd_bench(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_config(argv)
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_expand_config(argv, parser))
         # argparse stores a second --config, --config=FILE or --conf unread
         if args.config is not None:
             raise ValueError("give --config FILE once, as two tokens, flag name in full")

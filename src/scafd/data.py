@@ -100,7 +100,9 @@ def apply_scaler(scaler: Scaler, values: np.ndarray, offset: int = 0) -> np.ndar
         raise ValueError(
             f"model expects {scaler.n_variables} variables, data has {values.shape[0]}"
         )
-    scaled = (values - scaler.mean[:, None]) / scaler.std[:, None]
+    # the check below names an overflow, so numpy need not warn of it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (values - scaler.mean[:, None]) / scaler.std[:, None]
     if not np.all(np.isfinite(scaled)):
         bad = np.argwhere(~np.isfinite(scaled))[0] + (0, offset)
         raise ValueError(f"non-finite entry at variable {bad[0]}, sample {bad[1]}")

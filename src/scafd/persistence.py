@@ -71,10 +71,12 @@ def _encode(value):
 
 
 def _array_v1(value, name: str) -> np.ndarray:
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"entry {name!r} must be a nested list of numbers") from None
+    # as objects, a ragged list keeps a list as a leaf; float() would also
+    # read a string or a JSON boolean as a number
+    leaves = np.array(value, dtype=object)
+    if not all(type(leaf) in _SCALARS["float"] for leaf in leaves.flat):
+        raise ValueError(f"entry {name!r} must be a nested list of numbers")
+    return leaves.astype(float)
 
 
 def _array_v2(value, name: str) -> np.ndarray:
@@ -152,21 +154,22 @@ def load_model(path: str | Path):
     another type, a format-1 array that is not a nested list of numbers), a
     malformed format-2 array entry (wrong dtype, bad shape, invalid base64
     or a byte count that disagrees with the shape), a decoder other than
-    identity, values the model rejects, or header sizes that disagree with
-    the model.
+    identity, values the model rejects, or header sizes that are not the
+    model's as JSON integers; the format version, too, must be an integer.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
-    if version not in _READABLE_VERSIONS:
+    # exact type: 2.0 == 2 and True == 1
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported model format version {version!r} "
             f"(this build reads versions 1 and {FORMAT_VERSION})"
         )
     array = _array_v1 if version == 1 else _array_v2
     method = doc.get("method")
-    if method not in _CLASSES:
+    if type(method) is not str or method not in _CLASSES:  # a list is unhashable
         raise ValueError(f"unknown method tag {method!r}")
     cls = _CLASSES[method]
     kwargs = {}
@@ -195,6 +198,6 @@ def load_model(path: str | Path):
         raise ValueError(f"{method} model file holds a {held} model")
     model = cls(**kwargs)
     for key, size in _sizes(model).items():
-        if doc.get(key) != size:
+        if type(doc.get(key)) is not int or doc.get(key) != size:
             raise ValueError(f"header has {key} {doc.get(key)!r}, the model has {size}")
     return model

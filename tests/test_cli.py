@@ -195,7 +195,8 @@ def test_bench_spec_validation(tmp_path):
     with pytest.raises(ValueError, match="repeated fault id"):
         BenchSpec(tmp_path / "train.csv", [case, BenchCase(tmp_path / "u.csv", 5, "f1")],
                   ["pca"], p=2)
-    for fault_id in ("", "a/b", f"a{os.sep}b"):
+    # a comma, quote or line break would also break metrics.csv's fields or rows
+    for fault_id in ("", "a/b", f"a{os.sep}b", "a,b", 'a"b', "a\rb", "a\nb"):
         with pytest.raises(ValueError, match="no path separator"):
             BenchCase(tmp_path / "t.csv", 10, fault_id)
     for zeta in (0.0, -0.1, 0.7):
@@ -218,6 +219,9 @@ def test_cli_bench_rejects_a_bad_spec_before_any_fit(toy_paths, tmp_path, capsys
         (case + case, "repeated fault id"),
         (case + ["--zeta", "0.7"], "zeta must lie in (0, 0.5], got 0.7"),
         (case + ["--max-iters", "0"], "max_iters must be positive"),
+        # a comma would add a field to the case's metrics.csv rows
+        (["--test", f"{test_path}:100:a,b"],
+         "fault_id 'a,b' must be non-empty and hold no path separator, comma"),
     ]:
         rc = main(["bench", "--train", str(train_path), "--header", "--methods", "pca,sca",
                    *flags, "--p", "2", "--out-dir", str(out)])
@@ -612,8 +616,12 @@ def test_cli_gen_toy_and_config_precedence(tmp_path, capsys):
         ("train-m=7\nbogus\n", "config line 2: expected key=value, got 'bogus'"),
         ("# sizes\n\ntrain-m=7\nheader=maybe\n",
          "config line 4: key header: boolean value expected"),
+        # argparse would name neither the file nor the line
+        ("train-m=7\n# note\n\nseed=1\nbogus=1\n", "config line 5: unknown key 'bogus'"),
+        # gen-toy has no --header, though train, detect and bench have
+        ("header=true\n", "config line 1: unknown key 'header'"),
     ],
-    ids=["no-equals", "bad-boolean"],
+    ids=["no-equals", "bad-boolean", "unknown-key", "other-command-key"],
 )
 def test_cli_config_error_names_the_file_and_its_line(text, error, tmp_path, capsys):
     # lines are counted from 1, comments and blank lines included

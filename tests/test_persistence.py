@@ -268,6 +268,17 @@ def test_ac10_shape_file_size_and_memory(ac10_shape_model, tmp_path):
         ("kpca", "alphas", [[1.0], [1.0, 2.0]], "entry 'alphas' must be a nested list"),
         # a JSON boolean is a Python int, but not a float
         ("pca", "control_limit", True, "^entry 'control_limit' must be a float, got True$"),
+        # header entries are JSON integers, not floats or booleans (1.0 == True == 1)
+        ("pca", "format_version", 1.0, r"^unsupported model format version 1\.0 "),
+        ("sca", "format_version", True, "^unsupported model format version True "),
+        ("pca", "n_variables", 3.0, r"^header has n_variables 3\.0, the model has 3$"),
+        ("kpca", "n_components", 2.0, r"^header has n_components 2\.0, the model has 2$"),
+        ("pca", "method", ["pca"], r"^unknown method tag \['pca'\]$"),
+        # format-1 array leaves are JSON numbers, not strings or booleans
+        ("pca", "g_mean", ["0.0", "0.0"], "^entry 'g_mean' must be a nested list of numbers$"),
+        ("sca", "g_mean", [True, True], "^entry 'g_mean' must be a nested list of numbers$"),
+        ("ae", "sigma_g_inv", [[1.0, 0.0], [0.0, "1"]],
+         "^entry 'sigma_g_inv' must be a nested list of numbers$"),
     ],
 )
 def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):

@@ -593,8 +593,8 @@ def test_monitor_scores_in_chunks(method, toy_sca_model, toy_train, toy_test, mo
 
 @pytest.mark.parametrize("method", ["sca", "pca", "kpca", "ae"])
 def test_monitor_rejects_a_z_score_that_overflows(method, toy_train):
-    # A finite entry far outside a 1e-3 spread scales to inf (numpy warns);
-    # its T2 would be inf or NaN, and NaN never alarms.
+    # A finite entry far outside a 1e-3 spread scales to inf, with no numpy
+    # warning before the error; its T2 would be inf or NaN, and NaN never alarms.
     values = toy_train.values.copy()
     values[0] *= 1e-3 / values[0].std(ddof=1)
     X = DataMatrix(values)
@@ -611,8 +611,7 @@ def test_monitor_rejects_a_z_score_that_overflows(method, toy_train):
         block[0, sample] = 1e308
         message = f"^non-finite entry at variable 0, sample {sample}$"
         with pytest.raises(ValueError, match=message) as info:
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                monitor(model, DataMatrix(block))
+            monitor(model, DataMatrix(block))
         assert info.value.__context__ is None  # raised where the chunk is scaled
 
 
@@ -630,8 +629,7 @@ def test_monitor_names_an_overflow_in_the_last_sample_in_bounded_memory(rng):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=message):
-                with pytest.warns(RuntimeWarning, match="overflow"):
-                    monitor(model, block)
+                monitor(model, block)
             peaks[size] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -761,8 +759,9 @@ def test_runtime_needs_numpy_only(tmp_path):
     # test extras scipy and hypothesis unimportable, gen-toy, train for every
     # method, detect and a five-method bench must all succeed on toy data; a
     # train must read its flags from a config file, and detect must exit 2
-    # naming a sample whose z-score overflows.  The CI job "numpy-only" runs
-    # the same commands on an install without the extras.
+    # naming a sample whose z-score overflows, in one line of stderr; an
+    # unknown config key and a fault id holding a comma must exit 2.  The CI
+    # job "numpy-only" runs the same commands on an install without the extras.
     script = """
 import sys
 
@@ -791,7 +790,7 @@ for method in METHODS:
 assert main(["bench", *fit, "--methods", ",".join(METHODS),
              "--test", "toy/test.csv:20:1", "--out-dir", "bench"]) == 0
 
-import contextlib, io, warnings
+import contextlib, io
 from pathlib import Path
 
 rows = [f"0.00{i % 7},{i % 5}" for i in range(1, 31)]
@@ -802,12 +801,20 @@ assert main(["train", "--config", "narrow.cfg"]) == 0
 # x1's spread is about 2e-3, so 1e308 overflows its z-score
 Path("overflow.csv").write_text("x1,x2\\n0,1\\n0,2\\n1e308,3\\n")
 err = io.StringIO()
-with contextlib.redirect_stderr(err), warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
+with contextlib.redirect_stderr(err):
     status = main(["detect", "--model", "narrow.json", "--data", "overflow.csv",
                    "--header"])
 assert status == 2
 assert err.getvalue() == "error: non-finite entry at variable 0, sample 2\\n", err.getvalue()
+
+Path("bogus.cfg").write_text("train=narrow.csv\\nbogus=1\\n")
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert main(["train", "--config", "bogus.cfg", "--out", "bogus.json"]) == 2
+assert err.getvalue() == "error: bogus.cfg: config line 2: unknown key 'bogus'\\n"
+with contextlib.redirect_stderr(io.StringIO()):
+    assert main(["bench", *fit, "--test", "toy/test.csv:20:a,b", "--out-dir", "comma"]) == 2
+assert not Path("comma").exists()
 """
     src = str(Path(scafd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
