@@ -551,13 +551,14 @@ def _cmd_detect(args) -> int:
     model = persistence.load_model(args.model)
     data = load_csv(args.data, samples=args.samples, header=args.header)
     report = sca.monitor(model, data)
+    if args.normal_count is not None:  # a bad count fails before any row is printed
+        mdr, far = sca.score(report.flags, args.normal_count)
     for i, (value, flag) in enumerate(zip(report.t2, report.flags)):
         print(f"{i},{float(value):.6g},{int(flag)}")
     alarms = int(report.flags.sum())
     print(f"# alarms: {alarms}/{len(report.flags)} "
           f"(limit {model.control_limit:.6g})")
     if args.normal_count is not None:
-        mdr, far = sca.score(report.flags, args.normal_count)
         print(f"# MDR: {mdr:.2f}%  FAR: {far:.2f}%")
     if args.out:
         _write_chart_csv(Path(args.out), report, model.control_limit,

@@ -76,7 +76,10 @@ def _array_v1(value, name: str) -> np.ndarray:
     leaves = np.array(value, dtype=object)
     if not all(type(leaf) in _SCALARS["float"] for leaf in leaves.flat):
         raise ValueError(f"entry {name!r} must be a nested list of numbers")
-    return leaves.astype(float)
+    try:
+        return leaves.astype(float)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ValueError(f"entry {name!r} holds a number beyond float range") from None
 
 
 def _array_v2(value, name: str) -> np.ndarray:
@@ -114,6 +117,10 @@ def _decode(field_type: str, name: str, value, array):
         return array(value, name)
     if type(value) not in _SCALARS[field_type]:
         raise ValueError(f"entry {name!r} must be a {field_type}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ValueError(f"entry {name!r} holds a number beyond float range") from None
     return value
 
 
@@ -151,9 +158,10 @@ def load_model(path: str | Path):
     method, a document that is not a JSON object, a missing entry, an entry
     of the wrong JSON type (a scaler that is not ``{mean, std}``,
     activations that are not a list of two names, a number or flag of
-    another type, a format-1 array that is not a nested list of numbers), a
-    malformed format-2 array entry (wrong dtype, bad shape, invalid base64
-    or a byte count that disagrees with the shape), a decoder other than
+    another type, a format-1 array that is not a nested list of numbers, a
+    JSON integer beyond float range), a malformed format-2 array entry
+    (wrong dtype, bad shape, invalid base64 or a byte count that disagrees
+    with the shape), a decoder other than
     identity, values the model rejects, or header sizes that are not the
     model's as JSON integers; the format version, too, must be an integer.
     """

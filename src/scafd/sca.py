@@ -20,7 +20,9 @@ scaler, the sizes and the T2 machinery) plus its own ``encode_batch``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,28 +281,34 @@ def fit_monitoring_stats(
     )
 
 
-def _kernel_basis(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_basis(Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal basis Q_X of the range of X = expand(Z), kept implicit.
 
-    With the m x m kernel K = X^T X = V diag(lam) V^T, restricted to the
+    With the m x m kernel K = X^T X = V diag(lam) V^T, restricted to the r
     eigenvalues above m * eps * max(lam), Q_X = X V diag(lam)^(-1/2).
-    Returns (coef, coords): Q_X = X @ coef and Q_X^T X = coords, so the
-    N x m expansion is never formed.
+    Returns (coef, data): Q_X = X @ coef, and data is the (r + p) x m block
+    that ``_fit_in_span`` trains on, its first r rows already holding the
+    kernel coordinates Q_X^T X = diag(lam)^(1/2) V^T and its last p rows
+    left for each start's completion.  The N x m expansion is never formed.
     """
     lam, V = np.linalg.eigh(second_order_kernel(Z))
     keep = lam > Z.shape[1] * np.finfo(float).eps * lam[-1]
     root = np.sqrt(lam[keep])
     V = V[:, keep]
-    return V / root, root[:, None] * V.T
+    r = root.size
+    data = np.empty((r + p, Z.shape[1]))
+    np.multiply(root[:, None], V.T, out=data[:r])
+    V /= root  # in place: V is the mask's copy, so coef needs no array of its own
+    return V, data
 
 
 def _fit_in_span(
     Z: np.ndarray,
     coef: np.ndarray,
-    coords: np.ndarray,
+    data: np.ndarray,
     init: ProductPoint,
     cfg: CgConfig,
-) -> tuple[ProductPoint, FitTrace, np.ndarray]:
+) -> tuple[ProductPoint, FitTrace, np.ndarray, Callable[[ProductPoint], ProductPoint]]:
     """``cg_optimize`` from ``init`` on X = expand(Z), run in a d-dim subspace.
 
     Every iterate stays in range(X) + span(W~_0): the gradients are X- and
@@ -308,26 +316,32 @@ def _fit_in_span(
     transport only right-multiply by p x p matrices.  So with an orthonormal
     basis B = [Q_X, P] of that space (P completes Q_X to W~_0), CG on the
     coordinates B^T w, B^T W~ against B^T X has the same costs, metric and
-    iterates in exact arithmetic, on d = r + p rows instead of N.  Returns
-    the point lifted back to N rows, the trace and the training codes.
+    iterates in exact arithmetic, on d = r + p rows instead of N.
+
+    ``data`` comes from ``_kernel_basis``; its last p rows are overwritten
+    with this start's P^T X.  Those rows are rounding noise (X lies in
+    range(Q_X), so P^T X is 0 in exact arithmetic), but CG's iterates
+    depend on them in floating point, so they are computed, not zeroed.
+    Returns the point in span coordinates, the trace, the training codes
+    and the lift of a span point back to N rows; the lift holds Z, coef
+    and P, not ``data``.
     """
     w0 = init.w_tilde.matrix
     c = coef.T @ expanded_t_dot(Z, w0)  # Q_X^T W~_0
     P = np.linalg.qr(w0 - expanded_dot(Z, coef @ c))[0]
-    data = np.vstack([coords, expanded_t_dot(Z, P).T])
+    r = coef.shape[1]
+    data[r:] = expanded_t_dot(Z, P).T
     start = np.vstack([c, P.T @ w0])
     point, trace = cg_optimize(
         ProductPoint(w=start.copy(), w_tilde=StiefelPoint(start)), data, cfg, TANH
     )
-    r = coef.shape[1]
 
-    def lift(M: np.ndarray) -> np.ndarray:
-        return expanded_dot(Z, coef @ M[:r]) + P @ M[r:]
+    def lift(span: ProductPoint) -> ProductPoint:
+        w, w_tilde = (expanded_dot(Z, coef @ M[:r]) + P @ M[r:]
+                      for M in (span.w, span.w_tilde.matrix))
+        return ProductPoint(w=w, w_tilde=StiefelPoint(w_tilde))
 
-    lifted = ProductPoint(
-        w=lift(point.w), w_tilde=StiefelPoint(lift(point.w_tilde.matrix))
-    )
-    return lifted, trace, TANH.fn(point.w.T @ data)
+    return point, trace, TANH.fn(point.w.T @ data), lift
 
 
 def train(
@@ -350,20 +364,18 @@ def train(
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
     scaler, scaled = _scaled_training_block(X_train, zeta)
     # The span has at most m + p dimensions, so it only pays when that is
-    # below N; toy data (n = 3, N = 13) keeps the explicit expansion.
+    # below N; toy data (n = 3, N = 13) keeps the explicit expansion.  Each
+    # fit returns (point, trace, codes, lift); only the kept point is lifted.
     if X_train.n_samples + p < N:
-        coef, coords = _kernel_basis(scaled)
-
-        def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
-            return _fit_in_span(scaled, coef, coords, init, cfg)
-
+        # the data block is held only by this partial
+        fit = functools.partial(_fit_in_span, scaled, *_kernel_basis(scaled, p), cfg=cfg)
     else:
         # a DataMatrix only for perfbench's hook, which reads .values (ROADMAP 5)
         expanded = expand_second_order(DataMatrix(scaled))
 
-        def fit(init: ProductPoint) -> tuple[ProductPoint, FitTrace, np.ndarray]:
+        def fit(init: ProductPoint):
             point, trace = cg_optimize(init, expanded, cfg, TANH)
-            return point, trace, TANH.fn(point.w.T @ expanded)
+            return point, trace, TANH.fn(point.w.T @ expanded), lambda q: q
 
     rng = np.random.default_rng(cfg.seed)
     # A start can still collapse every feature onto a tanh plateau, leaving a
@@ -371,7 +383,7 @@ def train(
     # stream instead of failing outright; give up after _RESTARTS tries.
     last_err: ValueError | None = None
     for _ in range(_RESTARTS):
-        point, trace, codes = fit(init_product_point(N, p, rng))
+        point, trace, codes, lift = fit(init_product_point(N, p, rng))
         try:
             stats = fit_monitoring_stats(codes, scaler, zeta)
             break
@@ -381,6 +393,8 @@ def train(
         raise ValueError(
             f"all {_RESTARTS} starts produced degenerate features"
         ) from last_err
+    del fit  # frees the span path's data block before the lift
+    point = lift(point)
     model = ScaModel(
         w=point.w,
         w_tilde=point.w_tilde,

@@ -812,6 +812,31 @@ def test_cli_detect_reports_malformed_model_structure(toy_paths, tmp_path, capsy
     assert f"error: {match}" in err
 
 
+@pytest.mark.parametrize(
+    "count, error",
+    [
+        (lambda n: 0, "normal_count must be positive"),
+        (lambda n: n, "no faulty segment: normal_count equals sample count"),
+        (lambda n: n + 1, "normal_count 501 exceeds sample count 500"),
+    ],
+    ids=["zero", "sample-count", "above-sample-count"],
+)
+def test_cli_detect_checks_the_normal_count_before_printing(toy_paths, tmp_path, capsys,
+                                                             count, error):
+    train_path, test_path = toy_paths
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--train", str(train_path), "--method", "pca",
+                 "--p", "2", "--header", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    n = load_csv(test_path, samples="rows", header=True).n_samples
+    rc = main(["detect", "--model", str(model_path), "--data", str(test_path),
+               "--header", "--normal-count", str(count(n))])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_cli_missing_file_exits_nonzero(tmp_path, capsys):
     rc = main(["detect", "--model", str(tmp_path / "none.json"),
                "--data", str(tmp_path / "none.csv")])

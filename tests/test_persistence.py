@@ -279,6 +279,11 @@ def test_ac10_shape_file_size_and_memory(ac10_shape_model, tmp_path):
         ("sca", "g_mean", [True, True], "^entry 'g_mean' must be a nested list of numbers$"),
         ("ae", "sigma_g_inv", [[1.0, 0.0], [0.0, "1"]],
          "^entry 'sigma_g_inv' must be a nested list of numbers$"),
+        # a JSON integer beyond float range, as an array leaf and as a scalar
+        ("pca", "g_mean", [10**400, 0.0], "^entry 'g_mean' holds a number beyond float range$"),
+        pytest.param("sca", "control_limit", -(10**400),
+                     "^entry 'control_limit' holds a number beyond float range$",
+                     id="sca-control_limit-huge-int"),
     ],
 )
 def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):

@@ -19,6 +19,7 @@ from scafd.data import (
     apply_scaler,
     expand_second_order,
     expanded_dim,
+    expanded_dot,
     fit_scaler,
     second_order_kernel,
 )
@@ -483,6 +484,46 @@ def test_train_in_data_span_and_encode_never_expand(rng, monkeypatch):
     assert monitor(model, X).t2.shape == (20,)
 
 
+def test_train_in_data_span_lifts_only_the_kept_start(monkeypatch):
+    # Each span fit makes one N x p product to complete its basis (P); the
+    # lift back to N rows makes two more, for w and W~, and runs only for
+    # the start that is kept.  Here the first start is rejected.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return expanded_dot(*args)
+
+    monkeypatch.setattr(scafd.sca, "expanded_dot", counted)
+    starts = _degenerate_stats(monkeypatch, failures=1)
+    X = _latent_block(np.random.default_rng(5), 6, 20)  # m + p = 23 < N = 43
+    train(X, p=3, cfg=CgConfig(seed=4, max_iters=5))
+    assert len(starts) == 2
+    assert len(calls) == 2 + 2
+
+
+def test_train_in_data_span_holds_two_m_by_m_arrays_during_cg(monkeypatch):
+    # n=20, m=200, p=5: N = 421 > m + p and the kernel has full rank r = m,
+    # so the basis coefficients (m x r) and the (r + p) x m data block are
+    # each about m x (m + p) doubles; a third copy would break the bound.
+    m, p = 200, 5
+    X = _latent_block(np.random.default_rng(8), 20, m)
+    live = []
+
+    def traced(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return cg_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(scafd.sca, "cg_optimize", traced)
+    tracemalloc.start()
+    try:
+        train(X, p=p, cfg=CgConfig(seed=0, max_iters=2))
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1
+    assert live[0] < 2.5 * m * (m + p) * 8
+
+
 def test_train_and_monitor_memory_stay_below_the_expansion_at_ac10_shape():
     # The AC10 problem: n=52 (N=2757), m=500, p=27.  The expansion alone is
     # 11 MB for training and 22.6 MB per 1024-sample scoring chunk.
@@ -760,8 +801,10 @@ def test_runtime_needs_numpy_only(tmp_path):
     # method, detect and a five-method bench must all succeed on toy data; a
     # train must read its flags from a config file, and detect must exit 2
     # naming a sample whose z-score overflows, in one line of stderr; an
-    # unknown config key and a fault id holding a comma must exit 2.  The CI
-    # job "numpy-only" runs the same commands on an install without the extras.
+    # unknown config key and a fault id holding a comma must exit 2; detect
+    # must exit 2 with nothing on stdout for a normal count of 0, and exit 2
+    # on a format-1 model holding 10**400.  The CI job "numpy-only" runs the
+    # same commands on an install without the extras.
     script = """
 import sys
 
@@ -815,12 +858,28 @@ assert err.getvalue() == "error: bogus.cfg: config line 2: unknown key 'bogus'\\
 with contextlib.redirect_stderr(io.StringIO()):
     assert main(["bench", *fit, "--test", "toy/test.csv:20:a,b", "--out-dir", "comma"]) == 2
 assert not Path("comma").exists()
+
+import json
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["detect", "--model", "pca.json", "--data", "toy/test.csv", "--header",
+                 "--normal-count", "0"]) == 2
+assert out.getvalue() == ""
+doc = json.loads(Path(sys.argv[1]).read_text())
+doc["g_mean"][0] = 10**400
+Path("big.json").write_text(json.dumps(doc))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert main(["detect", "--model", "big.json", "--data", "toy/test.csv", "--header"]) == 2
+assert err.getvalue() == "error: entry 'g_mean' holds a number beyond float range\\n"
 """
     src = str(Path(scafd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                            capture_output=True, text=True)
+    golden = Path(__file__).parent / "data" / "v1" / "pca.json"
+    result = subprocess.run([sys.executable, "-c", script, str(golden)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     metrics = (tmp_path / "bench" / "metrics.csv").read_text()
     assert metrics.count("\n") == 6 and "NA" not in metrics
