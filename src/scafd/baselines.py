@@ -16,13 +16,21 @@ gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, expand_second_order, expanded_dim, expanded_t_dot
+from .data import (
+    DataMatrix,
+    TriangularForm,
+    expand_second_order,
+    expanded_dim,
+    expanded_t_dot,
+    triangular_form,
+)
 from .manifold import orthonormality_error
 from .optimizer import TANH, Activation, FitTrace, _is_flat, get_activation
 from .sca import DEFAULT_ZETA, MonitoringStats, fit_monitoring_stats
@@ -118,9 +126,14 @@ class AeModel(MonitoringStats):
             {"w_enc": (n, p), "b_enc": (p,), "w_dec": (n, p), "b_dec": (n,)}
         )
 
+    @functools.cached_property
+    def _w_enc_form(self) -> TriangularForm:
+        """w_enc prepared for ``expanded_t_dot`` (sae), as ``ScaModel._w_form``."""
+        return triangular_form(self.w_enc, self.n_variables)
+
     def encode_batch(self, Z: np.ndarray) -> np.ndarray:
         if self.expand_inputs:
-            pre = expanded_t_dot(Z, self.w_enc).T
+            pre = expanded_t_dot(Z, self._w_enc_form).T
         else:
             pre = self.w_enc.T @ Z
         return get_activation(self.encoder_activation).fn(pre + self.b_enc[:, None])

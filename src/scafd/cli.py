@@ -285,20 +285,21 @@ def _bench_cell(spec: BenchSpec, train_dm: DataMatrix, p: int,
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Train every requested method once and score every fault case.
 
-    Loads the training block and every test block, binds them to
-    ``_bench_cell`` once, and runs that callable per method: concurrently,
-    in at most one worker per method and per usable CPU, forked from the
-    caller, each task carrying the pickled blocks; or in the calling
-    process, with one worker or where ``fork`` is unavailable.  The cells
-    write one chart CSV per case and method and a trace CSV per iterative
-    method (sca, ae, sae); this function then writes metrics.csv (fault_id,
-    method, mdr, far), case by case in method order, and run_metadata.json.
-    Only run_metadata.json depends on how many workers ran the cells: it
-    records them as ``fit_workers``, and each fit's own seconds as
-    ``wall_times``, whose sum can exceed the bench's elapsed time.  A method
-    or case that fails with one of ``_FIT_ERRORS`` is recorded as NA and
-    skipped, not fatal; any other exception propagates, and may leave the
-    files of cells that had finished.
+    Loads the training block and every test block, rejects a case whose
+    normal count leaves no faulty sample in its block (with ``sca.score``'s
+    message), binds the blocks to ``_bench_cell`` once, and runs that
+    callable per method: concurrently, in at most one worker per method and
+    per usable CPU, forked from the caller, each task carrying the pickled
+    blocks; or in the calling process, with one worker or where ``fork`` is
+    unavailable.  The cells write one chart CSV per case and method and a
+    trace CSV per iterative method (sca, ae, sae); this function then
+    writes metrics.csv (fault_id, method, mdr, far), case by case in method
+    order, and run_metadata.json.  Only run_metadata.json depends on how
+    many workers ran the cells: it records them as ``fit_workers``, and each
+    fit's own seconds as ``wall_times``, whose sum can exceed the bench's
+    elapsed time.  A method or case that fails with one of ``_FIT_ERRORS``
+    is recorded as NA and skipped, not fatal; any other exception
+    propagates, and may leave the files of cells that had finished.
     """
     # imported here, as they add about 1.3 MB to every process importing cli
     import multiprocessing
@@ -308,6 +309,11 @@ def run_bench(spec: BenchSpec) -> BenchResult:
     train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
     tests = [load_csv(case.test_path, samples=spec.samples, header=spec.header)
              for case in spec.cases]
+    for case, test_dm in zip(spec.cases, tests):
+        try:
+            sca._check_normal_count(case.normal_count, test_dm.n_samples)
+        except ValueError as exc:
+            raise ValueError(f"{case.test_path}: {exc}") from None
     result = BenchResult()
     p = result.resolved_p = resolve_p(train_dm, spec.p, spec.energy)
     cell = functools.partial(_bench_cell, spec, train_dm, p, tests)

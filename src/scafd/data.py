@@ -6,6 +6,15 @@ each sample x to [1, x_1..x_n, x_1*x_1, x_1*x_2, ..., x_n*x_n], so the
 expanded dimension is N = 1 + n + n**2 (the full product block is kept,
 including both x_j*x_k and x_k*x_j).
 
+A weight column w_i meets the expansion of a sample z as w_i[0] + L_i^T z
++ z^T Q_i z, with L_i its next n entries and Q_i its product rows as an
+n x n matrix.  ``expanded_t_dot`` computes that from the upper-triangular
+U_i with the same value (the two entries of each pair j != k summed above
+the diagonal), split into column blocks; block [a, b) needs only
+z_1..z_b, so the quadratic part costs (1 + 1/blocks)/2 of the full form's
+flops.  ``triangular_form`` prepares U; a model prepares it once, reuses
+it on every call and never saves it.
+
 ``load_csv`` parses CSV files with numpy, gives the file's line and column
 of a bad value or row, and names the file in every error it raises.
 """
@@ -133,6 +142,11 @@ def expanded_dim(n: int) -> int:
 # expanded_dot (1 MB): they work in slices of samples or of columns of c
 # under it, instead of holding m x n*p arrays.
 _PRODUCT_CHUNK = 1 << 17
+# Column blocks of each upper-triangular form (fewer when n is smaller):
+# the quadratic part costs (1 + 1/blocks)/2 of the full form's flops, and
+# each block is one more matmul per slice.  8 scored the 52-variable
+# detect52 cycle fastest among 4, 6, 8, 10 and 13.
+_FORM_BLOCKS = 8
 
 
 def second_order_kernel(Z: np.ndarray) -> np.ndarray:
@@ -148,25 +162,64 @@ def second_order_kernel(Z: np.ndarray) -> np.ndarray:
     return K
 
 
-def expanded_t_dot(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``E.T @ w`` for a (1+n+n^2) x p matrix w: m x p.
+@dataclass(frozen=True)
+class TriangularForm:
+    """A (1+n+n^2) x p matrix w, prepared for ``expanded_t_dot``.
 
-    The product rows of w, reshaped to n x n*p, meet the samples in a
-    matmul, Z^T W_2, and a batched row product with each sample finishes
-    the quadratic part.  Samples go through in slices, so the largest
-    temporary, that matmul, has at most ``_PRODUCT_CHUNK`` elements (or one
-    sample's n*p).
+    ``bias`` is w's first row and ``linear`` its next n rows.  Column i of
+    the product rows, reshaped to n x n, is the form Q_i of z^T Q_i z; the
+    upper-triangular U_i, with U_i[j, k] = Q_i[j, k] + Q_i[k, j] for j < k
+    and U_i[j, j] = Q_i[j, j], gives the same z^T U_i z.  ``blocks`` splits
+    the columns k of U into ranges [a, b); as U is 0 below the diagonal, a
+    block keeps only the rows j < b, stored as one b x (b-a)*p array.
+    """
+
+    bias: np.ndarray
+    linear: np.ndarray
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
+
+
+def triangular_form(w: np.ndarray, n: int) -> TriangularForm:
+    """Fold the product rows of a (1+n+n^2) x p matrix w into upper-triangular forms."""
+    p = w.shape[1]
+    q = w[1 + n :].reshape(n, n, p)
+    count = min(_FORM_BLOCKS, n)
+    edges = [n * i // count for i in range(count + 1)]
+    blocks = []
+    for a, b in zip(edges, edges[1:]):
+        u = q[:b, a:b] + q[a:b, :b].swapaxes(0, 1)  # Q + Q^T, b x (b-a) x p
+        d = np.arange(b - a)
+        u[a + d, d] = q[a + d, a + d]
+        u[a:][np.tril_indices(b - a, -1)] = 0.0
+        blocks.append((a, b, u.reshape(b, (b - a) * p)))
+    return TriangularForm(w[0], w[1 : 1 + n], tuple(blocks))
+
+
+def expanded_t_dot(Z: np.ndarray, w: np.ndarray | TriangularForm) -> np.ndarray:
+    """``E.T @ w`` for a (1+n+n^2) x p matrix w or its ``triangular_form``: m x p.
+
+    A plain w is prepared on each call; a model passes the form it keeps.
+    Each column block [a, b) of the forms meets the samples' first b
+    variables in a matmul, and one batched row product with each sample
+    finishes the quadratic part.  Samples go through in slices, so the
+    largest temporary, the slice's n*p matmul results, has at most
+    ``_PRODUCT_CHUNK`` elements (or one sample's n*p).
     """
     n, m = Z.shape
-    p = w.shape[1]
-    w2 = w[1 + n :].reshape(n, n * p)
+    form = w if isinstance(w, TriangularForm) else triangular_form(w, n)
+    p = form.bias.shape[0]
     out = np.empty((m, p))
     step = max(1, _PRODUCT_CHUNK // (n * p))
+    quad = np.empty((min(step, m), n * p))
     for lo in range(0, m, step):
         zt = Z[:, lo : lo + step].T
-        quad = (zt @ w2).reshape(-1, n, p)
+        s = zt.shape[0]
+        for a, b, u in form.blocks:
+            np.matmul(zt[:, :b], u, out=quad[:s, a * p : b * p])
         out[lo : lo + step] = (
-            w[0] + zt @ w[1 : 1 + n] + np.matmul(zt[:, None, :], quad)[:, 0, :]
+            form.bias
+            + zt @ form.linear
+            + np.matmul(zt[:, None, :], quad[:s].reshape(s, n, p))[:, 0, :]
         )
     return out
 

@@ -11,7 +11,8 @@ and the starting decoder, reached through the m x m second-order kernel,
 and never forms the N x m expansion.
 
 Online: z-score and encode a new sample, W^T expand(z) computed without
-expanding, compute its T2, and alarm when it exceeds the control limit.
+expanding from W's triangular form (prepared at the model's first encode),
+compute its T2, and alarm when it exceeds the control limit.
 
 Every monitor, this one and the baselines, is a ``MonitoringStats`` (the
 scaler, the sizes and the T2 machinery) plus its own ``encode_batch``.
@@ -30,6 +31,7 @@ import numpy as np
 from .data import (
     DataMatrix,
     Scaler,
+    TriangularForm,
     apply_scaler,
     expand_second_order,
     expanded_dim,
@@ -37,6 +39,7 @@ from .data import (
     expanded_t_dot,
     fit_scaler,
     second_order_kernel,
+    triangular_form,
 )
 from .manifold import ProductPoint, StiefelPoint
 from .optimizer import TANH, CgConfig, FitTrace, cg_optimize, get_activation
@@ -165,9 +168,18 @@ class ScaModel(MonitoringStats):
         self._check_shapes({"w": shape, "w_tilde": shape})
         get_activation(self.encoder_activation)
 
+    @functools.cached_property
+    def _w_form(self) -> TriangularForm:
+        """w prepared for ``expanded_t_dot`` at the first encode and kept.
+
+        Building it costs more than scoring one sample.  It is not a field,
+        so it is never saved, and w must not change in place once it exists.
+        """
+        return triangular_form(self.w, self.n_variables)
+
     def encode_batch(self, Z: np.ndarray) -> np.ndarray:
         """Features (p x m) of z-scored samples: enc(W^T expand(Z))."""
-        pre = expanded_t_dot(Z, self.w)
+        pre = expanded_t_dot(Z, self._w_form)
         return get_activation(self.encoder_activation).fn(pre.T)
 
 
@@ -420,6 +432,18 @@ def monitor(model: MonitoringStats, X_new: DataMatrix) -> DetectionReport:
     return DetectionReport(t2=values, flags=values > model.control_limit)
 
 
+def _check_normal_count(normal_count: int, n_samples: int) -> None:
+    """Reject a normal head that leaves no faulty tail in ``n_samples``."""
+    if normal_count > n_samples:
+        raise ValueError(
+            f"normal_count {normal_count} exceeds sample count {n_samples}"
+        )
+    if normal_count <= 0:
+        raise ValueError("normal_count must be positive")
+    if normal_count == n_samples:
+        raise ValueError("no faulty segment: normal_count equals sample count")
+
+
 def score(flags: np.ndarray, normal_count: int) -> tuple[float, float]:
     """(missed detection rate, false alarm rate) in percent.
 
@@ -428,14 +452,7 @@ def score(flags: np.ndarray, normal_count: int) -> tuple[float, float]:
     share among the faulty tail.
     """
     flags = np.asarray(flags, dtype=bool).ravel()
-    if normal_count > flags.size:
-        raise ValueError(
-            f"normal_count {normal_count} exceeds sample count {flags.size}"
-        )
-    if normal_count <= 0:
-        raise ValueError("normal_count must be positive")
-    if normal_count == flags.size:
-        raise ValueError("no faulty segment: normal_count equals sample count")
+    _check_normal_count(normal_count, flags.size)
     normal, faulty = flags[:normal_count], flags[normal_count:]
     far = 100.0 * float(normal.sum()) / normal.size
     mdr = 100.0 * float((~faulty).sum()) / faulty.size

@@ -46,6 +46,28 @@ def toy_sca_model(toy_train):
     return model, trace
 
 
+@pytest.fixture(scope="module")
+def ac10_shape_model():
+    """An SCA model of the AC10 shape: n=52, p=27 (N=2757), m=500."""
+    from scafd.data import Scaler
+    from scafd.manifold import random_stiefel
+    from scafd.sca import ScaModel
+
+    rng = np.random.default_rng(5)
+    n, p, m = 52, 27, 500
+    N = 1 + n + n * n
+    return ScaModel(
+        scaler=Scaler(mean=rng.standard_normal(n), std=rng.uniform(0.5, 2.0, n)),
+        w=rng.standard_normal((N, p)),
+        w_tilde=random_stiefel(N, p, rng),
+        sigma_g_inv=np.eye(p),
+        g_mean=rng.standard_normal(p),
+        t2_train=rng.chisquare(p, m),
+        kde_bandwidth=1.5,
+        control_limit=40.0,
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def no_child_process_outlives_the_suite():
     """Fail the run if a bench, or anything else, leaves a worker running."""

@@ -837,6 +837,31 @@ def test_cli_detect_checks_the_normal_count_before_printing(toy_paths, tmp_path,
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "count, error",
+    [
+        (lambda n: n, "no faulty segment: normal_count equals sample count"),
+        (lambda n: n + 1, "normal_count 501 exceeds sample count 500"),
+    ],
+    ids=["sample-count", "above-sample-count"],
+)
+def test_cli_bench_rejects_a_case_it_cannot_score_before_any_fit(
+        toy_paths, tmp_path, capsys, monkeypatch, count, error):
+    import scafd.cli
+
+    monkeypatch.setattr(scafd.cli, "train_method", None)  # any fit would fail
+    train_path, test_path = toy_paths
+    n = load_csv(test_path, samples="rows", header=True).n_samples
+    out = tmp_path / "bench"
+    rc = main(["bench", "--train", str(train_path), "--header", "--methods", "pca,sca",
+               "--test", f"{test_path}:{count(n)}:1", "--p", "2", "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {test_path}: {error}\n"
+    assert list(out.iterdir()) == []  # no metrics.csv, chart or trace
+
+
 def test_cli_missing_file_exits_nonzero(tmp_path, capsys):
     rc = main(["detect", "--model", str(tmp_path / "none.json"),
                "--data", str(tmp_path / "none.csv")])

@@ -187,6 +187,13 @@ def test_expand_products_are_exact_ieee_products(rows):
 @example(n=4, m=1, p=3, seed=2, chunk=_PRODUCT_CHUNK)
 @example(n=4, m=9, p=3, seed=3, chunk=1)
 @example(n=4, m=9, p=4, seed=4, chunk=20)
+# fewer variables than _FORM_BLOCKS (one block per variable), and 9 and 13,
+# which its 8 blocks do not divide; each with a ragged last slice of samples
+@example(n=1, m=7, p=3, seed=5, chunk=6)
+@example(n=2, m=8, p=3, seed=6, chunk=20)
+@example(n=3, m=7, p=2, seed=7, chunk=20)
+@example(n=9, m=11, p=1, seed=8, chunk=36)
+@example(n=13, m=9, p=2, seed=9, chunk=60)
 def test_structured_products_match_explicit_expansion(n, m, p, seed, chunk):
     # Each entry is held to 1e-12 of the matching product of absolute values,
     # the scale of its rounding error whatever the cancellation.  A smaller

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from scafd.baselines import ae_train, kpca_fit, pca_fit
-from scafd.data import DataMatrix, Scaler
-from scafd.manifold import random_stiefel
+from scafd.data import DataMatrix
 from scafd.persistence import FORMAT_VERSION, load_model, method_tag, save_model
-from scafd.sca import ScaModel, monitor
+from scafd.sca import monitor
 
 _GOLDEN = Path(__file__).parent / "data" / "v1"
 _GOLDEN_V2 = Path(__file__).parent / "data" / "v2"
@@ -188,24 +187,6 @@ def test_format_2_file_loads_scores_and_resaves_unchanged(tag, small_block, tmp_
     assert np.allclose(t2, stored, rtol=1e-12, atol=0.0)
     path = save_model(model, tmp_path / f"{tag}.json")
     assert path.read_bytes() == golden.read_bytes()
-
-
-@pytest.fixture(scope="module")
-def ac10_shape_model():
-    """An SCA model of the AC10 shape: n=52, p=27 (N=2757), m=500."""
-    rng = np.random.default_rng(5)
-    n, p, m = 52, 27, 500
-    N = 1 + n + n * n
-    return ScaModel(
-        scaler=Scaler(mean=rng.standard_normal(n), std=rng.uniform(0.5, 2.0, n)),
-        w=rng.standard_normal((N, p)),
-        w_tilde=random_stiefel(N, p, rng),
-        sigma_g_inv=np.eye(p),
-        g_mean=rng.standard_normal(p),
-        t2_train=rng.chisquare(p, m),
-        kde_bandwidth=1.5,
-        control_limit=40.0,
-    )
 
 
 def _traced_peak_mb(fn, *args):

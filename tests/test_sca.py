@@ -1,5 +1,6 @@
 """Monitoring statistics: T2, KDE control limits, training, detection, scoring."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scafd
-from scafd.baselines import ae_train, kpca_fit, pca_fit
+import scafd.baselines
+from scafd.baselines import AeModel, ae_train, kpca_fit, pca_fit
 from scafd.data import (
     DataMatrix,
     Scaler,
@@ -22,6 +24,7 @@ from scafd.data import (
     expanded_dot,
     fit_scaler,
     second_order_kernel,
+    triangular_form,
 )
 from scafd.manifold import StiefelPoint, orthonormality_error
 from scafd.optimizer import CgConfig, FitTrace, cg_optimize, init_product_point
@@ -632,6 +635,50 @@ def test_monitor_scores_in_chunks(method, toy_sca_model, toy_train, toy_test, mo
     assert np.allclose(chunked.t2, whole.t2, rtol=1e-12, atol=0.0)
 
 
+def _ac10_shape_sae_model(rng):
+    """A second-order autoencoder monitor, n=52, p=27, with small weights."""
+    n, p = 52, 27
+    N = expanded_dim(n)
+    return AeModel(
+        scaler=Scaler(mean=rng.standard_normal(n), std=rng.uniform(0.5, 2.0, n)),
+        w_enc=0.01 * rng.standard_normal((N, p)),
+        b_enc=rng.standard_normal(p),
+        w_dec=rng.standard_normal((N, p)),
+        b_dec=rng.standard_normal(N),
+        expand_inputs=True,
+        sigma_g_inv=np.eye(p),
+        g_mean=rng.standard_normal(p),
+        t2_train=rng.chisquare(p, 500),
+        kde_bandwidth=1.5,
+        control_limit=40.0,
+    )
+
+
+@pytest.mark.parametrize("method", ["sca", "sae"])
+def test_monitor_prepares_the_triangular_form_once_per_model(method, ac10_shape_model,
+                                                              rng, monkeypatch):
+    # The form costs more than a one-sample score, so a model builds it at
+    # its first encode and keeps it; replace() gives a model that has not.
+    model = (dataclasses.replace(ac10_shape_model) if method == "sca"
+             else _ac10_shape_sae_model(rng))
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return triangular_form(*args)
+
+    for module in (scafd.sca, scafd.baselines):
+        monkeypatch.setattr(module, "triangular_form", counted)
+    block = DataMatrix(rng.standard_normal((52, 200)))
+    single = np.concatenate(
+        [monitor(model, DataMatrix(block.values[:, i : i + 1])).t2 for i in range(200)]
+    )
+    assert len(builds) == 1
+    whole = monitor(model, block)
+    assert len(builds) == 1
+    assert np.allclose(single, whole.t2, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("method", ["sca", "pca", "kpca", "ae"])
 def test_monitor_rejects_a_z_score_that_overflows(method, toy_train):
     # A finite entry far outside a 1e-3 spread scales to inf, with no numpy
@@ -801,7 +848,8 @@ def test_runtime_needs_numpy_only(tmp_path):
     # method, detect and a five-method bench must all succeed on toy data; a
     # train must read its flags from a config file, and detect must exit 2
     # naming a sample whose z-score overflows, in one line of stderr; an
-    # unknown config key and a fault id holding a comma must exit 2; detect
+    # unknown config key and a fault id holding a comma must exit 2, and so
+    # must a bench case with no faulty sample, leaving no metrics.csv; detect
     # must exit 2 with nothing on stdout for a normal count of 0, and exit 2
     # on a format-1 model holding 10**400.  The CI job "numpy-only" runs the
     # same commands on an install without the extras.
@@ -858,6 +906,14 @@ assert err.getvalue() == "error: bogus.cfg: config line 2: unknown key 'bogus'\\
 with contextlib.redirect_stderr(io.StringIO()):
     assert main(["bench", *fit, "--test", "toy/test.csv:20:a,b", "--out-dir", "comma"]) == 2
 assert not Path("comma").exists()
+# toy/test.csv holds 20 normal and 40 faulty samples
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert main(["bench", *fit, "--methods", "pca,sca", "--test", "toy/test.csv:60:1",
+                 "--out-dir", "nofault"]) == 2
+assert err.getvalue() == ("error: toy/test.csv: no faulty segment: "
+                          "normal_count equals sample count\\n"), err.getvalue()
+assert not Path("nofault/metrics.csv").exists()
 
 import json
 
