@@ -114,6 +114,8 @@ def bayes_posterior(
     if sd0 <= 0 or sd1 <= 0:
         raise ValueError("class standard deviations must be positive")
     x = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("grid entries must be finite")
     log_p0 = -0.5 * ((x - mu0) / sd0) ** 2 - np.log(sd0)
     log_p1 = -0.5 * ((x - mu1) / sd1) ** 2 - np.log(sd1)
     # sigmoid of the log-likelihood gap, computed stably on both sides
@@ -522,6 +524,11 @@ def _cmd_gen_toy(args) -> int:
 
 
 def _cmd_bayes_demo(args) -> int:
+    # before linspace, which warns on a NaN, infinite or overflowing span
+    if not np.isfinite(args.grid_max - args.grid_min):
+        raise ValueError("--grid-min and --grid-max must be finite, as must their difference")
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     posterior = bayes_posterior(args.mu0, args.mu1, args.sd0, args.sd1, grid)
     with Path(args.out).open("w") as fh:

@@ -162,6 +162,8 @@ class _Forward:
     codes: np.ndarray  # G = enc(w^T X), p x m
     wt_x: np.ndarray  # W~^T X, p x m
     gram: np.ndarray  # W~^T W~, p x p
+    # the polar factor R of the ``_Ray`` trial that gave it; None at a point
+    polar: np.ndarray | None = None
 
     def cost(self, x_sq: float) -> float:
         """||X||^2 - 2 <W~^T X, G> + <G, W~^T W~ G>; may be non-finite."""
@@ -216,7 +218,7 @@ class _Ray:
         gram, R = self.factor(t)
         pre = self.a + t * self.da
         wt_x = R.T @ (self.b + t * self.db)
-        return _Forward(pre, self.enc.fn(pre), wt_x, R.T @ gram @ R)
+        return _Forward(pre, self.enc.fn(pre), wt_x, R.T @ gram @ R, R)
 
 
 def _grad(
@@ -304,8 +306,9 @@ def line_search(
     Returns (t, cost at t, point at t, forward pass and Riemannian gradient
     at that point, number of trials).  Trials are evaluated in closed form
     along the retracted curve (``_Ray``), each in p x p and p x m work; only
-    the accepted step builds the N x p point (``move`` up to rounding), and
-    its forward pass is the accepted trial's.  X is not checked here:
+    the accepted step builds the N x p point (``move`` up to rounding), from
+    the accepted trial's polar factor, and its forward pass is that trial's.
+    X is not checked here:
     ``cg_optimize`` checks it once.
     Raises ValueError when the direction is not descent or ``start`` is not
     a step, and LineSearchError when all 61 steps are rejected.
@@ -346,7 +349,7 @@ def line_search(
             )
     new_fwd, f_t = found
     t = _STEPS[k]
-    w_tilde = StiefelPoint((point.w_tilde.matrix + t * direction.dh) @ ray.factor(t)[1])
+    w_tilde = StiefelPoint((point.w_tilde.matrix + t * direction.dh) @ new_fwd.polar)
     new_point = ProductPoint(point.w + t * direction.dw, w_tilde)
     eucl = _grad(new_fwd, X, new_point.w_tilde.matrix, encoder)
     return t, f_t, new_point, new_fwd, riemannian_grad(new_point, eucl), trials

@@ -299,61 +299,48 @@ def _kernel_basis(Z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     With the m x m kernel K = X^T X = V diag(lam) V^T, restricted to the r
     eigenvalues above m * eps * max(lam), Q_X = X V diag(lam)^(-1/2).
     Returns (coef, data): Q_X = X @ coef, and data is the (r + p) x m block
-    that ``_fit_in_span`` trains on, its first r rows already holding the
-    kernel coordinates Q_X^T X = diag(lam)^(1/2) V^T and its last p rows
-    left for each start's completion.  The N x m expansion is never formed.
+    that training in the span runs CG on: the kernel coordinates
+    Q_X^T X = diag(lam)^(1/2) V^T, then p rows of zeros, the coordinates
+    P^T X of every start's completion P (``_span_start``), exact because X
+    lies in range(Q_X).  The N x m expansion is never formed.
     """
     lam, V = np.linalg.eigh(second_order_kernel(Z))
     keep = lam > Z.shape[1] * np.finfo(float).eps * lam[-1]
     root = np.sqrt(lam[keep])
     V = V[:, keep]
     r = root.size
-    data = np.empty((r + p, Z.shape[1]))
+    data = np.zeros((r + p, Z.shape[1]))
     np.multiply(root[:, None], V.T, out=data[:r])
     V /= root  # in place: V is the mask's copy, so coef needs no array of its own
     return V, data
 
 
-def _fit_in_span(
-    Z: np.ndarray,
-    coef: np.ndarray,
-    data: np.ndarray,
-    init: ProductPoint,
-    cfg: CgConfig,
-) -> tuple[ProductPoint, FitTrace, np.ndarray, Callable[[ProductPoint], ProductPoint]]:
-    """``cg_optimize`` from ``init`` on X = expand(Z), run in a d-dim subspace.
+def _span_start(
+    Z: np.ndarray, coef: np.ndarray, init: ProductPoint
+) -> tuple[ProductPoint, Callable[[ProductPoint], ProductPoint]]:
+    """``init`` in span coordinates for CG on X = expand(Z), and the lift back.
 
     Every iterate stays in range(X) + span(W~_0): the gradients are X- and
     W~-combinations of p columns, and tangent projection, retraction and
     transport only right-multiply by p x p matrices.  So with an orthonormal
     basis B = [Q_X, P] of that space (P completes Q_X to W~_0), CG on the
-    coordinates B^T w, B^T W~ against B^T X has the same costs, metric and
-    iterates in exact arithmetic, on d = r + p rows instead of N.
-
-    ``data`` comes from ``_kernel_basis``; its last p rows are overwritten
-    with this start's P^T X.  Those rows are rounding noise (X lies in
-    range(Q_X), so P^T X is 0 in exact arithmetic), but CG's iterates
-    depend on them in floating point, so they are computed, not zeroed.
-    Returns the point in span coordinates, the trace, the training codes
-    and the lift of a span point back to N rows; the lift holds Z, coef
-    and P, not ``data``.
+    coordinates B^T w, B^T W~ against B^T X (``_kernel_basis``'s block) has
+    the same costs, metric and iterates in exact arithmetic, on d = r + p
+    rows instead of N.  B^T W~_0 is [c; T] with c = Q_X^T W~_0 and
+    W~_0 - Q_X c = P T.  The lift holds Z, coef and P.
     """
     w0 = init.w_tilde.matrix
     c = coef.T @ expanded_t_dot(Z, w0)  # Q_X^T W~_0
-    P = np.linalg.qr(w0 - expanded_dot(Z, coef @ c))[0]
+    P, T = np.linalg.qr(w0 - expanded_dot(Z, coef @ c))
+    start = np.vstack([c, T])
     r = coef.shape[1]
-    data[r:] = expanded_t_dot(Z, P).T
-    start = np.vstack([c, P.T @ w0])
-    point, trace = cg_optimize(
-        ProductPoint(w=start.copy(), w_tilde=StiefelPoint(start)), data, cfg, TANH
-    )
 
     def lift(span: ProductPoint) -> ProductPoint:
         w, w_tilde = (expanded_dot(Z, coef @ M[:r]) + P @ M[r:]
                       for M in (span.w, span.w_tilde.matrix))
         return ProductPoint(w=w, w_tilde=StiefelPoint(w_tilde))
 
-    return point, trace, TANH.fn(point.w.T @ data), lift
+    return ProductPoint(w=start.copy(), w_tilde=StiefelPoint(start)), lift
 
 
 def train(
@@ -376,18 +363,17 @@ def train(
         raise ValueError(f"p={p} exceeds expanded dimension {N}")
     scaler, scaled = _scaled_training_block(X_train, zeta)
     # The span has at most m + p dimensions, so it only pays when that is
-    # below N; toy data (n = 3, N = 13) keeps the explicit expansion.  Each
-    # fit returns (point, trace, codes, lift); only the kept point is lifted.
+    # below N; toy data (n = 3, N = 13) keeps the explicit expansion.  CG
+    # runs on one fixed block, and each start maps to (start, lift) on it.
     if X_train.n_samples + p < N:
-        # the data block is held only by this partial
-        fit = functools.partial(_fit_in_span, scaled, *_kernel_basis(scaled, p), cfg=cfg)
+        coef, data = _kernel_basis(scaled, p)
+        begin = functools.partial(_span_start, scaled, coef)
     else:
         # a DataMatrix only for perfbench's hook, which reads .values (ROADMAP 5)
-        expanded = expand_second_order(DataMatrix(scaled))
+        data = expand_second_order(DataMatrix(scaled))
 
-        def fit(init: ProductPoint):
-            point, trace = cg_optimize(init, expanded, cfg, TANH)
-            return point, trace, TANH.fn(point.w.T @ expanded), lambda q: q
+        def begin(init: ProductPoint):
+            return init, lambda q: q
 
     rng = np.random.default_rng(cfg.seed)
     # A start can still collapse every feature onto a tanh plateau, leaving a
@@ -395,9 +381,10 @@ def train(
     # stream instead of failing outright; give up after _RESTARTS tries.
     last_err: ValueError | None = None
     for _ in range(_RESTARTS):
-        point, trace, codes, lift = fit(init_product_point(N, p, rng))
+        start, lift = begin(init_product_point(N, p, rng))
+        point, trace = cg_optimize(start, data, cfg, TANH)
         try:
-            stats = fit_monitoring_stats(codes, scaler, zeta)
+            stats = fit_monitoring_stats(TANH.fn(point.w.T @ data), scaler, zeta)
             break
         except ValueError as err:
             last_err = err
@@ -405,7 +392,7 @@ def train(
         raise ValueError(
             f"all {_RESTARTS} starts produced degenerate features"
         ) from last_err
-    del fit  # frees the span path's data block before the lift
+    del data  # frees the block before the lift
     point = lift(point)
     model = ScaModel(
         w=point.w,

@@ -149,10 +149,18 @@ def test_bayes_rejects_bad_sds(tmp_path):
                  (0.0, -inf, 1.0, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             bayes_posterior(*args, np.zeros(3))
+    for grid in ([0.0, nan], [-inf, 0.0]):
+        with pytest.raises(ValueError, match="^grid entries must be finite$"):
+            bayes_posterior(0.0, 1.0, 1.0, 2.0, np.array(grid))
     out = tmp_path / "posterior.csv"
-    for flag, bad in (("--sd0", "nan"), ("--sd1", "-1"), ("--mu0", "inf")):
+    for flag, bad in (("--sd0", "nan"), ("--sd1", "-1"), ("--mu0", "inf"),
+                      ("--grid-min", "nan"), ("--grid-max", "inf"), ("--grid-points", "0")):
         assert main(["bayes-demo", "--out", str(out), flag, bad]) == 2
         assert not out.exists()
+    # finite bounds whose span overflows
+    assert main(["bayes-demo", "--out", str(out), "--grid-min=-1e308",
+                 "--grid-max=1e308"]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

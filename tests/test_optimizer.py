@@ -295,6 +295,34 @@ def test_line_search_accepts_armijo_step(rng):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_line_search_builds_the_decoder_from_the_accepted_trials_factor(rng, monkeypatch):
+    # Each trial computes one polar factor; the accepted point reuses its
+    # trial's factor instead of computing it again.
+    N, p, m = 6, 2, 12
+    point = _random_point(N, p, rng)
+    X = rng.standard_normal((N, m))
+    grad = riemannian_grad(point, euclidean_grad(point, X))
+    direction = -50.0 * grad  # too long a step: the search backtracks
+    fwd = _forward(point, X, TANH_ID)
+    calls = []
+    real_factor = optimizer._polar_factor
+
+    def counted(*args):
+        calls.append(1)
+        return real_factor(*args)
+
+    monkeypatch.setattr(optimizer, "_polar_factor", counted)
+    t, _, new_point, _, _, trials = line_search(
+        point, fwd, direction, X, grad, cost(point, X), _sq_norm(X)
+    )
+    assert trials > 1
+    assert len(calls) == trials
+    R = _Ray(point, fwd, direction, X, TANH_ID).factor(t)[1]
+    assert np.array_equal(
+        new_point.w_tilde.matrix, (point.w_tilde.matrix + t * direction.dh) @ R
+    )
+
+
 def test_line_search_rejects_zero_gradient(rng):
     point = _random_point(5, 2, rng)
     X = np.zeros((5, 4))

@@ -505,6 +505,27 @@ def test_train_in_data_span_lifts_only_the_kept_start(monkeypatch):
     assert len(calls) == 2 + 2
 
 
+def test_train_in_data_span_runs_every_start_on_one_fixed_block(monkeypatch):
+    # The completion rows P^T X of the block are 0 for every start, since X
+    # lies in range(Q_X), so no start writes into the block.
+    p = 3
+    blocks = []
+
+    def recorded(init, data, *args):
+        blocks.append((data, data.copy()))
+        return cg_optimize(init, data, *args)
+
+    monkeypatch.setattr(scafd.sca, "cg_optimize", recorded)
+    starts = _degenerate_stats(monkeypatch, failures=1)
+    X = _latent_block(np.random.default_rng(5), 6, 20)  # m + p = 23 < N = 43
+    train(X, p=p, cfg=CgConfig(seed=4, max_iters=5))
+    assert len(starts) == len(blocks) == 2
+    (first, seen), (second, _) = blocks
+    assert second is first
+    assert np.all(seen[-p:] == 0.0)
+    assert np.array_equal(first, seen)
+
+
 def test_train_in_data_span_holds_two_m_by_m_arrays_during_cg(monkeypatch):
     # n=20, m=200, p=5: N = 421 > m + p and the kernel has full rank r = m,
     # so the basis coefficients (m x r) and the (r + p) x m data block are
@@ -845,7 +866,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scafd"))
 def test_runtime_needs_numpy_only(tmp_path):
     # pyproject.toml declares numpy as the only runtime dependency: with the
     # test extras scipy and hypothesis unimportable, gen-toy, train for every
-    # method, detect and a five-method bench must all succeed on toy data; a
+    # method, detect, a five-method bench and bayes-demo must all succeed; a
     # train must read its flags from a config file, and detect must exit 2
     # naming a sample whose z-score overflows, in one line of stderr; an
     # unknown config key and a fault id holding a comma must exit 2, and so
@@ -880,6 +901,7 @@ for method in METHODS:
                  "--header", "--normal-count", "20"]) == 0
 assert main(["bench", *fit, "--methods", ",".join(METHODS),
              "--test", "toy/test.csv:20:1", "--out-dir", "bench"]) == 0
+assert main(["bayes-demo", "--out", "bayes.csv"]) == 0
 
 import contextlib, io
 from pathlib import Path
