@@ -33,7 +33,6 @@ from .data import DataMatrix, load_csv, write_samples_csv
 from .optimizer import CgConfig, FitTrace
 
 METHODS = ("pca", "kpca", "ae", "sae", "sca")
-_BOOL_KEYS = {"header"}
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +80,8 @@ def gen_toy(
     """
     if min(train_m, normal_m, fault_m) < 1:
         raise ValueError("sample counts must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not all(0.0 <= v < np.inf for v in (train_noise, test_noise)):
         raise ValueError("noise variances must be finite and non-negative")
     rng = np.random.default_rng(seed)
@@ -403,8 +404,8 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
     """Replace --config FILE with the flag tokens it encodes.
 
     After a line's syntax, its key is checked against the long flags of the
-    subcommand, the first token once --config FILE is taken out; argparse
-    itself reports a subcommand it does not know.
+    subcommand (the first token once --config FILE is taken out), and a
+    store-true flag takes a boolean; argparse reports an unknown subcommand.
     """
     if "--config" not in argv:
         return argv
@@ -424,15 +425,17 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         if "=" not in line:
             raise ValueError(f"{at}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _BOOL_KEYS:
+        action = (None if command is None
+                  else command._option_string_actions.get(f"--{key}"))
+        if command is not None and action is None:
+            raise ValueError(f"{at}: unknown key {key!r}")
+        if isinstance(action, argparse._StoreTrueAction):
             if value.lower() in ("true", "1", "yes"):
                 tokens.append(f"--{key}")
             elif value.lower() not in ("false", "0", "no"):
                 raise ValueError(f"{at}: key {key}: boolean value expected")
         else:
             tokens.extend([f"--{key}", value])
-        if command is not None and f"--{key}" not in command._option_string_actions:
-            raise ValueError(f"{at}: unknown key {key!r}")
     # insert after the subcommand so explicit flags (later tokens) win
     return rest[:1] + tokens + rest[1:]
 
@@ -512,6 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(flag: str, path: str | None) -> None:
+    """Reject an output path whose directory is missing, before any work."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise ValueError(f"{flag} {path}: no such directory {str(Path(path).parent)!r}")
+
+
 def _cmd_gen_toy(args) -> int:
     train_path, test_path = gen_toy(
         args.out_dir, seed=args.seed, train_m=args.train_m,
@@ -543,6 +552,8 @@ def _cmd_train(args) -> int:
     _check_size(args.p, args.energy)
     if args.trace and args.method in ("pca", "kpca"):
         raise ValueError("--trace needs an iterative method (sca, ae, sae)")
+    _check_out_dir("--out", args.out)
+    _check_out_dir("--trace", args.trace)
     train_dm = load_csv(args.train, samples=args.samples, header=args.header)
     p = resolve_p(train_dm, args.p, args.energy)
     seed = derive_seed(args.seed, args.method)
@@ -561,6 +572,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    _check_out_dir("--out", args.out)
     model = persistence.load_model(args.model)
     data = load_csv(args.data, samples=args.samples, header=args.header)
     report = sca.monitor(model, data)

@@ -12,8 +12,8 @@ n x n matrix.  ``expanded_t_dot`` computes that from the upper-triangular
 U_i with the same value (the two entries of each pair j != k summed above
 the diagonal), split into column blocks; block [a, b) needs only
 z_1..z_b, so the quadratic part costs (1 + 1/blocks)/2 of the full form's
-flops.  ``triangular_form`` prepares U; a model prepares it once, reuses
-it on every call and never saves it.
+flops.  ``expanded_t_dot`` takes U as ``triangular_form`` prepares it; a
+model prepares it once, reuses it on every call and never saves it.
 
 ``load_csv`` parses CSV files with numpy, gives the file's line and column
 of a bad value or row, and names the file in every error it raises.
@@ -195,10 +195,9 @@ def triangular_form(w: np.ndarray, n: int) -> TriangularForm:
     return TriangularForm(w[0], w[1 : 1 + n], tuple(blocks))
 
 
-def expanded_t_dot(Z: np.ndarray, w: np.ndarray | TriangularForm) -> np.ndarray:
-    """``E.T @ w`` for a (1+n+n^2) x p matrix w or its ``triangular_form``: m x p.
+def expanded_t_dot(Z: np.ndarray, form: TriangularForm) -> np.ndarray:
+    """``E.T @ w`` for the ``triangular_form`` of a (1+n+n^2) x p matrix w: m x p.
 
-    A plain w is prepared on each call; a model passes the form it keeps.
     Each column block [a, b) of the forms meets the samples' first b
     variables in a matmul, and one batched row product with each sample
     finishes the quadratic part.  Samples go through in slices, so the
@@ -206,7 +205,6 @@ def expanded_t_dot(Z: np.ndarray, w: np.ndarray | TriangularForm) -> np.ndarray:
     ``_PRODUCT_CHUNK`` elements (or one sample's n*p).
     """
     n, m = Z.shape
-    form = w if isinstance(w, TriangularForm) else triangular_form(w, n)
     p = form.bias.shape[0]
     out = np.empty((m, p))
     step = max(1, _PRODUCT_CHUNK // (n * p))

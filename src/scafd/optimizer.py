@@ -209,13 +209,10 @@ class _Ray:
         self.hh_eig = np.linalg.eigh(self.hh)
         self.enc = enc
 
-    def factor(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """gram(t) and R; the point at t is (w + t dw, (W~ + tH) R)."""
-        gram = self.m + t * self.k_sym + (t * t) * self.hh
-        return gram, _polar_factor(self.hh_eig, gram, t)
-
     def at(self, t: float) -> _Forward:
-        gram, R = self.factor(t)
+        """The forward pass at (w + t dw, (W~ + tH) R), R kept as its ``polar``."""
+        gram = self.m + t * self.k_sym + (t * t) * self.hh
+        R = _polar_factor(self.hh_eig, gram, t)
         pre = self.a + t * self.da
         wt_x = R.T @ (self.b + t * self.db)
         return _Forward(pre, self.enc.fn(pre), wt_x, R.T @ gram @ R, R)

@@ -164,8 +164,16 @@ def load_model(path: str | Path):
     with the shape), a decoder other than
     identity, values the model rejects, or header sizes that are not the
     model's as JSON integers; the format version, too, must be an integer.
+    Every such error, and one for text that is not JSON, names the file.
     """
-    doc = json.loads(Path(path).read_text())
+    path = Path(path)
+    try:
+        return _model_from_doc(json.loads(path.read_text()))
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _model_from_doc(doc):
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")

@@ -330,7 +330,7 @@ def _span_start(
     W~_0 - Q_X c = P T.  The lift holds Z, coef and P.
     """
     w0 = init.w_tilde.matrix
-    c = coef.T @ expanded_t_dot(Z, w0)  # Q_X^T W~_0
+    c = coef.T @ expanded_t_dot(Z, triangular_form(w0, Z.shape[0]))  # Q_X^T W~_0
     P, T = np.linalg.qr(w0 - expanded_dot(Z, coef @ c))
     start = np.vstack([c, T])
     r = coef.shape[1]

@@ -20,7 +20,6 @@ from scafd.cli import (
     METHODS,
     BenchCase,
     BenchSpec,
-    _BOOL_KEYS,
     bayes_posterior,
     build_parser,
     derive_seed,
@@ -31,6 +30,7 @@ from scafd.cli import (
     toy_response,
     toy_samples,
     train_method,
+    _expand_config,
     _parse_case,
     _write_trace_csv,
 )
@@ -97,6 +97,10 @@ def test_gen_toy_noise_parameter_is_a_variance(tmp_path):
 def test_gen_toy_rejects_empty_blocks(tmp_path):
     with pytest.raises(ValueError, match="positive"):
         gen_toy(tmp_path, train_m=0)
+    # numpy's own message names neither the seed nor its value
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        gen_toy(tmp_path / "seed", seed=-1)
+    assert not (tmp_path / "seed").exists()
     # a negative or non-finite variance would write NaN samples
     for key in ("train_noise", "test_noise"):
         for bad in (-1.0, float("nan"), float("inf")):
@@ -238,20 +242,25 @@ def test_cli_bench_rejects_a_bad_spec_before_any_fit(toy_paths, tmp_path, capsys
         assert not out.exists()
 
 
-def test_config_bool_keys_are_the_store_true_flags():
-    # a boolean flag missing from _BOOL_KEYS turns a config line key=true
-    # into "--key true", which argparse rejects
+def test_config_store_true_flags_take_a_boolean(tmp_path):
+    # read as a plain value, key=true would become "--key true", which
+    # argparse rejects
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        option[2:]
-        for command in sub.choices.values()
-        for action in command._actions
-        if isinstance(action, argparse._StoreTrueAction)
-        for option in action.option_strings
-        if option.startswith("--")
-    }
-    assert flags == _BOOL_KEYS
+    flags = [(name, option) for name, command in sub.choices.items()
+             for option, action in command._option_string_actions.items()
+             if option.startswith("--") and isinstance(action, argparse._StoreTrueAction)]
+    assert flags  # --header of train, detect and bench
+    cfg = tmp_path / "flags.cfg"
+    for name, option in flags:
+        argv = [name, "--config", str(cfg)]
+        for value, tokens in (("true", [option]), ("false", [])):
+            cfg.write_text(f"{option[2:]}={value}\n")
+            assert _expand_config(argv, parser) == [name, *tokens]
+        cfg.write_text(f"# flags\n{option[2:]}=maybe\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}: config line 2: "
+                                             f"key {option[2:]}: boolean value expected$"):
+            _expand_config(argv, parser)
 
 
 def test_train_and_bench_declare_the_fit_flags_alike():
@@ -622,14 +631,12 @@ def test_cli_gen_toy_and_config_precedence(tmp_path, capsys):
     "text, error",
     [
         ("train-m=7\nbogus\n", "config line 2: expected key=value, got 'bogus'"),
-        ("# sizes\n\ntrain-m=7\nheader=maybe\n",
-         "config line 4: key header: boolean value expected"),
         # argparse would name neither the file nor the line
         ("train-m=7\n# note\n\nseed=1\nbogus=1\n", "config line 5: unknown key 'bogus'"),
         # gen-toy has no --header, though train, detect and bench have
         ("header=true\n", "config line 1: unknown key 'header'"),
     ],
-    ids=["no-equals", "bad-boolean", "unknown-key", "other-command-key"],
+    ids=["no-equals", "unknown-key", "other-command-key"],
 )
 def test_cli_config_error_names_the_file_and_its_line(text, error, tmp_path, capsys):
     # lines are counted from 1, comments and blank lines included
@@ -733,6 +740,29 @@ def test_cli_train_trace_needs_an_iterative_method(toy_paths, tmp_path, capsys, 
     assert "--trace needs an iterative method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("train", "--out"), ("train", "--trace"), ("detect", "--out")],
+    ids=["train-out", "train-trace", "detect-out"],
+)
+def test_cli_checks_output_directories_before_any_work(toy_paths, tmp_path, capsys,
+                                                       command, flag):
+    # the model used to be written before a bad --trace failed, and detect
+    # printed every sample before a bad --out failed
+    golden = Path(__file__).parent / "data" / "v1" / "pca.json"
+    argv = {"train": ["--train", str(toy_paths[0]), "--method", "ae", "--p", "2",
+                      "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "t.csv")],
+            "detect": ["--model", str(golden), "--data", str(toy_paths[1]),
+                       "--out", str(tmp_path / "c.csv")]}[command]
+    missing = tmp_path / "missing" / "x.csv"
+    argv[argv.index(flag) + 1] = str(missing)
+    assert main([command, "--header", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} {missing}: no such directory "
+                            f"{str(missing.parent)!r}\n")
+    assert list(tmp_path.iterdir()) == []  # no model, trace or chart file
+
+
 def test_cli_train_requires_a_size_argument(toy_paths, tmp_path, capsys):
     train_path, _ = toy_paths
     rc = main(["train", "--train", str(train_path), "--header",
@@ -793,7 +823,7 @@ def test_cli_detect_reports_malformed_format_2_array(toy_paths, tmp_path, capsys
                "--header"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "error: entry 'loading' holds invalid base64 data" in err
+    assert f"error: {model_path}: entry 'loading' holds invalid base64 data" in err
 
 
 @pytest.mark.parametrize(
@@ -817,7 +847,7 @@ def test_cli_detect_reports_malformed_model_structure(toy_paths, tmp_path, capsy
                "--header"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"error: {match}" in err
+    assert f"error: {model_path}: {match}" in err
 
 
 @pytest.mark.parametrize(

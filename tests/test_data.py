@@ -24,6 +24,7 @@ from scafd.data import (
     fit_scaler,
     load_csv,
     second_order_kernel,
+    triangular_form,
     write_samples_csv,
 )
 
@@ -207,7 +208,7 @@ def test_structured_products_match_explicit_expansion(n, m, p, seed, chunk):
     with mock.patch("scafd.data._PRODUCT_CHUNK", chunk):
         pairs = [
             (second_order_kernel(X), E.T @ E, np.abs(E).T @ np.abs(E)),
-            (expanded_t_dot(X, w), E.T @ w, np.abs(E).T @ np.abs(w)),
+            (expanded_t_dot(X, triangular_form(w, n)), E.T @ w, np.abs(E).T @ np.abs(w)),
             (expanded_dot(X, c), E @ c, np.abs(E) @ np.abs(c)),
         ]
     for got, want, scale in pairs:
@@ -232,7 +233,8 @@ def test_structured_products_memory_stays_near_the_slice_cap():
     rng = np.random.default_rng(0)
     block = rng.standard_normal((52, 4000))
     t_dot, t_dot_peak = _peak_above_entry(
-        expanded_t_dot, block, rng.standard_normal((expanded_dim(52), 27))
+        lambda Z, w: expanded_t_dot(Z, triangular_form(w, 52)),
+        block, rng.standard_normal((expanded_dim(52), 27)),
     )
     assert t_dot_peak < t_dot.nbytes + 3e6
     train = block[:, :500]

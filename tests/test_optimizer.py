@@ -259,7 +259,7 @@ def test_closed_form_trial_matches_moved_point(p, extra, m, log_t, log_scale, se
     # The same holds for the gradients: their rounding error scales with the
     # terms they cancel, which t |dw| and t |H| can make far larger than the
     # gradients themselves (see _grad_term_sizes).
-    size_w, size_wt = _grad_term_sizes(point, direction, t, ray.factor(t)[1], moved, X)
+    size_w, size_wt = _grad_term_sizes(point, direction, t, fwd.polar, moved, X)
     eps = np.finfo(float).eps
     assert np.linalg.norm(gw - ow) <= 1e-12 * np.linalg.norm(ow) + 16 * eps * size_w
     assert np.linalg.norm(gwt - owt) <= 1e-12 * np.linalg.norm(owt) + 16 * eps * size_wt
@@ -317,7 +317,7 @@ def test_line_search_builds_the_decoder_from_the_accepted_trials_factor(rng, mon
     )
     assert trials > 1
     assert len(calls) == trials
-    R = _Ray(point, fwd, direction, X, TANH_ID).factor(t)[1]
+    R = _Ray(point, fwd, direction, X, TANH_ID).at(t).polar
     assert np.array_equal(
         new_point.w_tilde.matrix, (point.w_tilde.matrix + t * direction.dh) @ R
     )
@@ -365,8 +365,7 @@ def _backtrack_from_one(
         new_fwd = ray.at(t)
         f_t = new_fwd.cost(x_sq)
         if f_t <= f0 + _ARMIJO_C1 * t * slope:
-            R = ray.factor(t)[1]
-            w_tilde = StiefelPoint((point.w_tilde.matrix + t * direction.dh) @ R)
+            w_tilde = StiefelPoint((point.w_tilde.matrix + t * direction.dh) @ new_fwd.polar)
             new_point = ProductPoint(point.w + t * direction.dw, w_tilde)
             eucl = _grad(new_fwd, X, new_point.w_tilde.matrix, encoder)
             return t, f_t, new_point, new_fwd, riemannian_grad(new_point, eucl), trials

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -278,7 +279,10 @@ def test_load_rejects_malformed_files(tag, key, value, match, tmp_path):
     else:
         target[key] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=match):
+    # every message starts with the file's path; a ^ pattern must follow it
+    prefix = f"^{re.escape(str(path))}: "
+    with pytest.raises(ValueError, match=prefix + (match[1:] if match[0] == "^"
+                                                   else ".*" + match)):
         load_model(path)
 
 

@@ -864,100 +864,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scafd"))
 
 
 def test_runtime_needs_numpy_only(tmp_path):
-    # pyproject.toml declares numpy as the only runtime dependency: with the
-    # test extras scipy and hypothesis unimportable, gen-toy, train for every
-    # method, detect, a five-method bench and bayes-demo must all succeed; a
-    # train must read its flags from a config file, and detect must exit 2
-    # naming a sample whose z-score overflows, in one line of stderr; an
-    # unknown config key and a fault id holding a comma must exit 2, and so
-    # must a bench case with no faulty sample, leaving no metrics.csv; detect
-    # must exit 2 with nothing on stdout for a normal count of 0, and exit 2
-    # on a format-1 model holding 10**400.  The CI job "numpy-only" runs the
-    # same commands on an install without the extras.
-    script = """
-import sys
-
-class Blocked:
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] in ("scipy", "hypothesis"):
-            raise ModuleNotFoundError(f"{name} is blocked")
-
-sys.meta_path.insert(0, Blocked())
-for name in ("scipy", "hypothesis"):
-    try:
-        __import__(name)
-    except ModuleNotFoundError:
-        continue
-    raise SystemExit(f"{name} was imported")
-
-from scafd.cli import METHODS, main
-
-fit = ["--train", "toy/train.csv", "--header", "--p", "2", "--max-iters", "20"]
-assert main(["gen-toy", "--out-dir", "toy", "--train-m", "100",
-             "--normal-m", "20", "--fault-m", "40"]) == 0
-for method in METHODS:
-    assert main(["train", *fit, "--method", method, "--out", f"{method}.json"]) == 0
-    assert main(["detect", "--model", f"{method}.json", "--data", "toy/test.csv",
-                 "--header", "--normal-count", "20"]) == 0
-assert main(["bench", *fit, "--methods", ",".join(METHODS),
-             "--test", "toy/test.csv:20:1", "--out-dir", "bench"]) == 0
-assert main(["bayes-demo", "--out", "bayes.csv"]) == 0
-
-import contextlib, io
-from pathlib import Path
-
-rows = [f"0.00{i % 7},{i % 5}" for i in range(1, 31)]
-Path("narrow.csv").write_text("\\n".join(["x1,x2", *rows]) + "\\n")
-Path("narrow.cfg").write_text("train=narrow.csv\\nheader=true\\nmethod=pca\\np=1\\n"
-                              "out=narrow.json\\n")
-assert main(["train", "--config", "narrow.cfg"]) == 0
-# x1's spread is about 2e-3, so 1e308 overflows its z-score
-Path("overflow.csv").write_text("x1,x2\\n0,1\\n0,2\\n1e308,3\\n")
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
-    status = main(["detect", "--model", "narrow.json", "--data", "overflow.csv",
-                   "--header"])
-assert status == 2
-assert err.getvalue() == "error: non-finite entry at variable 0, sample 2\\n", err.getvalue()
-
-Path("bogus.cfg").write_text("train=narrow.csv\\nbogus=1\\n")
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
-    assert main(["train", "--config", "bogus.cfg", "--out", "bogus.json"]) == 2
-assert err.getvalue() == "error: bogus.cfg: config line 2: unknown key 'bogus'\\n"
-with contextlib.redirect_stderr(io.StringIO()):
-    assert main(["bench", *fit, "--test", "toy/test.csv:20:a,b", "--out-dir", "comma"]) == 2
-assert not Path("comma").exists()
-# toy/test.csv holds 20 normal and 40 faulty samples
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
-    assert main(["bench", *fit, "--methods", "pca,sca", "--test", "toy/test.csv:60:1",
-                 "--out-dir", "nofault"]) == 2
-assert err.getvalue() == ("error: toy/test.csv: no faulty segment: "
-                          "normal_count equals sample count\\n"), err.getvalue()
-assert not Path("nofault/metrics.csv").exists()
-
-import json
-
-out = io.StringIO()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-    assert main(["detect", "--model", "pca.json", "--data", "toy/test.csv", "--header",
-                 "--normal-count", "0"]) == 2
-assert out.getvalue() == ""
-doc = json.loads(Path(sys.argv[1]).read_text())
-doc["g_mean"][0] = 10**400
-Path("big.json").write_text(json.dumps(doc))
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
-    assert main(["detect", "--model", "big.json", "--data", "toy/test.csv", "--header"]) == 2
-assert err.getvalue() == "error: entry 'g_mean' holds a number beyond float range\\n"
-"""
+    # tests/numpy_only_checks.py runs every subcommand with scipy and
+    # hypothesis blocked; the CI job "numpy-only" runs the same file on an
+    # install without the test extras, so the two cannot drift apart.
+    tests = Path(__file__).parent
+    workflow = (tests.parent / ".github" / "workflows" / "tests.yml").read_text()
+    assert "tests/numpy_only_checks.py" in workflow
     src = str(Path(scafd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    golden = Path(__file__).parent / "data" / "v1" / "pca.json"
-    result = subprocess.run([sys.executable, "-c", script, str(golden)], cwd=tmp_path,
-                            env=env, capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, str(tests / "numpy_only_checks.py"),
+         str(tests / "data" / "v1" / "pca.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
     assert result.returncode == 0, result.stderr
-    metrics = (tmp_path / "bench" / "metrics.csv").read_text()
-    assert metrics.count("\n") == 6 and "NA" not in metrics
