@@ -242,7 +242,7 @@ def test_cli_bench_rejects_a_bad_spec_before_any_fit(toy_paths, tmp_path, capsys
         assert not out.exists()
 
 
-def test_config_store_true_flags_take_a_boolean(tmp_path):
+def test_config_bool_keys_are_the_store_true_flags(tmp_path):
     # read as a plain value, key=true would become "--key true", which
     # argparse rejects
     parser = build_parser()
@@ -628,22 +628,27 @@ def test_cli_gen_toy_and_config_precedence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, error",
+    "command, text, error",
     [
-        ("train-m=7\nbogus\n", "config line 2: expected key=value, got 'bogus'"),
+        ("gen-toy", "train-m=7\nbogus\n", "config line 2: expected key=value, got 'bogus'"),
+        ("train", "# sizes\n\np=2\nheader=maybe\n",
+         "config line 4: key header: boolean value expected"),
         # argparse would name neither the file nor the line
-        ("train-m=7\n# note\n\nseed=1\nbogus=1\n", "config line 5: unknown key 'bogus'"),
+        ("gen-toy", "train-m=7\n# note\n\nseed=1\nbogus=1\n",
+         "config line 5: unknown key 'bogus'"),
         # gen-toy has no --header, though train, detect and bench have
-        ("header=true\n", "config line 1: unknown key 'header'"),
+        ("gen-toy", "header=true\n", "config line 1: unknown key 'header'"),
     ],
-    ids=["no-equals", "unknown-key", "other-command-key"],
+    ids=["no-equals", "bad-boolean", "unknown-key", "other-command-key"],
 )
-def test_cli_config_error_names_the_file_and_its_line(text, error, tmp_path, capsys):
+def test_cli_config_error_names_the_file_and_its_line(command, text, error, tmp_path,
+                                                      capsys):
     # lines are counted from 1, comments and blank lines included
     cfg = tmp_path / "gen.cfg"
     cfg.write_text(text)
     out = tmp_path / "data"
-    rc = main(["gen-toy", "--config", str(cfg), "--out-dir", str(out)])
+    out_flag = {"gen-toy": "--out-dir", "train": "--out"}[command]
+    rc = main([command, "--config", str(cfg), out_flag, str(out)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {cfg}: {error}\n"
     assert not out.exists()
