@@ -41,7 +41,6 @@ _LR_FLOOR = 1e-16
 _FLAT_WINDOW = 10
 _LR_START = 1.0  # first gradient-descent step
 _COST_REL_TOL = 1e-9  # stop at a smaller relative drop over _FLAT_WINDOW steps
-_NORM_BLOCK_ELEMS = 2**14  # gradient entries held for one batched norm pass
 _AE_MAX_ITERS = 2000  # descent steps of ae and sae, which --max-iters does not set
 
 
@@ -259,7 +258,8 @@ def ae_cost_grad(
     expression.  Without ``out`` the four gradients are fresh arrays.  With
     ``out``, a flat float64 vector of the parameter length laid out as
     (w_enc, b_enc, w_dec, b_dec), the same kernels write them into views of
-    ``out`` and those views are returned.
+    ``out`` and those views are returned, so ``out`` then holds the whole
+    gradient as one vector.
     """
     w_enc, b_enc, w_dec, b_dec = params
     n, p = w_enc.shape
@@ -296,13 +296,10 @@ def _gradient_descent(
     current and the candidate theta are two preallocated buffers whose
     parameter views are built once: a trial writes ``theta - lr * g`` into
     the candidate (the same two roundings), and an accepted trial swaps the
-    two.  ``ae_cost_grad`` writes each trial's gradient into the next row of
-    one block of at most max(_NORM_BLOCK_ELEMS, 2 P) entries for P
-    parameters, two rows at least; an accepted gradient keeps its row.  The
-    norms of a full block, and of the rows left when the descent stops, are
-    taken in one pass with the same per-parameter-block sums, added in block
-    order, as a norm taken per step, so ``grad_norm_per_iter`` is unchanged
-    bit for bit.  Each accepted step goes to ``step_per_iter``.
+    two.  ``ae_cost_grad`` writes each trial's gradient into a second pair
+    of flat buffers, which swap with theta's.  ``grad_norm_per_iter`` holds
+    the 2-norm of the flat gradient, one dot product, for the start and for
+    each accepted step, whose step goes to ``step_per_iter``.
     """
     began = time.perf_counter()
     n = X.shape[0]
@@ -312,59 +309,45 @@ def _gradient_descent(
         rng.standard_normal((n, p)) / np.sqrt(n),
         np.zeros(n),
     ], axis=None)
-    cand = np.empty_like(theta)
+    cand, g, cand_g = np.empty_like(theta), np.empty_like(theta), np.empty_like(theta)
     params, cand_params = _ae_views(theta, n, p), _ae_views(cand, n, p)
-    size = theta.size
-    ends = [0, n * p, n * p + p, 2 * n * p + p, size]
-    blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    rows = np.empty((max(2, _NORM_BLOCK_ELEMS // size), size))
-    filled = 1  # rows[:filled] hold gradients whose norm is still owed
 
-    f, _ = ae_cost_grad(params, X, encoder, out=rows[0])
+    f, _ = ae_cost_grad(params, X, encoder, out=g)
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
-    g = rows[0]
-    trace = FitTrace(cost_per_iter=[f])
-
-    def flush() -> None:
-        gg = rows[:filled] * rows[:filled]
-        sq = sum([np.add.reduce(gg[:, b], axis=1) for b in blocks])
-        trace.grad_norm_per_iter.extend(np.sqrt(sq).tolist())
+    trace = FitTrace(cost_per_iter=[f], grad_norm_per_iter=[math.sqrt(g @ g)])
 
     lr = _LR_START
     for _ in range(max_iters):
         if _is_flat(trace.cost_per_iter, _FLAT_WINDOW, _COST_REL_TOL):
             trace.stop_reason = "flat"
             break
-        if filled == rows.shape[0]:
-            flush()  # g sits in the last row; the next trial writes row 0
-            filled = 0
         trials = 0
         while lr >= _LR_FLOOR:
             np.multiply(g, lr, out=cand)
             np.subtract(theta, cand, out=cand)
             trials += 1
             try:
-                f_new, _ = ae_cost_grad(cand_params, X, encoder, out=rows[filled])
+                f_new, _ = ae_cost_grad(cand_params, X, encoder, out=cand_g)
             except FloatingPointError:
                 f_new = np.inf
             if math.isfinite(f_new) and f_new <= f:
                 theta, cand = cand, theta
                 params, cand_params = cand_params, params
-                f, g = f_new, rows[filled]
-                filled += 1
+                g, cand_g = cand_g, g
+                f = f_new
                 break
             lr *= 0.5  # halve on cost increase, keep the reduced step
         else:
             trace.stop_reason = "step_floor"
             break
         trace.cost_per_iter.append(f)
+        trace.grad_norm_per_iter.append(math.sqrt(g @ g))
         trace.step_per_iter.append(lr)
         trace.trials_per_iter.append(trials)
         trace.iterations += 1
     else:
         trace.stop_reason = "max_iters"
-    flush()
     trace.wall_time = time.perf_counter() - began
     return params, trace
 

@@ -290,25 +290,26 @@ def run_bench(spec: BenchSpec) -> BenchResult:
 
     Loads the training block and every test block, rejects a case whose
     normal count leaves no faulty sample in its block (with ``sca.score``'s
-    message), binds the blocks to ``_bench_cell`` once, and runs that
-    callable per method: concurrently, in at most one worker per method and
-    per usable CPU, forked from the caller, each task carrying the pickled
-    blocks; or in the calling process, with one worker or where ``fork`` is
-    unavailable.  The cells write one chart CSV per case and method and a
-    trace CSV per iterative method (sca, ae, sae); this function then
-    writes metrics.csv (fault_id, method, mdr, far), case by case in method
-    order, and run_metadata.json.  Only run_metadata.json depends on how
-    many workers ran the cells: it records them as ``fit_workers``, and each
-    fit's own seconds as ``wall_times``, whose sum can exceed the bench's
-    elapsed time.  A method or case that fails with one of ``_FIT_ERRORS``
-    is recorded as NA and skipped, not fatal; any other exception
-    propagates, and may leave the files of cells that had finished.
+    message) and resolves p; only then does it create ``out_dir``, so a
+    bench whose inputs fail leaves nothing behind.  It binds the blocks to
+    ``_bench_cell`` once, and runs that callable per method: concurrently,
+    in at most one worker per method and per usable CPU, forked from the
+    caller, each task carrying the pickled blocks; or in the calling
+    process, with one worker or where ``fork`` is unavailable.  The cells
+    write one chart CSV per case and method and a trace CSV per iterative
+    method (sca, ae, sae); this function then writes metrics.csv (fault_id,
+    method, mdr, far), case by case in method order, and run_metadata.json.
+    Only run_metadata.json depends on how many workers ran the cells: it
+    records them as ``fit_workers``, and each fit's own seconds as
+    ``wall_times``, whose sum can exceed the bench's elapsed time.  A method
+    or case that fails with one of ``_FIT_ERRORS`` is recorded as NA and
+    skipped, not fatal; any other exception propagates, and may leave the
+    files of cells that had finished.
     """
     # imported here, as they add about 1.3 MB to every process importing cli
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     train_dm = load_csv(spec.train_path, samples=spec.samples, header=spec.header)
     tests = [load_csv(case.test_path, samples=spec.samples, header=spec.header)
              for case in spec.cases]
@@ -319,6 +320,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
             raise ValueError(f"{case.test_path}: {exc}") from None
     result = BenchResult()
     p = result.resolved_p = resolve_p(train_dm, spec.p, spec.energy)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     cell = functools.partial(_bench_cell, spec, train_dm, p, tests)
     methods = spec.methods
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -516,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(flag: str, path: str | None) -> None:
-    """Reject an output path whose directory is missing, before any work."""
+    """Reject an output path that is a directory or lies in a missing one, before any work."""
+    if path is not None and Path(path).is_dir():
+        raise ValueError(f"{flag} {path}: is a directory")
     if path is not None and not Path(path).parent.is_dir():
         raise ValueError(f"{flag} {path}: no such directory {str(Path(path).parent)!r}")
 
@@ -533,6 +537,7 @@ def _cmd_gen_toy(args) -> int:
 
 
 def _cmd_bayes_demo(args) -> int:
+    _check_out_dir("--out", args.out)
     # before linspace, which warns on a NaN, infinite or overflowing span
     if not np.isfinite(args.grid_max - args.grid_min):
         raise ValueError("--grid-min and --grid-max must be finite, as must their difference")

@@ -327,7 +327,10 @@ def _span_start(
     coordinates B^T w, B^T W~ against B^T X (``_kernel_basis``'s block) has
     the same costs, metric and iterates in exact arithmetic, on d = r + p
     rows instead of N.  B^T W~_0 is [c; T] with c = Q_X^T W~_0 and
-    W~_0 - Q_X c = P T.  The lift holds Z, coef and P.
+    W~_0 - Q_X c = P T.  The encoder starts at [c; 0], the tied start's part
+    in range(X): its last p rows meet only the block's zero rows, so every
+    cost, gradient and decoder iterate is the tied start's, and the lifted w
+    lies in range(X).  The lift holds Z, coef and P.
     """
     w0 = init.w_tilde.matrix
     c = coef.T @ expanded_t_dot(Z, triangular_form(w0, Z.shape[0]))  # Q_X^T W~_0
@@ -340,7 +343,8 @@ def _span_start(
                       for M in (span.w, span.w_tilde.matrix))
         return ProductPoint(w=w, w_tilde=StiefelPoint(w_tilde))
 
-    return ProductPoint(w=start.copy(), w_tilde=StiefelPoint(start)), lift
+    w = np.vstack([c, np.zeros_like(T)])
+    return ProductPoint(w=w, w_tilde=StiefelPoint(start)), lift
 
 
 def train(

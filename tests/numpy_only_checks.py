@@ -79,7 +79,14 @@ status, out, err = run("bench", *fit, "--methods", "pca,sca",
                         "--test", "toy/test.csv:60:1", "--out-dir", "nofault")
 assert (status, err) == (2, "error: toy/test.csv: no faulty segment: "
                             "normal_count equals sample count\n"), err
-assert not Path("nofault/metrics.csv").exists()
+assert not Path("nofault").exists()
+
+# an --out that is an existing directory exits 2 before any fit or output
+for command, args in (("train", [*fit, "--method", "ae"]),
+                      ("detect", ["--model", "pca.json", "--data", "toy/test.csv",
+                                  "--header"])):
+    status, out, err = run(command, *args, "--out", "toy")
+    assert (status, out, err) == (2, "", "error: --out toy: is a directory\n"), err
 
 # a bad normal count prints nothing; a number beyond float range exits 2
 status, out, err = run("detect", "--model", "pca.json", "--data", "toy/test.csv",

@@ -1,5 +1,7 @@
 """PCA / kernel-PCA / autoencoder baseline monitors and their shared scoring."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -9,7 +11,6 @@ from scafd.baselines import (
     _FLAT_WINDOW,
     _LR_FLOOR,
     _LR_START,
-    _NORM_BLOCK_ELEMS,
     AeModel,
     KpcaModel,
     PcaModel,
@@ -407,6 +408,12 @@ def _old_ae_cost_grad(params, X, encoder=TANH_ID):
     return value, (g_w_enc, g_b_enc, g_w_dec, g_b_dec)
 
 
+def _flat_norm(grads):
+    # the 2-norm of the gradients laid end to end, as one dot product
+    flat = np.concatenate(grads, axis=None)
+    return math.sqrt(flat @ flat)
+
+
 def _old_gradient_descent(X, p, rng, encoder, max_iters, cost_grad=_old_ae_cost_grad):
     n = X.shape[0]
     params = (
@@ -418,7 +425,7 @@ def _old_gradient_descent(X, p, rng, encoder, max_iters, cost_grad=_old_ae_cost_
     f, grads = cost_grad(params, X, encoder)
     if not np.isfinite(f):
         raise FloatingPointError("autoencoder cost diverged at initialization")
-    gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+    gnorm = _flat_norm(grads)
     trace = FitTrace(cost_per_iter=[f], grad_norm_per_iter=[gnorm])
     lr = _LR_START
     for _ in range(max_iters):
@@ -441,7 +448,7 @@ def _old_gradient_descent(X, p, rng, encoder, max_iters, cost_grad=_old_ae_cost_
             lr *= 0.5  # halve on cost increase, keep the reduced step
         if not stepped:
             break
-        gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+        gnorm = _flat_norm(grads)
         trace.cost_per_iter.append(f)
         trace.grad_norm_per_iter.append(gnorm)
         trace.iterations += 1
@@ -555,13 +562,11 @@ def _descent_pair(X, p, max_iters, monkeypatch, limit=None):
 
 @pytest.mark.parametrize("rows", [2, 3])
 def test_batched_norms_cross_block_boundaries_bit_for_bit(rows, monkeypatch):
-    from scafd import baselines
-
+    # descents of several lengths and all three stops, each bit for bit
+    # against the oracle, norms included
     n, p = 3, 2
-    size = 2 * n * p + p + n
-    monkeypatch.setattr(baselines, "_NORM_BLOCK_ELEMS", rows * size)
     X = np.random.default_rng(9).standard_normal((n, 40))
-    # max_iters: 1 + max_iters norms end on every offset inside a block
+    # max_iters: short and long descents, each with 1 + max_iters norms
     for max_iters in (rows - 1, rows, rows + 1, 4 * rows + 1):
         (params, trace), ref = _descent_pair(X, p, max_iters, monkeypatch)
         assert trace.stop_reason == "max_iters"
@@ -571,44 +576,41 @@ def test_batched_norms_cross_block_boundaries_bit_for_bit(rows, monkeypatch):
     assert trace.stop_reason == "flat"
     _assert_same_descent(params, trace, *ref)
     # step_floor: every evaluation after the limit is rejected
-    offsets = set()
     for limit in range(1, 30):
         with monkeypatch.context() as patch:
             (params, trace), ref = _descent_pair(X, p, 100, patch, limit=limit)
         assert trace.stop_reason == "step_floor"
         _assert_same_descent(params, trace, *ref)
-        offsets.add(len(trace.grad_norm_per_iter) % rows)
-    assert len(offsets) == rows  # the stop fell at every row of a block
 
 
 def test_norm_block_is_bounded_and_allocated_once(monkeypatch):
     from scafd import baselines
 
     original = baselines.ae_cost_grad
-    blocks = []
+    buffers = []
 
     def spy(*args, out=None, **kwargs):
-        blocks.append(out.base)
+        buffers.append(out)
         return original(*args, out=out, **kwargs)
 
     monkeypatch.setattr(baselines, "ae_cost_grad", spy)
     rng = np.random.default_rng(2)
-    # n=3, p=2: 17 parameters, so many rows; n=861 (a 40-variable second-order
-    # expansion), p=25: 43936 parameters, so the block is two gradients
+    # n=3, p=2: 17 parameters; n=861 (a 40-variable second-order expansion),
+    # p=25: 43936 parameters
     for X, p, max_iters in (
         (rng.standard_normal((3, 60)), 2, 3000),
         (rng.standard_normal((861, 30)), 25, 300),
     ):
         n = X.shape[0]
         size = 2 * n * p + p + n
-        blocks.clear()
+        buffers.clear()
         _, trace = _gradient_descent(X, p, np.random.default_rng(0), TANH_ID, max_iters)
-        block = blocks[0]
-        assert all(b is block for b in blocks)  # one block for the whole fit
-        assert block.shape[1] == size and block.shape[0] >= 2
-        assert block.size <= max(_NORM_BLOCK_ELEMS, 2 * size)
-        # the fit outlasted the block several times over
-        assert trace.iterations == max_iters > 2 * block.shape[0]
+        # the same two flat P-entry gradients for the whole fit, each its own array
+        pair = {id(b): b for b in buffers}
+        assert len(pair) == 2
+        for b in pair.values():
+            assert b.shape == (size,) and b.base is None
+        assert trace.iterations == max_iters
         assert len(trace.grad_norm_per_iter) == trace.iterations + 1
 
 

@@ -515,7 +515,18 @@ def test_bench_with_a_missing_test_csv_fails_before_any_fit(toy_paths, tmp_path)
                      methods=["pca", "sca"], p=2, out_dir=out, max_iters=5)
     with pytest.raises(OSError, match="missing.csv"):
         run_bench(spec)
-    assert list(out.iterdir()) == []  # no trace_sca.csv, no metrics.csv
+    assert not out.exists()  # no directory, so no trace_sca.csv or metrics.csv
+
+
+def test_cli_bench_with_a_missing_train_csv_creates_no_output_directory(toy_paths,
+                                                                        tmp_path, capsys):
+    _, test_path = toy_paths
+    out = tmp_path / "new" / "bench"
+    rc = main(["bench", "--train", str(tmp_path / "missing.csv"), "--header", "--p", "2",
+               "--test", f"{test_path}:100:1", "--out-dir", str(out)])
+    assert rc == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
@@ -746,25 +757,37 @@ def test_cli_train_trace_needs_an_iterative_method(toy_paths, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "command, flag", [("train", "--out"), ("train", "--trace"), ("detect", "--out")],
-    ids=["train-out", "train-trace", "detect-out"],
+    "command, flag, target",
+    [("train", "--out", "missing"), ("train", "--trace", "missing"),
+     ("detect", "--out", "missing"), ("train", "--out", "dir"),
+     ("train", "--trace", "dir"), ("detect", "--out", "dir"),
+     ("bayes-demo", "--out", "missing"), ("bayes-demo", "--out", "dir")],
+    ids=["train-out", "train-trace", "detect-out", "train-out-is-dir",
+         "train-trace-is-dir", "detect-out-is-dir", "bayes-demo-out",
+         "bayes-demo-out-is-dir"],
 )
 def test_cli_checks_output_directories_before_any_work(toy_paths, tmp_path, capsys,
-                                                       command, flag):
-    # the model used to be written before a bad --trace failed, and detect
-    # printed every sample before a bad --out failed
+                                                       command, flag, target):
+    # the model used to be written before a bad --trace failed, detect
+    # printed every sample before a bad --out failed, and an --out that was a
+    # directory failed only after the fit
     golden = Path(__file__).parent / "data" / "v1" / "pca.json"
-    argv = {"train": ["--train", str(toy_paths[0]), "--method", "ae", "--p", "2",
-                      "--out", str(tmp_path / "m.json"), "--trace", str(tmp_path / "t.csv")],
-            "detect": ["--model", str(golden), "--data", str(toy_paths[1]),
-                       "--out", str(tmp_path / "c.csv")]}[command]
-    missing = tmp_path / "missing" / "x.csv"
-    argv[argv.index(flag) + 1] = str(missing)
-    assert main([command, "--header", *argv]) == 2
+    argv = {"train": ["--train", str(toy_paths[0]), "--header", "--method", "ae",
+                      "--p", "2", "--out", str(tmp_path / "m.json"),
+                      "--trace", str(tmp_path / "t.csv")],
+            "detect": ["--model", str(golden), "--data", str(toy_paths[1]), "--header",
+                       "--out", str(tmp_path / "c.csv")],
+            "bayes-demo": ["--out", str(tmp_path / "b.csv")]}[command]
+    if target == "missing":
+        bad = tmp_path / "missing" / "x.csv"
+        error = f"no such directory {str(bad.parent)!r}"
+    else:
+        bad, error = tmp_path, "is a directory"
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main([command, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {flag} {missing}: no such directory "
-                            f"{str(missing.parent)!r}\n")
+    assert captured.err == f"error: {flag} {bad}: {error}\n"
     assert list(tmp_path.iterdir()) == []  # no model, trace or chart file
 
 
@@ -902,7 +925,7 @@ def test_cli_bench_rejects_a_case_it_cannot_score_before_any_fit(
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: {test_path}: {error}\n"
-    assert list(out.iterdir()) == []  # no metrics.csv, chart or trace
+    assert not out.exists()  # no directory, so no metrics.csv, chart or trace
 
 
 def test_cli_missing_file_exits_nonzero(tmp_path, capsys):
